@@ -1,9 +1,10 @@
 package index
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -515,6 +516,17 @@ func (bi *BagIndex) CandidatesDist(probes [][]float64, c int) ([]BagHit, ProbeSt
 func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats) {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
+	sc := bi.scratches.Get().(*Scratch)
+	defer bi.scratches.Put(sc)
+	return bi.candidatesLocked(probes, c, bounds, sc)
+}
+
+// candidatesLocked is CandidatesDistBounded under the read lock, with
+// its scratch passed in. Each probe's hits arrive unsorted — only
+// their per-bag minimum matters — and aggregate into the scratch's
+// dense per-position distances; only the touched bags are then
+// ordered by (distance, position) and cut to c.
+func (bi *BagIndex) candidatesLocked(probes [][]float64, c int, bounds []float64, sc *Scratch) ([]BagHit, []float64, ProbeStats) {
 	var stats ProbeStats
 	kth := make([]float64, len(probes))
 	for i := range kth {
@@ -534,13 +546,11 @@ func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []fl
 	if k > live {
 		k = live
 	}
-	sc := bi.scratches.Get().(*Scratch)
-	defer bi.scratches.Put(sc)
-	if sc.bags == nil {
-		sc.bags = make(map[int]float64, 2*c)
+	for len(sc.bagDist) < bi.bags {
+		sc.bagDist = append(sc.bagDist, -1)
 	}
-	clear(sc.bags)
-	best := sc.bags
+	best := sc.bagDist
+	touched := sc.touched[:0]
 	for qi, q := range probes {
 		if len(q) != bi.dim {
 			continue
@@ -554,7 +564,7 @@ func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []fl
 		var evals int
 		switch bi.kind {
 		case KindVPTree:
-			hits, evals = bi.vp.KNNScratchBound(q, k, bi.opt.MaxEvals, bound, sc)
+			hits, kth[qi], evals = bi.vp.knn(q, k, bi.opt.MaxEvals, bound, sc)
 		case KindIVF:
 			nprobe := bi.opt.NProbe
 			if nprobe <= 0 {
@@ -566,41 +576,38 @@ func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []fl
 					nprobe = 2
 				}
 			}
-			hits, evals = bi.ivf.SearchScratchBound(q, k, nprobe, bound, sc)
+			hits, kth[qi], evals = bi.ivf.search(q, k, nprobe, bound, sc)
 		}
 		stats.DistEvals += evals
-		if len(hits) >= k {
-			kth[qi] = hits[len(hits)-1].Dist
-		}
 		for _, h := range hits {
 			bag := bi.owner[h.Idx]
-			if d, ok := best[bag]; !ok || h.Dist < d {
+			// Distances are never negative, so -1 marks a bag no hit
+			// has reached yet.
+			if d := best[bag]; d < 0 {
+				best[bag] = h.Dist
+				touched = append(touched, bag)
+			} else if h.Dist < d {
 				best[bag] = h.Dist
 			}
 		}
 	}
-	order := sc.order[:0]
-	for bag := range best {
-		order = append(order, bag)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := best[order[a]], best[order[b]]
-		if da != db {
-			return da < db
+	slices.SortFunc(touched, func(a, b int) int {
+		if c := cmp.Compare(best[a], best[b]); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
-	sc.order = order
-	if c < len(order) {
-		order = order[:c]
+	var out []BagHit
+	if n := min(c, len(touched)); n > 0 {
+		// The scratch buffers are recycled; hand the caller a copy.
+		out = make([]BagHit, n)
+		for i, bag := range touched[:n] {
+			out[i] = BagHit{Pos: bag, Dist: best[bag]}
+		}
 	}
-	if len(order) == 0 {
-		return nil, kth, stats
+	for _, bag := range touched {
+		best[bag] = -1
 	}
-	// The scratch buffers are recycled; hand the caller a copy.
-	hits := make([]BagHit, len(order))
-	for i, bag := range order {
-		hits[i] = BagHit{Pos: bag, Dist: best[bag]}
-	}
-	return hits, kth, stats
+	sc.touched = touched[:0]
+	return out, kth, stats
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"milvideo/internal/kernel"
 )
@@ -384,32 +383,38 @@ func (f *IVF) Delete(id int) bool {
 // (centroids + scanned points). nprobe is clamped to [1, Clusters];
 // nprobe == Clusters makes the search exact over the live points.
 func (f *IVF) Search(q []float64, k, nprobe int) ([]Neighbor, int) {
-	return f.search(q, k, nprobe, nil)
+	return f.searchSorted(q, k, nprobe, math.Inf(1), nil)
 }
 
 // SearchScratch is Search with caller-owned probe buffers: the
 // returned slice aliases sc and is valid until sc's next use.
 func (f *IVF) SearchScratch(q []float64, k, nprobe int, sc *Scratch) ([]Neighbor, int) {
-	return f.searchBound(q, k, nprobe, math.Inf(1), sc)
+	return f.searchSorted(q, k, nprobe, math.Inf(1), sc)
 }
 
 // SearchScratchBound is SearchScratch keeping only neighbors within
 // bound (non-positive or NaN means unbounded). The scanned lists are
-// unchanged — IVF cost is the scan — but the result sort and the
-// returned set shrink to the in-bound neighbors, which is what a
-// scatter–gather caller that already holds bound-quality candidates
-// elsewhere wants merged back.
+// unchanged — IVF cost is the scan — but the returned set shrinks to
+// the in-bound neighbors, which is what a scatter–gather caller that
+// already holds bound-quality candidates elsewhere wants merged back.
 func (f *IVF) SearchScratchBound(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	return f.searchBound(q, k, nprobe, bound, sc)
+	return f.searchSorted(q, k, nprobe, bound, sc)
 }
 
-func (f *IVF) search(q []float64, k, nprobe int, sc *Scratch) ([]Neighbor, int) {
-	return f.searchBound(q, k, nprobe, math.Inf(1), sc)
+func (f *IVF) searchSorted(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, int) {
+	res, _, evals := f.search(q, k, nprobe, bound, sc)
+	sortNeighbors(res)
+	return res, evals
 }
 
-func (f *IVF) searchBound(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, int) {
+// search is the probe behind every Search variant: it selects the
+// nprobe nearest centroids, scans their lists into a k-best buffer and
+// returns the k best in-bound points in no particular order, the
+// distance of the k-th of them (+Inf when fewer than k were found)
+// and the distance evaluations spent.
+func (f *IVF) search(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, float64, int) {
 	if k <= 0 || len(q) != f.dim || f.live == 0 {
-		return nil, 0
+		return nil, math.Inf(1), 0
 	}
 	if nprobe < 1 {
 		nprobe = 1
@@ -422,19 +427,17 @@ func (f *IVF) searchBound(q []float64, k, nprobe int, bound float64, sc *Scratch
 	}
 	evals := 0
 	var order []Neighbor
+	best := kBest{k: k}
 	if sc != nil {
-		order = sc.cord[:0]
+		order, best.buf = sc.cord[:0], sc.best[:0]
 	}
 	for c, cen := range f.centroids {
 		evals++
 		order = append(order, Neighbor{Idx: c, Dist: kernel.SquaredDistance(q, cen)})
 	}
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].Dist != order[b].Dist {
-			return order[a].Dist < order[b].Dist
-		}
-		return order[a].Idx < order[b].Idx
-	})
+	// Which lists are scanned matters, not the order they are scanned
+	// in: the k-best result is a set under a total order.
+	selectK(order, nprobe)
 	var tab []float64
 	if f.codes != nil {
 		if sc != nil {
@@ -443,10 +446,6 @@ func (f *IVF) searchBound(q []float64, k, nprobe int, bound float64, sc *Scratch
 			tab = make([]float64, f.codes.qz.TabLen())
 			f.codes.qz.FillADC(q, tab)
 		}
-	}
-	var res []Neighbor
-	if sc != nil {
-		res = sc.res[:0]
 	}
 	for _, cn := range order[:nprobe] {
 		for _, idx := range f.lists[cn.Idx] {
@@ -463,21 +462,13 @@ func (f *IVF) searchBound(q []float64, k, nprobe int, bound float64, sc *Scratch
 			if d > bound {
 				continue
 			}
-			res = append(res, Neighbor{Idx: idx, Dist: d})
+			best.push(idx, d)
 		}
 	}
-	sort.Slice(res, func(a, b int) bool {
-		if res[a].Dist != res[b].Dist {
-			return res[a].Dist < res[b].Dist
-		}
-		return res[a].Idx < res[b].Idx
-	})
+	res, kth := best.result()
 	if sc != nil {
 		sc.cord = order[:0]
-		sc.res = res // return grown buffer to the scratch
+		sc.best = res // return grown buffer to the scratch
 	}
-	if k < len(res) {
-		res = res[:k]
-	}
-	return res, evals
+	return res, kth, evals
 }

@@ -48,18 +48,20 @@ type Neighbor struct {
 	Dist float64
 }
 
-// Scratch holds per-query probe buffers (ADC tables, result heaps,
-// aggregation maps) so repeated probes allocate nothing. A Scratch
-// belongs to one search at a time; results returned by the
-// scratch-accepting searches alias its buffers and must be consumed
-// before the next search reuses it.
+// Scratch holds per-query probe buffers (ADC tables, k-best buffers,
+// centroid orders, per-bag aggregation) so repeated probes allocate
+// nothing. A Scratch belongs to one search at a time; results
+// returned by the scratch-accepting searches alias its buffers and
+// must be consumed before the next search reuses it.
 type Scratch struct {
-	tab   []float64
-	best  []Neighbor
-	cord  []Neighbor
-	res   []Neighbor
-	bags  map[int]float64
-	order []int
+	tab  []float64
+	best []Neighbor
+	cord []Neighbor
+	// bagDist is BagIndex's per-position best distance, -1 where no
+	// hit landed; touched lists the positions set since the last
+	// reset, so a probe pass resets only what it wrote.
+	bagDist []float64
+	touched []int
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -329,7 +331,7 @@ func (t *VPTree) Delete(id int) bool {
 // distance (ties broken by ascending index) and the number of
 // distance evaluations spent. k is clamped to the live point count.
 func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
-	return t.knn(q, k, 0, math.Inf(1), nil)
+	return t.knnSorted(q, k, 0, math.Inf(1), nil)
 }
 
 // KNNBounded is the approximate search: it follows the same
@@ -337,13 +339,13 @@ func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
 // evaluations, returning the best k found so far. maxEvals <= 0 means
 // exact. Results are deterministic for a fixed tree.
 func (t *VPTree) KNNBounded(q []float64, k, maxEvals int) ([]Neighbor, int) {
-	return t.knn(q, k, maxEvals, math.Inf(1), nil)
+	return t.knnSorted(q, k, maxEvals, math.Inf(1), nil)
 }
 
 // KNNScratch is KNNBounded with caller-owned probe buffers: the
 // returned slice aliases sc and is valid until sc's next use.
 func (t *VPTree) KNNScratch(q []float64, k, maxEvals int, sc *Scratch) ([]Neighbor, int) {
-	return t.knn(q, k, maxEvals, math.Inf(1), sc)
+	return t.knnSorted(q, k, maxEvals, math.Inf(1), sc)
 }
 
 // KNNScratchBound is KNNScratch with an initial pruning radius: the
@@ -357,12 +359,22 @@ func (t *VPTree) KNNScratch(q []float64, k, maxEvals int, sc *Scratch) ([]Neighb
 // beyond the bound (leaves reached before pruning engaged); they are
 // correct neighbors, just unpromised ones.
 func (t *VPTree) KNNScratchBound(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	return t.knn(q, k, maxEvals, bound, sc)
+	return t.knnSorted(q, k, maxEvals, bound, sc)
 }
 
-func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, int) {
+func (t *VPTree) knnSorted(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, int) {
+	res, _, evals := t.knn(q, k, maxEvals, bound, sc)
+	sortNeighbors(res)
+	return res, evals
+}
+
+// knn is the search behind every KNN variant. It returns the k best
+// points found in no particular order, the distance of the k-th of
+// them (+Inf when fewer than k were found), and the distance
+// evaluations spent.
+func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, float64, int) {
 	if k <= 0 || len(q) != t.dim || t.live == 0 {
-		return nil, 0
+		return nil, math.Inf(1), 0
 	}
 	if k > t.live {
 		k = t.live
@@ -370,9 +382,9 @@ func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) (
 	if math.IsNaN(bound) || bound <= 0 {
 		bound = math.Inf(1)
 	}
-	s := &vpSearch{t: t, q: q, k: k, maxEvals: maxEvals, tau: bound}
+	s := &vpSearch{t: t, q: q, maxEvals: maxEvals, tau: bound, best: kBest{k: k}}
 	if sc != nil {
-		s.best = sc.best[:0]
+		s.best.buf = sc.best[:0]
 	}
 	if t.codes != nil {
 		if sc != nil {
@@ -383,87 +395,34 @@ func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) (
 		}
 	}
 	s.visit(t.root)
-	sort.Slice(s.best, func(a, b int) bool {
-		if s.best[a].Dist != s.best[b].Dist {
-			return s.best[a].Dist < s.best[b].Dist
-		}
-		return s.best[a].Idx < s.best[b].Idx
-	})
+	res, kth := s.best.result()
 	if sc != nil {
-		sc.best = s.best // return grown buffer to the scratch
+		sc.best = res // return grown buffer to the scratch
 	}
-	return s.best, s.evals
+	return res, kth, s.evals
 }
 
-// vpSearch carries one query's state: a bounded worst-first result
-// set (tau = current kth distance) and the evaluation budget.
+// vpSearch carries one query's state: the k-best buffer, the pruning
+// radius tau and the evaluation budget.
 type vpSearch struct {
 	t        *VPTree
 	q        []float64
 	tab      []float64 // ADC table (quantized trees)
-	k        int
 	maxEvals int
 	evals    int
 	tau      float64
-	best     []Neighbor // max-heap by (Dist, Idx)
+	best     kBest
 }
 
 // spent reports whether the evaluation budget is exhausted.
 func (s *vpSearch) spent() bool { return s.maxEvals > 0 && s.evals >= s.maxEvals }
 
-// offer records a candidate point, maintaining the k best.
+// offer records a candidate point. tau only ever tightens: with an
+// initial bound the buffer's k-th may still sit beyond it, and the
+// bound must keep pruning.
 func (s *vpSearch) offer(idx int, d float64) {
-	if len(s.best) < s.k {
-		s.best = append(s.best, Neighbor{Idx: idx, Dist: d})
-		s.up(len(s.best) - 1)
-	} else if worse(Neighbor{Idx: idx, Dist: d}, s.best[0]) {
-		return
-	} else {
-		s.best[0] = Neighbor{Idx: idx, Dist: d}
-		s.down(0)
-	}
-	// tau only ever tightens: with an initial bound the heap's worst
-	// member may still sit beyond it, and the bound must keep pruning.
-	if len(s.best) == s.k && s.best[0].Dist < s.tau {
-		s.tau = s.best[0].Dist
-	}
-}
-
-// worse orders neighbors by (Dist, Idx) descending-priority for the
-// max-heap: a is worse than b when it should sit closer to the root.
-func worse(a, b Neighbor) bool {
-	if a.Dist != b.Dist {
-		return a.Dist > b.Dist
-	}
-	return a.Idx > b.Idx
-}
-
-func (s *vpSearch) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !worse(s.best[i], s.best[p]) {
-			break
-		}
-		s.best[i], s.best[p] = s.best[p], s.best[i]
-		i = p
-	}
-}
-
-func (s *vpSearch) down(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s.best) && worse(s.best[l], s.best[m]) {
-			m = l
-		}
-		if r < len(s.best) && worse(s.best[r], s.best[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.best[i], s.best[m] = s.best[m], s.best[i]
-		i = m
+	if s.best.push(idx, d) && s.best.kth.Dist < s.tau {
+		s.tau = s.best.kth.Dist
 	}
 }
 

@@ -6,11 +6,12 @@
 package retrieval
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"milvideo/internal/kernel"
 	"milvideo/internal/mil"
@@ -49,11 +50,31 @@ var (
 
 // ValidateDB checks the invariants every ranking entry point relies
 // on: a non-empty database with unique VS indices. It is the shared
-// gate for offline sessions and the query service.
+// gate for offline sessions and the query service, run once per
+// round. Catalog indices are small and dense, so the check marks them
+// in a bitmap over [0, 2N) and only falls back to a map when an index
+// lies outside it.
 func ValidateDB(db []window.VS) error {
 	if len(db) == 0 {
 		return ErrEmptyDB
 	}
+	n := 2 * len(db)
+	seen := make([]uint64, (n+63)/64)
+	for _, vs := range db {
+		i := vs.Index
+		if i < 0 || i >= n {
+			return validateDBMap(db)
+		}
+		if seen[i/64]&(1<<(i%64)) != 0 {
+			return fmt.Errorf("%w: %d", ErrDuplicateIndex, i)
+		}
+		seen[i/64] |= 1 << (i % 64)
+	}
+	return nil
+}
+
+// validateDBMap is ValidateDB for indices the bitmap cannot hold.
+func validateDBMap(db []window.VS) error {
 	seen := make(map[int]bool, len(db))
 	for _, vs := range db {
 		if seen[vs.Index] {
@@ -215,15 +236,29 @@ func HeuristicScore(vs window.VS) float64 {
 	return best
 }
 
-// rankByScore orders db indices by descending score with stable
-// index tie-breaking.
+// rankByScore orders db indices by descending score, ties by
+// ascending index. NaN scores rank last, after −Inf, in index order;
+// set apart first, they leave the sort plain comparisons.
 func rankByScore(scores []float64) []int {
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
+	idx := make([]int, 0, len(scores))
+	var nans []int
+	for i, s := range scores {
+		if math.IsNaN(s) {
+			nans = append(nans, i)
+		} else {
+			idx = append(idx, i)
+		}
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx
+	slices.SortFunc(idx, func(a, b int) int {
+		switch sa, sb := scores[a], scores[b]; {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
+	return append(idx, nans...)
 }
 
 // heuristicRank is the shared round-0 ranking.
@@ -293,8 +328,18 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 	if ratio == 0 {
 		ratio = 0.5
 	}
-	scoring := toBags(db, labels, 0) // full bags for scoring
-	training := toBags(db, labels, ratio)
+	// mil.Train reads only the positive bags, so only they are built,
+	// in database order. With none that holds a TS, Train would return
+	// ErrNoPositiveBags: rank heuristically before building anything.
+	var training []mil.Bag
+	for _, vs := range db {
+		if labels[vs.Index] == mil.Positive && len(vs.TSs) > 0 {
+			training = append(training, toBag(vs, mil.Positive, ratio))
+		}
+	}
+	if len(training) == 0 {
+		return heuristicRank(db), nil
+	}
 	opt := e.Opt
 	if e.Cache != nil && opt.DistCache == nil {
 		opt.DistCache = e.Cache.dist
@@ -305,6 +350,13 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %s: %w", e.Name(), err)
+	}
+	// Scoring bags are built in one pass before any is scored; built
+	// between scorings, their allocations measured slower against the
+	// distance-cache lookups.
+	scoring := make([]mil.Bag, len(db))
+	for i, vs := range db {
+		scoring[i] = toBag(vs, labels[vs.Index], 0)
 	}
 	scores := make([]float64, len(db))
 	for i := range db {
@@ -320,41 +372,37 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 	return rankByScore(scores), nil
 }
 
-// toBags converts the VS database into MIL bags carrying the labels.
-// When topRatio > 0, positive bags keep only their highest-scored TSs
-// (the best one plus any within topRatio of it, scored by the §5.3
+// toBag converts one VS into a MIL bag carrying label. When
+// topRatio > 0, a positive bag keeps only its highest-scored TSs (the
+// best one plus any within topRatio of it, scored by the §5.3
 // squared-sum heuristic); other bags always keep all instances.
-func toBags(db []window.VS, labels map[int]mil.Label, topRatio float64) []mil.Bag {
-	bags := make([]mil.Bag, len(db))
-	for i, vs := range db {
-		b := mil.Bag{ID: vs.Index, Label: labels[vs.Index]}
-		keep := func(window.TS) bool { return true }
-		if topRatio > 0 && b.Label == mil.Positive && len(vs.TSs) > 1 {
-			best := math.Inf(-1)
-			tsScores := make(map[int]float64, len(vs.TSs))
-			for _, ts := range vs.TSs {
-				s := tsHeuristicScore(ts)
-				tsScores[ts.TrackID] = s
-				if s > best {
-					best = s
-				}
-			}
-			thresh := best * topRatio
-			if best <= 0 {
-				thresh = best // degenerate scores: keep only the best
-			}
-			keep = func(ts window.TS) bool { return tsScores[ts.TrackID] >= thresh }
-		}
+func toBag(vs window.VS, label mil.Label, topRatio float64) mil.Bag {
+	b := mil.Bag{ID: vs.Index, Label: label}
+	keep := func(window.TS) bool { return true }
+	if topRatio > 0 && label == mil.Positive && len(vs.TSs) > 1 {
+		best := math.Inf(-1)
+		tsScores := make(map[int]float64, len(vs.TSs))
 		for _, ts := range vs.TSs {
-			if !keep(ts) {
-				continue
+			s := tsHeuristicScore(ts)
+			tsScores[ts.TrackID] = s
+			if s > best {
+				best = s
 			}
-			b.Instances = append(b.Instances, ts.Flat())
-			b.Keys = append(b.Keys, ts.TrackID)
 		}
-		bags[i] = b
+		thresh := best * topRatio
+		if best <= 0 {
+			thresh = best // degenerate scores: keep only the best
+		}
+		keep = func(ts window.TS) bool { return tsScores[ts.TrackID] >= thresh }
 	}
-	return bags
+	for _, ts := range vs.TSs {
+		if !keep(ts) {
+			continue
+		}
+		b.Instances = append(b.Instances, ts.Flat())
+		b.Keys = append(b.Keys, ts.TrackID)
+	}
+	return b
 }
 
 // tsHeuristicScore is the §5.3 TS score: the squared sum of the

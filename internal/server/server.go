@@ -805,12 +805,23 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		sess.mu.Lock()
 		db := sess.db
 		sess.mu.Unlock()
-		known := make(map[int]bool, len(db))
+		// One scan of the catalog against the request's few labels,
+		// stopping once every labeled VS has been found.
+		found := make(map[int]bool, len(req.Labels))
+		for _, l := range req.Labels {
+			found[l.VS] = false
+		}
+		missing := len(found)
 		for _, vs := range db {
-			known[vs.Index] = true
+			if f, ok := found[vs.Index]; ok && !f {
+				found[vs.Index] = true
+				if missing--; missing == 0 {
+					break
+				}
+			}
 		}
 		for _, l := range req.Labels {
-			if !known[l.VS] {
+			if !found[l.VS] {
 				writeError(w, http.StatusBadRequest, fmt.Errorf("label for unknown VS %d", l.VS))
 				return
 			}

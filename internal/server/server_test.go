@@ -273,6 +273,16 @@ func TestAPIDegenerateInputs(t *testing.T) {
 	t.Run("label unknown VS", func(t *testing.T) {
 		_, err := client.Feedback(ctx, resp.Session, []FeedbackLabel{{VS: 99999, Relevant: true}})
 		wantStatus(t, err, http.StatusBadRequest)
+		// Known labels, repeated ones and a first unknown one further
+		// down: the request is rejected and names that unknown VS.
+		first, last := rec.VSs[0].Index, rec.VSs[len(rec.VSs)-1].Index
+		_, err = client.Feedback(ctx, resp.Session, []FeedbackLabel{
+			{VS: last}, {VS: first, Relevant: true}, {VS: last}, {VS: -7}, {VS: 99999},
+		})
+		wantStatus(t, err, http.StatusBadRequest)
+		if !strings.Contains(err.Error(), "unknown VS -7") {
+			t.Fatalf("rejection %q does not name the first unknown VS", err)
+		}
 	})
 	t.Run("bad ranking k", func(t *testing.T) {
 		_, err := client.Ranking(ctx, resp.Session, 0)
