@@ -381,41 +381,6 @@ func BenchmarkMILRank(b *testing.B) {
 	}
 }
 
-// BenchmarkMILRankCached is BenchmarkMILRank with the cross-round
-// kernel cache attached: iterations after the first rank from warm
-// distances, modeling rounds 2+ of a feedback session.
-func BenchmarkMILRankCached(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	var db []window.VS
-	labels := map[int]mil.Label{}
-	for i := 0; i < 200; i++ {
-		vs := window.VS{Index: i, StartFrame: i * 15, EndFrame: i*15 + 10}
-		nts := 1 + rng.Intn(3)
-		for k := 0; k < nts; k++ {
-			ts := window.TS{TrackID: i*10 + k}
-			for p := 0; p < 3; p++ {
-				ts.Vectors = append(ts.Vectors, []float64{rng.Float64(), rng.Float64() * 3, rng.Float64()})
-			}
-			vs.TSs = append(vs.TSs, ts)
-		}
-		db = append(db, vs)
-		if i < 20 {
-			if i%2 == 0 {
-				labels[i] = mil.Positive
-			} else {
-				labels[i] = mil.Negative
-			}
-		}
-	}
-	engine := retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Rank(db, labels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWeightedRFRank measures the baseline's re-ranking round on
 // the same database shape.
 func BenchmarkWeightedRFRank(b *testing.B) {

@@ -553,25 +553,6 @@ func buildStages(only string) ([]stage, error) {
 			engine := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 			benchErr(b, func() error { _, err := engine.Rank(db, labels); return err })
 		}},
-		{"mil_rank_200bags_cache_cold", func(b *testing.B) {
-			// A fresh cache every op: first-feedback-round cost, where
-			// every pair is a miss that must also be stored.
-			benchErr(b, func() error {
-				engine := retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
-				_, err := engine.Rank(db, labels)
-				return err
-			})
-		}},
-		{"mil_rank_200bags_cache_warm", func(b *testing.B) {
-			// One shared cache, prewarmed before timing: the steady-state
-			// cost of every feedback round after the first.
-			engine := retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
-			if _, err := engine.Rank(db, labels); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			benchErr(b, func() error { _, err := engine.Rank(db, labels); return err })
-		}},
 		{"server_session_5rounds", func(b *testing.B) {
 			// One full interactive session over HTTP per op: query,
 			// four judged feedback re-ranks, delete.
@@ -700,12 +681,12 @@ func predicateStageDefs(qclient *server.Client, judge server.Judge, env predicat
 // the timed path) and returns the per-round recall@10 against it.
 func runOracleSession(db []window.VS, oracle retrieval.Oracle, bi *index.BagIndex, c int, withRecall bool) (time.Duration, []float64, error) {
 	const rounds, topK = 5, 20
-	var engine retrieval.Engine = retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
+	var engine retrieval.Engine = retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	var ref retrieval.Engine
 	if bi != nil {
 		engine = retrieval.CandidateEngine{Inner: engine, Index: bi, C: c}
 		if withRecall {
-			ref = retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
+			ref = retrieval.MILEngine{Opt: mil.DefaultOptions()}
 		}
 	}
 	labels := make(map[int]mil.Label)
@@ -854,7 +835,7 @@ func predicateSessionBench() ([]PredicateSessionResult, error) {
 		} {
 			engine := query.WithFeedback{
 				Initial: seed.initial,
-				Learner: retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()},
+				Learner: retrieval.MILEngine{Opt: mil.DefaultOptions()},
 			}
 			labels := make(map[int]mil.Label)
 			var elapsed time.Duration
@@ -1154,14 +1135,14 @@ func (r *shardedChurnRun) run(oracle retrieval.Oracle, withRecall bool) (total, 
 		probers[i] = shard.LocalProber{VSs: r.parts[i].VSs, Index: r.indexes[i]}
 	}
 	engine := &shard.Engine{
-		Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()},
+		Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions()},
 		Probers: probers,
 		C:       r.c,
 		Stats:   r.stats,
 	}
 	var ref retrieval.Engine
 	if withRecall {
-		ref = retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
+		ref = retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	}
 	labels := make(map[int]mil.Label)
 	db := r.base

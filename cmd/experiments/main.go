@@ -37,7 +37,7 @@ func main() {
 		tables = []experiments.Table{t}
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+		fmt.Fprintln(os.Stderr, err) // the package's errors name it
 		os.Exit(1)
 	}
 	for i, t := range tables {

@@ -65,10 +65,9 @@ func run(dbPath, clip, engineName string, rounds, topK int, interactive bool, in
 		return err
 	}
 
-	// The shared registry resolves the engine, with a per-session
-	// kernel cache so Gram rows are reused across feedback rounds —
-	// the identical code path the HTTP query service drives.
-	engine, err := core.EngineByName(engineName, retrieval.NewMILCache())
+	// The shared registry resolves the engine — the identical code
+	// path the HTTP query service drives.
+	engine, err := core.EngineByName(engineName, nil)
 	if err != nil {
 		return err
 	}

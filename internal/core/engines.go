@@ -25,23 +25,21 @@ var ErrUnknownEngine = errors.New("core: unknown engine")
 // paper's proposed MIL + One-class SVM framework.
 const DefaultEngine = "mil"
 
-// engineBuilders maps names to constructors. cache is non-nil when the
-// caller wants cross-round kernel reuse; engines that cannot use it
-// ignore it.
-var engineBuilders = map[string]func(cache *retrieval.MILCache) retrieval.Engine{
-	"mil": func(cache *retrieval.MILCache) retrieval.Engine {
-		return retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: cache}
+// engineBuilders maps names to constructors.
+var engineBuilders = map[string]func() retrieval.Engine{
+	"mil": func() retrieval.Engine {
+		return retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	},
-	"weighted": func(*retrieval.MILCache) retrieval.Engine {
+	"weighted": func() retrieval.Engine {
 		return retrieval.WeightedEngine{Norm: rf.NormPercentage}
 	},
-	"rocchio": func(*retrieval.MILCache) retrieval.Engine {
+	"rocchio": func() retrieval.Engine {
 		return retrieval.RocchioEngine{}
 	},
-	"emdd": func(*retrieval.MILCache) retrieval.Engine {
+	"emdd": func() retrieval.Engine {
 		return dd.Engine{}
 	},
-	"misvm": func(*retrieval.MILCache) retrieval.Engine {
+	"misvm": func() retrieval.Engine {
 		return misvm.Engine{Opt: misvm.Options{C: 2}}
 	},
 }
@@ -58,10 +56,10 @@ func EngineNames() []string {
 }
 
 // EngineByName resolves a ranking engine. The empty name selects
-// DefaultEngine. cache, when non-nil, wires per-session kernel reuse
-// into engines that support it (currently "mil"); results are
-// identical with or without it.
-func EngineByName(name string, cache *retrieval.MILCache) (retrieval.Engine, error) {
+// DefaultEngine. The MILCache argument is ignored; it remains so that
+// callers written against the removed cross-round distance cache still
+// compile, and nil is the value to pass.
+func EngineByName(name string, _ *retrieval.MILCache) (retrieval.Engine, error) {
 	if name == "" {
 		name = DefaultEngine
 	}
@@ -69,7 +67,7 @@ func EngineByName(name string, cache *retrieval.MILCache) (retrieval.Engine, err
 	if !ok {
 		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownEngine, name, EngineNames())
 	}
-	return build(cache), nil
+	return build(), nil
 }
 
 // OracleFromRecord builds the simulated user for a stored clip from

@@ -10,7 +10,7 @@ import (
 
 // TestEngineByName covers the registry: every listed name resolves,
 // the empty name selects the default, unknown names fail typed, and
-// the cache reaches the MIL engine.
+// the ignored MILCache argument changes nothing.
 func TestEngineByName(t *testing.T) {
 	for _, name := range EngineNames() {
 		e, err := EngineByName(name, nil)
@@ -35,13 +35,12 @@ func TestEngineByName(t *testing.T) {
 	if _, err := EngineByName("nope", nil); !errors.Is(err, ErrUnknownEngine) {
 		t.Fatalf("unknown engine: %v", err)
 	}
-	cache := retrieval.NewMILCache()
-	e, err := EngineByName("mil", cache)
+	withCache, err := EngineByName(DefaultEngine, retrieval.NewMILCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.(retrieval.MILEngine).Cache != cache {
-		t.Fatal("cache not wired into MIL engine")
+	if withCache != mil {
+		t.Fatalf("MILCache argument changed the engine: %#v vs %#v", withCache, mil)
 	}
 }
 

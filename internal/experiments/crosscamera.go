@@ -101,7 +101,7 @@ func CrossCamera() (Table, error) {
 	oracleA := retrieval.SceneOracle{Scene: clipA.Scene, MinOverlap: pipeline.Window.SampleRate}
 	oracleB := retrieval.SceneOracle{Scene: clipB.Scene, MinOverlap: pipeline.Window.SampleRate}
 	sessA := &retrieval.Session{DB: clipA.VSs, Oracle: oracleA, TopK: TopK}
-	resA, err := sessA.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}, 3)
+	resA, err := sessA.Run(retrieval.MILEngine{Opt: mil.DefaultOptions()}, 3)
 	if err != nil {
 		return Table{}, err
 	}
@@ -125,9 +125,7 @@ func CrossCamera() (Table, error) {
 			}
 			return oracleA.Relevant(vs)
 		}
-		// Per-evaluate cache: the normalized and raw variants put
-		// different vectors behind the same camera-B identities.
-		engine := retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
+		engine := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 
 		// Merged initial query: the heuristic over both cameras at
 		// once (no feedback). Feature scales must be commensurable

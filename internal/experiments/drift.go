@@ -56,7 +56,7 @@ func IlluminationDrift() (Table, error) {
 			return Table{}, err
 		}
 		sess := clip.Session(oracle, TopK)
-		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}, Rounds)
+		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions()}, Rounds)
 		if err != nil {
 			return Table{}, err
 		}

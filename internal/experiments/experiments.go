@@ -185,69 +185,59 @@ func pcts(vs []float64) []string {
 	return out
 }
 
+// registry lists every experiment under its CLI name, in report order.
+var registry = []struct {
+	name string
+	fn   func() (Table, error)
+}{
+	{"stats", DatasetStats},
+	{"fig8", Figure8},
+	{"fig9", Figure9},
+	{"fit", CurveFit},
+	{"norm", NormalizationAblation},
+	{"zsweep", ZSweep},
+	{"window", WindowSweep},
+	{"events", EventGenerality},
+	{"selection", InstanceSelectionAblation},
+	{"crosscam", CrossCamera},
+	{"milcompare", MILCompare},
+	{"drift", IlluminationDrift},
+}
+
 // All runs every experiment in report order.
 func All() ([]Table, error) {
-	runs := []struct {
-		name string
-		fn   func() (Table, error)
-	}{
-		{"stats", DatasetStats},
-		{"fig8", Figure8},
-		{"fig9", Figure9},
-		{"fit", CurveFit},
-		{"norm", NormalizationAblation},
-		{"zsweep", ZSweep},
-		{"window", WindowSweep},
-		{"events", EventGenerality},
-		{"selection", InstanceSelectionAblation},
-		{"crosscam", CrossCamera},
-		{"milcompare", MILCompare},
-		{"drift", IlluminationDrift},
-	}
 	var out []Table
-	for _, r := range runs {
-		t, err := r.fn()
+	for _, name := range Names() {
+		t, err := ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", r.name, err)
+			return nil, err
 		}
 		out = append(out, t)
 	}
 	return out, nil
 }
 
-// ByName runs one experiment by its CLI name.
+// ByName runs one experiment by its CLI name. Its errors name the
+// package and the experiment.
 func ByName(name string) (Table, error) {
-	switch name {
-	case "stats":
-		return DatasetStats()
-	case "fig8":
-		return Figure8()
-	case "fig9":
-		return Figure9()
-	case "fit":
-		return CurveFit()
-	case "norm":
-		return NormalizationAblation()
-	case "zsweep":
-		return ZSweep()
-	case "window":
-		return WindowSweep()
-	case "events":
-		return EventGenerality()
-	case "selection":
-		return InstanceSelectionAblation()
-	case "crosscam":
-		return CrossCamera()
-	case "milcompare":
-		return MILCompare()
-	case "drift":
-		return IlluminationDrift()
-	default:
-		return Table{}, fmt.Errorf("experiments: unknown experiment %q (one of: %v)", name, Names())
+	for _, r := range registry {
+		if r.name != name {
+			continue
+		}
+		t, err := r.fn()
+		if err != nil {
+			return Table{}, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		return t, nil
 	}
+	return Table{}, fmt.Errorf("experiments: unknown experiment %q (one of: %v)", name, Names())
 }
 
-// Names lists the experiment identifiers.
+// Names lists the experiment identifiers in report order.
 func Names() []string {
-	return []string{"stats", "fig8", "fig9", "fit", "norm", "zsweep", "window", "events", "selection", "crosscam", "milcompare", "drift"}
+	out := make([]string, len(registry))
+	for i, r := range registry {
+		out[i] = r.name
+	}
+	return out
 }

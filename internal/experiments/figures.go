@@ -36,7 +36,7 @@ func compareOnClip(c *core.Clip) (milAcc, wrfAcc []float64, err error) {
 	}
 	sess := c.Session(oracle, TopK)
 	res, err := sess.Compare([]retrieval.Engine{
-		retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()},
+		retrieval.MILEngine{Opt: mil.DefaultOptions()},
 		retrieval.WeightedEngine{Norm: rf.NormPercentage},
 	}, Rounds)
 	if err != nil {
@@ -256,15 +256,8 @@ func ZSweep() (Table, error) {
 		{"selected", 0.5},
 		{"all-TSs", -1},
 	}
-	// One session and one kernel cache per clip: every variant and
-	// every z ranks the same instance vectors, so squared distances
-	// recur across the whole grid (the cache is concurrency-safe and
-	// its values are order-independent).
-	type clipCtx struct {
-		sess  *retrieval.Session
-		cache *retrieval.MILCache
-	}
-	ctxs := make([]clipCtx, len(sources))
+	// One session per clip, shared by every variant and every z.
+	sessions := make([]*retrieval.Session, len(sources))
 	for i, src := range sources {
 		c, err := src.fn()
 		if err != nil {
@@ -274,17 +267,15 @@ func ZSweep() (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		ctxs[i] = clipCtx{sess: c.Session(oracle, TopK), cache: retrieval.NewMILCache()}
+		sessions[i] = c.Session(oracle, TopK)
 	}
 	nv, nz := len(variants), len(zs)
 	cells := make([]string, len(sources)*nv*nz)
 	err := runConcurrent(len(cells), func(i int) error {
-		ctx := ctxs[i/(nv*nz)]
 		variant := variants[(i/nz)%nv]
-		res, err := ctx.sess.Run(retrieval.MILEngine{
+		res, err := sessions[i/(nv*nz)].Run(retrieval.MILEngine{
 			Opt:        mil.Options{Z: zs[i%nz]},
 			TopTSRatio: variant.ratio,
-			Cache:      ctx.cache,
 		}, Rounds)
 		if err != nil {
 			return err
@@ -329,9 +320,7 @@ func WindowSweep() (Table, error) {
 		}
 		oracle := retrieval.SceneOracle{Scene: c.Scene, MinOverlap: cfg.SampleRate}
 		sess := &retrieval.Session{DB: vss, Oracle: oracle, TopK: TopK}
-		// The kernel cache is per window size: each size yields
-		// different instance vectors behind coinciding identities.
-		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}, Rounds)
+		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions()}, Rounds)
 		if err != nil {
 			return err
 		}
@@ -382,9 +371,7 @@ func EventGenerality() (Table, error) {
 		}
 		oracle := retrieval.SceneOracle{Scene: c.Scene, Pred: cse.pred, MinOverlap: 5}
 		sess := &retrieval.Session{DB: vss, Oracle: oracle, TopK: 10}
-		// Per-case kernel cache: each event model computes different
-		// feature vectors for the same tracks.
-		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}, Rounds)
+		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions()}, Rounds)
 		if err != nil {
 			return err
 		}
@@ -422,7 +409,6 @@ func InstanceSelectionAblation() (Table, error) {
 		return Table{}, err
 	}
 	sess := c.Session(oracle, TopK)
-	cache := retrieval.NewMILCache() // both variants rank the same vectors
 	for _, cse := range []struct {
 		name  string
 		ratio float64
@@ -430,7 +416,7 @@ func InstanceSelectionAblation() (Table, error) {
 		{"highest-scored TSs (paper)", 0.5},
 		{"all TSs of relevant VSs", -1},
 	} {
-		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), TopTSRatio: cse.ratio, Cache: cache}, Rounds)
+		res, err := sess.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), TopTSRatio: cse.ratio}, Rounds)
 		if err != nil {
 			return Table{}, err
 		}

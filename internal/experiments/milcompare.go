@@ -38,7 +38,7 @@ func MILCompare() (Table, error) {
 		}
 		sess := c.Session(oracle, TopK)
 		for _, eng := range []retrieval.Engine{
-			retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()},
+			retrieval.MILEngine{Opt: mil.DefaultOptions()},
 			dd.Engine{},
 			misvm.Engine{Opt: misvm.Options{C: 2}},
 		} {

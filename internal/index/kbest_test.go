@@ -179,6 +179,49 @@ func TestVPTreeKBestExact(t *testing.T) {
 	}
 }
 
+// TestVPTreeCollinearTies pins the rounding-safe prune against brute
+// force on integer lattices with a wide range, where a query, a vantage
+// and the point tying the k-th are often collinear: the far-side test
+// then compares d ± tau with a radius it equals in real arithmetic, and
+// without the rounding margin the search could return the tie's
+// higher-index twin. The two table cases are shrunk failures of the
+// unwidened test; the sweep draws more such inputs.
+func TestVPTreeCollinearTies(t *testing.T) {
+	type latticeCase struct {
+		seed int64
+		pts  [][]float64
+	}
+	cases := []latticeCase{
+		// Query (1,1), k = 2: (2,2) and (0,2) tie at √2.
+		{39, [][]float64{{1, 1}, {2, 2}, {5, 5}, {0, 2}, {5, 3}, {2, 6}}},
+		// Query (1,4,2), k = 2: (2,3,2) and (2,5,2) tie at √2.
+		{2, [][]float64{{2, 3, 2}, {5, 0, 2}, {4, 2, 0}, {2, 5, 2}, {5, 2, 1}, {1, 4, 2}}},
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		cases = append(cases, latticeCase{seed, wideLatticePts(seed, 8+int(seed)%40, 2+int(seed%2))})
+	}
+	for ci, tc := range cases {
+		tree, err := BuildVPTree(tc.pts, VPOptions{LeafSize: 1, Seed: tc.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range tc.pts {
+			for k := 1; k <= len(tc.pts); k++ {
+				want := liveOracle(tree, q, k)
+				got, _ := tree.KNNScratchBound(q, k, 0, math.Inf(1), nil)
+				if len(got) != len(want) {
+					t.Fatalf("case %d q=%d k=%d: %d results, want %d", ci, qi, k, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("case %d q=%d k=%d: result %d = %+v, want %+v", ci, qi, k, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // testKBestExact runs TestVPTreeKBestExact's checks over one point
 // set.
 func testKBestExact(t *testing.T, pts, queries [][]float64, leaf int) {
@@ -364,12 +407,23 @@ func TestScratchReuseAcrossIndexes(t *testing.T) {
 }
 
 // fuzzTable holds the 64 fixed points FuzzKNNExact builds its sets
-// from. They are in general position: a lattice would add exactly
-// collinear triples, on which the pruning test's floating-point
-// subtraction can round a tied point across a split radius (the search
-// then misses a tie that brute force breaks by index). Ties still
-// abound, because sets repeat table points.
-var fuzzTable = randPts(64, 64, 3)
+// from: 32 in general position and 32 on a 7-wide integer lattice,
+// whose exactly collinear triples exercise the prune's rounding margin.
+// Sets repeat table points, so ties abound.
+var fuzzTable = append(randPts(64, 32, 3), wideLatticePts(65, 32, 3)...)
+
+// wideLatticePts draws n points with integer coordinates in [0, 7).
+func wideLatticePts(seed int64, n, dim int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = make([]float64, dim)
+		for j := range pts[i] {
+			pts[i][j] = float64(rng.Intn(7))
+		}
+	}
+	return pts
+}
 
 // FuzzKNNExact: over arbitrary point sets drawn with repetition from
 // fuzzTable, arbitrary tombstones, leaf sizes, k and bounds at or above

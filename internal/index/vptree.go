@@ -382,7 +382,7 @@ func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) (
 	if math.IsNaN(bound) || bound <= 0 {
 		bound = math.Inf(1)
 	}
-	s := &vpSearch{t: t, q: q, maxEvals: maxEvals, tau: bound, best: kBest{k: k}}
+	s := &vpSearch{t: t, q: q, maxEvals: maxEvals, tau: bound, eps: float64(t.dim+8) * 0x1p-53, best: kBest{k: k}}
 	if sc != nil {
 		s.best.buf = sc.best[:0]
 	}
@@ -403,7 +403,8 @@ func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) (
 }
 
 // vpSearch carries one query's state: the k-best buffer, the pruning
-// radius tau and the evaluation budget.
+// radius tau, the prune's rounding allowance eps and the evaluation
+// budget.
 type vpSearch struct {
 	t        *VPTree
 	q        []float64
@@ -411,8 +412,21 @@ type vpSearch struct {
 	maxEvals int
 	evals    int
 	tau      float64
+	eps      float64
 	best     kBest
 }
+
+// margin is the rounding allowance of a far-side test at vantage
+// distance d and split radius r. The triangle-inequality prune is exact
+// only in real arithmetic: on collinear points (an integer lattice) the
+// computed d ± tau can land an ulp on the wrong side of the computed
+// radius and prune a point that ties the k-th, which brute force keeps.
+// A computed distance is within (dim+4)/2 units of roundoff u = 2⁻⁵³
+// of the true one (the dim-term sum of squares, then the square root),
+// so a relative allowance of (dim+6)·u on d+tau+r covers all three
+// distances and the test's own rounding; eps = (dim+8)·u adds
+// headroom.
+func (s *vpSearch) margin(d, r float64) float64 { return s.eps * (d + s.tau + r) }
 
 // spent reports whether the evaluation budget is exhausted.
 func (s *vpSearch) spent() bool { return s.maxEvals > 0 && s.evals >= s.maxEvals }
@@ -459,15 +473,16 @@ func (s *vpSearch) visit(ni int32) {
 	}
 	// Descend the side containing q first; the far side is visited
 	// only when the current kth distance still reaches across the
-	// median shell (boundary-inclusive, so exact ties never prune).
+	// median shell, widened by the rounding margin so that ties never
+	// prune.
 	if d <= n.radius {
 		s.visit(n.inner)
-		if d+s.tau >= n.radius {
+		if d+s.tau >= n.radius-s.margin(d, n.radius) {
 			s.visit(n.outer)
 		}
 	} else {
 		s.visit(n.outer)
-		if d-s.tau <= n.radius {
+		if d-s.tau <= n.radius+s.margin(d, n.radius) {
 			s.visit(n.inner)
 		}
 	}

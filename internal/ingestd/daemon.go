@@ -27,8 +27,7 @@
 // The feed clip's VS indices and frame offsets are assigned
 // monotonically and never reused, even as old segments are evicted.
 // That is the invariant that keeps incremental index maintenance
-// (diff by VS.Index) and the MIL kernel caches (keyed by bag
-// identity) sound against a mutating catalog.
+// (diff by VS.Index) sound against a mutating catalog.
 package ingestd
 
 import (

@@ -22,8 +22,7 @@ const StateKey = "ingestd.state"
 // and the frame / VS-index offsets its windows occupy in the merged
 // feed. Offsets are assigned once at commit and never reused — the
 // monotonic VS numbering is what keeps incremental index maintenance
-// (and the MIL kernel caches keyed by bag identity) sound across
-// evictions.
+// sound across evictions.
 type segMeta struct {
 	Name      string `json:"name"`
 	Seq       uint64 `json:"seq"`

@@ -4,17 +4,16 @@ package kernel
 // equal-dimension feature vectors: all rows live contiguously in one
 // flat buffer, so batched distance kernels stream through memory
 // instead of chasing a pointer per vector. The candidate indexes keep
-// their instance vectors in one (when not quantized), and the MIL
-// scoring path keeps the support-vector set in one, replacing the
+// their instance vectors in one (when not quantized), replacing the
 // per-row allocations of [][]float64.
 //
 // Two distance kernels are provided with different contracts:
 //
 //   - SquaredDistTo / SquaredDistsTo accumulate in index order,
 //     bitwise identical to SquaredDistance on the same row — required
-//     wherever cached distances must interchange with the scalar path
-//     (the MIL engine's cross-round reuse, the exact index searches
-//     whose results are pinned against brute force).
+//     wherever distances must interchange with the scalar path (the
+//     exact index searches whose results are pinned against brute
+//     force).
 //   - SquaredDistsToFast unrolls the inner loop over four independent
 //     accumulators. It reassociates the summation (same value up to
 //     floating-point rounding, not bitwise) and is reserved for
@@ -123,7 +122,8 @@ func (b *FeatureBlock) SquaredDistsTo(q []float64, out []float64) {
 // inner product is unrolled over four independent accumulators, so
 // the result may differ from the serial kernel in the last ulp. Use
 // only where the consumer tolerates reassociation (k-means training,
-// footprint-stage scans) — never to fill a distance cache.
+// footprint-stage scans) — never where a distance must match the
+// scalar path bitwise.
 func (b *FeatureBlock) SquaredDistsToFast(q []float64, out []float64) {
 	dim := b.dim
 	for i := range out {

@@ -3,8 +3,22 @@ package kernel
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 )
+
+// randVecs draws n seeded d-dim vectors.
+func randVecs(seed int64, n, d int) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	X := make([][]float64, n)
+	for i := range X {
+		X[i] = make([]float64, d)
+		for j := range X[i] {
+			X[i][j] = rng.NormFloat64()
+		}
+	}
+	return X
+}
 
 // TestFeatureBlockFromRows checks construction, accessors and the
 // ragged-input rejection.
@@ -114,53 +128,6 @@ func TestFeatureBlockDistsFast(t *testing.T) {
 			if math.Abs(fast[i]-want) > 1e-9*(1+want) {
 				t.Fatalf("dim %d: fast[%d] = %v, serial %v", dim, i, fast[i], want)
 			}
-		}
-	}
-}
-
-// TestFillSquaredDistsFromBlock checks the block-backed cache fill is
-// bitwise identical to the slice-backed one across cold, mixed and
-// warm cache states, with matching hit/miss accounting.
-func TestFillSquaredDistsFromBlock(t *testing.T) {
-	X := randVecs(7, 10, 9)
-	v := X[0]
-	us := X[1:]
-	b, err := FeatureBlockFromRows(us)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kus := make([]int64, len(us))
-	for i := range kus {
-		kus[i] = int64(i + 1)
-	}
-
-	ref := NewDistCache()
-	want := make([]float64, len(us))
-	ref.FillSquaredDists(kus, 0, us, v, want)
-
-	c := NewDistCache()
-	// Pre-warm a strict subset so the fill mixes hits and misses.
-	for _, i := range []int{0, 4, 7} {
-		c.SquaredDist(kus[i], 0, us[i], v)
-	}
-	got := make([]float64, len(us))
-	c.FillSquaredDistsFromBlock(kus, 0, b, v, got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("mixed fill[%d] = %v, want bitwise %v", i, got[i], want[i])
-		}
-	}
-
-	// Fully warm: every pair must now hit.
-	h0, m0 := c.Stats()
-	c.FillSquaredDistsFromBlock(kus, 0, b, v, got)
-	h1, m1 := c.Stats()
-	if h1-h0 != uint64(len(us)) || m1 != m0 {
-		t.Fatalf("warm fill: hits +%d misses +%d, want +%d, +0", h1-h0, m1-m0, len(us))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("warm fill[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }

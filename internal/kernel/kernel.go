@@ -47,8 +47,7 @@ func (k RBF) Eval(u, v []float64) float64 {
 // FromSquaredDist evaluates the kernel from a precomputed squared
 // Euclidean distance ‖u−v‖². Computing the distance with
 // SquaredDistance and finishing with this method is bitwise identical
-// to Eval — callers that memoize distances (the retrieval engine's
-// cross-round Gram reuse) rely on that.
+// to Eval.
 func (k RBF) FromSquaredDist(d2 float64) float64 {
 	s := k.Sigma
 	if s <= 0 {
@@ -201,30 +200,6 @@ func NearestNeighborSigma(X [][]float64) float64 {
 				continue
 			}
 			if d := SquaredDistance(X[i], X[j]); d > 0 && d < best {
-				best = d
-			}
-		}
-		if !math.IsInf(best, 1) {
-			nn = append(nn, math.Sqrt(best))
-		}
-	}
-	return medianOrOne(nn)
-}
-
-// NearestNeighborSigmaFromSquared is NearestNeighborSigma computed
-// from a precomputed squared-distance matrix d2 (d2[i][j] = ‖xᵢ−xⱼ‖²,
-// as produced by SquaredDistance). Bitwise identical to the slice
-// form for same-dimension sample sets — the retrieval engine's
-// cross-round distance cache depends on that equivalence.
-func NearestNeighborSigmaFromSquared(d2 [][]float64) float64 {
-	var nn []float64
-	for i := range d2 {
-		best := math.Inf(1)
-		for j := range d2[i] {
-			if i == j {
-				continue
-			}
-			if d := d2[i][j]; d > 0 && d < best {
 				best = d
 			}
 		}

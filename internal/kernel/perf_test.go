@@ -63,8 +63,7 @@ func TestMatrixSymmetricMirror(t *testing.T) {
 }
 
 // TestRBFFromSquaredDistIdentity: Eval must equal
-// FromSquaredDist(SquaredDistance(u,v)) bitwise — the contract the
-// distance-cached retrieval path depends on.
+// FromSquaredDist(SquaredDistance(u,v)) bitwise.
 func TestRBFFromSquaredDistIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	X := randVectors(rng, 20, 9)
@@ -79,56 +78,5 @@ func TestRBFFromSquaredDistIdentity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestNearestNeighborSigmaFromSquaredIdentity: the distance-matrix
-// form of the bandwidth heuristic must agree bitwise with the
-// vector form.
-func TestNearestNeighborSigmaFromSquaredIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	X := randVectors(rng, 25, 9)
-	n := len(X)
-	d2 := make([][]float64, n)
-	for i := range d2 {
-		d2[i] = make([]float64, n)
-		for j := range d2[i] {
-			if i != j {
-				d2[i][j] = SquaredDistance(X[i], X[j])
-			}
-		}
-	}
-	a := NearestNeighborSigma(X)
-	b := NearestNeighborSigmaFromSquared(d2)
-	if math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("NearestNeighborSigma %v != FromSquared %v", a, b)
-	}
-}
-
-// TestDistCache: memoized distances equal direct computation, keys are
-// order-normalized, and entries are counted once per pair.
-func TestDistCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	X := randVectors(rng, 6, 4)
-	c := NewDistCache()
-	for i := range X {
-		for j := range X {
-			got := c.SquaredDist(int64(i), int64(j), X[i], X[j])
-			want := SquaredDistance(X[i], X[j])
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("cached distance (%d,%d) differs", i, j)
-			}
-		}
-	}
-	// 6 choose 2 unordered pairs plus 6 self-pairs.
-	if c.Len() != 21 {
-		t.Fatalf("cache holds %d pairs, want 21", c.Len())
-	}
-	// Second pass hits only.
-	before := c.Len()
-	_ = c.SquaredDist(4, 2, X[4], X[2])
-	_ = c.SquaredDist(2, 4, X[2], X[4])
-	if c.Len() != before {
-		t.Fatalf("repeat lookups grew the cache: %d -> %d", before, c.Len())
 	}
 }

@@ -108,17 +108,6 @@ type Options struct {
 	// NuOverride, when in (0, 1], replaces the Eq. (9) ν entirely
 	// (used by the z-sweep ablation's extreme points).
 	NuOverride float64
-	// DistCache, when non-nil, memoizes squared instance distances
-	// across retrains keyed by (bag ID, instance key). The interactive
-	// feedback loop retrains every round on a mostly-overlapping
-	// training set, so rounds after the first reuse almost all pairs —
-	// for any bandwidth, since the RBF kernel is a pure function of the
-	// squared distance. The cached path is bitwise identical to the
-	// uncached one and engages only when Kernel is nil (the default
-	// RBF) and every positive bag carries unique instance Keys; it is
-	// ignored otherwise. One cache must never span two databases or two
-	// feature extractions (see kernel.DistCache).
-	DistCache *kernel.DistCache
 }
 
 // DefaultOptions returns the paper's settings.
@@ -130,22 +119,6 @@ type Learner struct {
 	// TrainingBags is h, TrainingInstances is H, Delta the ν used.
 	TrainingBags, TrainingInstances int
 	Delta                           float64
-
-	// Distance-cached scoring state (set only when Train took the
-	// cached path): the cache, the trained RBF, the identity of each
-	// support vector's training instance, and the support vectors
-	// themselves (pre-gathered so scoring can batch whole rows of
-	// cache lookups).
-	cache  *kernel.DistCache
-	rbf    kernel.RBF
-	svKeys []int64
-	svX    *kernel.FeatureBlock
-}
-
-// instKey folds a bag ID and an instance key into the stable identity
-// used by the distance cache.
-func instKey(bagID, key int) int64 {
-	return int64(bagID)<<32 ^ int64(uint32(key))
 }
 
 // Train builds the training set from the positively labeled bags —
@@ -153,9 +126,6 @@ func instKey(bagID, key int) int64 {
 // δ = 1 − (h/H + z) and fits the One-class SVM with ν = δ.
 func Train(bags []Bag, opt Options) (*Learner, error) {
 	var X [][]float64
-	var keys []int64
-	keysOK := true
-	seen := make(map[int64]bool)
 	h := 0
 	dim := -1
 	for _, b := range bags {
@@ -166,25 +136,13 @@ func Train(bags []Bag, opt Options) (*Learner, error) {
 			continue // an empty positive bag contributes nothing
 		}
 		h++
-		hasKeys := len(b.Keys) == len(b.Instances)
-		for i, inst := range b.Instances {
+		for _, inst := range b.Instances {
 			if dim == -1 {
 				dim = len(inst)
 			} else if len(inst) != dim {
 				return nil, fmt.Errorf("%w: %d vs %d in bag %d", ErrDim, len(inst), dim, b.ID)
 			}
 			X = append(X, inst)
-			if !hasKeys {
-				keysOK = false
-				continue
-			}
-			k := instKey(b.ID, b.Keys[i])
-			if seen[k] {
-				keysOK = false // ambiguous identity: never feed the cache
-				continue
-			}
-			seen[k] = true
-			keys = append(keys, k)
 		}
 	}
 	if h == 0 {
@@ -197,9 +155,6 @@ func Train(bags []Bag, opt Options) (*Learner, error) {
 	}
 	if opt.NuOverride > 0 && opt.NuOverride <= 1 {
 		delta = opt.NuOverride
-	}
-	if opt.Kernel == nil && opt.DistCache != nil && keysOK && len(keys) == H {
-		return trainCached(X, keys, h, delta, opt.DistCache)
 	}
 	k := opt.Kernel
 	if k == nil {
@@ -222,59 +177,6 @@ func Train(bags []Bag, opt Options) (*Learner, error) {
 	return &Learner{model: m, TrainingBags: h, TrainingInstances: H, Delta: delta}, nil
 }
 
-// trainCached is the distance-cached mirror of the default training
-// path: squared distances come from (or enter) the cache, the
-// nearest-neighbor bandwidth and the Gram matrix are derived from
-// them, and the solver is handed the precomputed Gram. Every number it
-// produces is bitwise identical to the uncached path because the RBF
-// kernel is a pure function of the squared distance and the bandwidth
-// heuristic admits a distance-matrix form
-// (kernel.NearestNeighborSigmaFromSquared).
-func trainCached(X [][]float64, keys []int64, h int, delta float64, cache *kernel.DistCache) (*Learner, error) {
-	n := len(X)
-	d2back := make([]float64, n*n)
-	d2 := make([][]float64, n)
-	for i := range d2 {
-		d2[i] = d2back[i*n : (i+1)*n : (i+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		// One batched cache access per row instead of one lock
-		// round-trip per pair; squared distances are bitwise symmetric,
-		// so filling row i from column vector X[i] matches the per-pair
-		// path exactly.
-		cache.FillSquaredDists(keys[i+1:], keys[i], X[i+1:], X[i], d2[i][i+1:])
-		for j := i + 1; j < n; j++ {
-			d2[j][i] = d2[i][j]
-		}
-	}
-	rbf := kernel.RBF{Sigma: kernel.NearestNeighborSigmaFromSquared(d2) / 3}
-	gram := make([][]float64, n)
-	gback := make([]float64, n*n)
-	for i := range gram {
-		gram[i] = gback[i*n : (i+1)*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			gram[i][j] = rbf.FromSquaredDist(d2[i][j])
-		}
-	}
-	m, err := svm.TrainOneClass(X, svm.Options{Nu: delta, Kernel: rbf, Gram: gram})
-	if err != nil {
-		return nil, fmt.Errorf("mil: training failed: %w", err)
-	}
-	// The support vectors are gathered into a columnar block: scoring
-	// touches every SV row per instance, and one contiguous buffer
-	// streams better than a pointer per vector.
-	svKeys := make([]int64, 0, m.NSupport())
-	svX := kernel.NewFeatureBlock(m.Dim(), m.NSupport())
-	for si, ti := range m.SupportIndices() {
-		svKeys = append(svKeys, keys[ti])
-		svX.Append(m.SupportVector(si))
-	}
-	return &Learner{
-		model: m, TrainingBags: h, TrainingInstances: n, Delta: delta,
-		cache: cache, rbf: rbf, svKeys: svKeys, svX: svX,
-	}, nil
-}
-
 // InstanceScore returns the SVM decision value of one instance.
 func (l *Learner) InstanceScore(x []float64) (float64, error) {
 	return l.model.Decision(x)
@@ -287,44 +189,9 @@ func (l *Learner) BagScore(b Bag) (score float64, ok bool, err error) {
 	if len(b.Instances) == 0 {
 		return 0, false, nil
 	}
-	if l.cache != nil && len(b.Keys) == len(b.Instances) {
-		return l.bagScoreCached(b)
-	}
 	best := 0.0
 	for i, inst := range b.Instances {
 		d, err := l.model.Decision(inst)
-		if err != nil {
-			return 0, false, fmt.Errorf("mil: bag %d instance %d: %w", b.ID, i, err)
-		}
-		if i == 0 || d > best {
-			best = d
-		}
-	}
-	return best, true, nil
-}
-
-// bagScoreCached evaluates the support-vector kernel values through
-// the distance cache: instance↔SV distances recur across feedback
-// rounds (the database side of each pair is fixed; the SV side comes
-// from the mostly-stable training set), so later rounds score mostly
-// from memory. Bitwise identical to the plain path via
-// svm.OneClass.DecisionFromKernel.
-func (l *Learner) bagScoreCached(b Bag) (score float64, ok bool, err error) {
-	kvals := make([]float64, len(l.svKeys))
-	best := 0.0
-	for i, inst := range b.Instances {
-		if len(inst) != l.model.Dim() {
-			_, derr := l.model.Decision(inst) // same error as the plain path
-			return 0, false, fmt.Errorf("mil: bag %d instance %d: %w", b.ID, i, derr)
-		}
-		ik := instKey(b.ID, b.Keys[i])
-		// One batched cache access for the whole SV row, then the RBF
-		// transform in place.
-		l.cache.FillSquaredDistsFromBlock(l.svKeys, ik, l.svX, inst, kvals)
-		for si := range kvals {
-			kvals[si] = l.rbf.FromSquaredDist(kvals[si])
-		}
-		d, err := l.model.DecisionFromKernel(kvals)
 		if err != nil {
 			return 0, false, fmt.Errorf("mil: bag %d instance %d: %w", b.ID, i, err)
 		}

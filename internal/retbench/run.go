@@ -219,15 +219,13 @@ func runSession(scen Scenario, cat Category, cfg RunConfig) (sessionScore, bool,
 }
 
 // buildEngine constructs the serving-path engine for one database.
-// Every path re-ranks through a fresh MIL engine with its own kernel
-// cache, exactly as a serving session would.
+// Every path re-ranks through a MIL engine, exactly as a serving
+// session would.
 func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.Engine, error) {
-	mile := func() retrieval.MILEngine {
-		return retrieval.MILEngine{Cache: retrieval.NewMILCache()}
-	}
+	mile := retrieval.MILEngine{}
 	switch path {
 	case PathExact:
-		return mile(), nil
+		return mile, nil
 	case PathCandidate:
 		// C = N: the candidate layer's exactness identity — the probe
 		// machinery runs, the ranking must match exact bit for bit.
@@ -235,7 +233,7 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 		if err != nil {
 			return nil, err
 		}
-		return retrieval.CandidateEngine{Inner: mile(), Index: bi, C: len(db)}, nil
+		return retrieval.CandidateEngine{Inner: mile, Index: bi, C: len(db)}, nil
 	case PathQuantized:
 		// Scalar-quantized IVF probing at C < N: the probe is lossy,
 		// the re-rank exact — recall floors measure what pruning costs.
@@ -247,7 +245,7 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 		if min := 2 * cfg.TopK; c < min {
 			c = min
 		}
-		return retrieval.CandidateEngine{Inner: mile(), Index: bi, C: c}, nil
+		return retrieval.CandidateEngine{Inner: mile, Index: bi, C: c}, nil
 	case PathSharded:
 		ring := shard.NewRing(cfg.Shards)
 		parts := shard.PartitionVS(ring, clip, db)
@@ -265,7 +263,7 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 		}
 		// C = N: completion hits reassemble every partition, so the
 		// scatter–gather ranking reproduces the unsharded exact one.
-		return &shard.Engine{Inner: mile(), Probers: probers, C: len(db)}, nil
+		return &shard.Engine{Inner: mile, Probers: probers, C: len(db)}, nil
 	default:
 		return nil, fmt.Errorf("retbench: unknown path %q", path)
 	}

@@ -98,22 +98,3 @@ func TestSessionRunTypedErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestMILCacheStats: after a multi-round cached session the cache
-// reports a nonzero hit count — the figure /v1/stats exports.
-func TestMILCacheStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	db, rel := synthDB(rng, 6, 8, 40)
-	sess := &Session{DB: db, Oracle: oracleFor(rel), TopK: 10}
-	cache := NewMILCache()
-	if _, err := sess.Run(MILEngine{Opt: mil.DefaultOptions(), Cache: cache}, 4); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := cache.Stats()
-	if misses == 0 {
-		t.Fatal("cached session computed no distances")
-	}
-	if hits == 0 {
-		t.Fatal("multi-round session produced zero cache hits")
-	}
-}

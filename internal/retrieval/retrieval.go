@@ -13,7 +13,6 @@ import (
 	"math"
 	"slices"
 
-	"milvideo/internal/kernel"
 	"milvideo/internal/mil"
 	"milvideo/internal/rf"
 	"milvideo/internal/sim"
@@ -270,32 +269,20 @@ func heuristicRank(db []window.VS) []int {
 	return rankByScore(scores)
 }
 
-// MILCache carries kernel state a MILEngine reuses across the
-// feedback rounds of one retrieval session: the training sets of
-// consecutive rounds mostly overlap (feedback adds a handful of bags),
-// so their pairwise squared distances — and the instance↔SV distances
-// scoring needs — recur round after round. One cache is valid for
-// exactly one VS database: the instance identities it keys by
-// (VS index, track ID) must always name the same vectors.
-type MILCache struct {
-	dist *kernel.DistCache
-}
+// MILCache is an empty placeholder kept so that code written against
+// the removed cross-round distance cache still compiles: MILEngine
+// computes its distances directly every round. Its counters always
+// read zero.
+type MILCache struct{}
 
-// NewMILCache returns an empty cache for one database.
-func NewMILCache() *MILCache { return &MILCache{dist: kernel.NewDistCache()} }
+// NewMILCache returns an empty MILCache.
+func NewMILCache() *MILCache { return &MILCache{} }
 
-// Stats reports the cache's distance-lookup counters: hits served
-// without recomputation and misses that computed a pair. After any
-// multi-round session the hit count is nonzero — consecutive rounds'
-// training sets overlap — which is what the query service's
-// /v1/stats surfaces as the kernel-cache hit ratio.
-func (c *MILCache) Stats() (hits, misses uint64) { return c.dist.Stats() }
+// Stats returns zero hits and zero misses.
+func (c *MILCache) Stats() (hits, misses uint64) { return 0, 0 }
 
-// ResetStats zeroes the lookup counters, keeping every cached
-// distance. The query service calls it after each feedback round so
-// the next round's Stats read is that round's hit ratio alone, not
-// the session-lifetime aggregate.
-func (c *MILCache) ResetStats() { c.dist.ResetStats() }
+// ResetStats does nothing.
+func (c *MILCache) ResetStats() {}
 
 // MILEngine is the paper's proposed framework: bags from labeled VSs,
 // a One-class SVM trained with ν = δ from Eq. (9) on the training set
@@ -314,9 +301,6 @@ type MILEngine struct {
 	// (the ablation in the package benches: the unselected variant
 	// collapses onto the dense normal-driving cluster).
 	TopTSRatio float64
-	// Cache, when non-nil, enables cross-round kernel reuse (see
-	// MILCache). Results are bitwise identical with or without it.
-	Cache *MILCache
 }
 
 // Name implements Engine.
@@ -340,20 +324,13 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 	if len(training) == 0 {
 		return heuristicRank(db), nil
 	}
-	opt := e.Opt
-	if e.Cache != nil && opt.DistCache == nil {
-		opt.DistCache = e.Cache.dist
-	}
-	learner, err := mil.Train(training, opt)
+	learner, err := mil.Train(training, e.Opt)
 	if errors.Is(err, mil.ErrNoPositiveBags) {
 		return heuristicRank(db), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %s: %w", e.Name(), err)
 	}
-	// Scoring bags are built in one pass before any is scored; built
-	// between scorings, their allocations measured slower against the
-	// distance-cache lookups.
 	scoring := make([]mil.Bag, len(db))
 	for i, vs := range db {
 		scoring[i] = toBag(vs, labels[vs.Index], 0)
@@ -400,7 +377,6 @@ func toBag(vs window.VS, label mil.Label, topRatio float64) mil.Bag {
 			continue
 		}
 		b.Instances = append(b.Instances, ts.Flat())
-		b.Keys = append(b.Keys, ts.TrackID)
 	}
 	return b
 }

@@ -61,9 +61,9 @@ func TestIndexSmokeRecall(t *testing.T) {
 				{n, 1.0},
 				{n / 4, 0.9},
 			} {
-				exact := retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}
+				exact := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 				indexed := retrieval.CandidateEngine{
-					Inner: retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()},
+					Inner: retrieval.MILEngine{Opt: mil.DefaultOptions()},
 					Index: bi, C: tc.c,
 				}
 				labels := make(map[int]mil.Label)
@@ -135,9 +135,6 @@ func TestQueryIndexAPI(t *testing.T) {
 	}
 	if stats.Index.BuildLatency.Count != 1 {
 		t.Fatalf("build latency saw %d builds, want 1", stats.Index.BuildLatency.Count)
-	}
-	if lr := stats.KernelCacheLastRound; lr.Hits+lr.Misses == 0 {
-		t.Fatalf("last-round kernel cache counters empty: %+v", lr)
 	}
 
 	// A second session over the same catalog generation reuses the

@@ -30,12 +30,6 @@ type Metrics struct {
 	InjectedFail   expvar.Int
 	BodiesRejected expvar.Int
 
-	// retiredHits/retiredMisses accumulate kernel-cache counters from
-	// sessions that left the store, so the global hit ratio survives
-	// eviction.
-	retiredHits   expvar.Int
-	retiredMisses expvar.Int
-
 	// Candidate-index lifecycle: builds actually performed, cache hits
 	// that reused one, and the build latency distribution. Under
 	// incremental maintenance a generation bump that left the clip's
@@ -93,13 +87,6 @@ func (m *Metrics) publish() {
 		top.Set("shard_forward_errors", &m.ShardForwardErrors)
 		expvar.Publish("milserver", top)
 	})
-}
-
-// retire folds a departing session's kernel-cache counters into the
-// process totals.
-func (m *Metrics) retire(hits, misses uint64) {
-	m.retiredHits.Add(int64(hits))
-	m.retiredMisses.Add(int64(misses))
 }
 
 // numLatencyBuckets counts the bounded buckets; one overflow bucket

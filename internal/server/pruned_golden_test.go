@@ -15,24 +15,27 @@ import (
 	"milvideo/internal/index"
 )
 
-// prunedGoldenPath pins the served rankings of pruned (C < N)
-// feedback sessions. The C=N identity gates compare candidate serving
-// against exact ranking; below N there is no exact reference, so a
-// change to probing, aggregation or re-ranking could reorder results
-// silently. These hashes were recorded from the serving stack before
-// the probe path was optimized, and every later change must reproduce
-// them byte for byte.
+// prunedGoldenPath pins the served rankings of judged feedback
+// sessions: pruned (C < N), C = N, exact and predicate-seeded. The C=N
+// identity gates compare candidate serving against exact ranking;
+// below N there is no exact reference, so a change to probing,
+// aggregation or re-ranking could reorder results silently, and a
+// change to the learner itself would move exact and C=N alike. The
+// pruned hashes were recorded from the serving stack before the probe
+// path was optimized, the exact, C=N and predicate hashes before the
+// cross-round kernel distance cache was deleted, and every later
+// change must reproduce them byte for byte.
 var prunedGoldenPath = filepath.Join("testdata", "pruned_rankings.json")
 
 // prunedRankingHashes drives one five-round, top-20 session per
-// configuration — ScaledDemoRecord(1, {10, 100}) × {vptree, ivf} ×
-// {none, pq} × C ∈ {N/32, N/4} — judged by JudgeFromRecord ground
-// truth, and returns the SHA-256 of every round's full ranking keyed
-// by configuration.
+// configuration on ScaledDemoRecord(1, {10, 100}), judged by
+// JudgeFromRecord ground truth, and returns the SHA-256 of every
+// round's full ranking keyed by configuration. Per scale the
+// configurations are an exact session, {vptree, ivf} × {none, pq} ×
+// C ∈ {N/32, N/4, N}, and at 10× one exact session seeded with
+// DemoPredicates()[0].
 func prunedRankingHashes(t *testing.T) map[string][]string {
 	t.Helper()
-	const topK, rounds = 20, 5
-	ctx := context.Background()
 	out := make(map[string][]string)
 	for _, scale := range []int{10, 100} {
 		rec, err := ScaledDemoRecord(1, scale)
@@ -46,38 +49,59 @@ func prunedRankingHashes(t *testing.T) map[string][]string {
 		n := len(rec.VSs)
 		for _, quant := range []string{"none", "pq"} {
 			_, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: quant})
-			for _, kind := range []index.Kind{index.KindVPTree, index.KindIVF} {
-				for _, c := range []int{n / 32, n / 4} {
-					key := fmt.Sprintf("%dx/%s/%s/C=%d", scale, kind, quant, c)
-					resp, err := client.Query(ctx, QueryRequest{
-						Clip: rec.Name, TopK: topK, Index: string(kind), Candidates: c,
+			if quant == "none" {
+				key := fmt.Sprintf("%dx/exact", scale)
+				out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{Clip: rec.Name, Index: "exact"})
+				if scale == 10 {
+					key += "/predicate"
+					out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
+						Clip: rec.Name, Index: "exact", Predicate: DemoPredicates()[0],
 					})
-					if err != nil {
-						t.Fatalf("%s: query: %v", key, err)
-					}
-					var hashes []string
-					for r := 0; ; r++ {
-						hashes = append(hashes, rankingHash(resp.Ranking))
-						if r == rounds-1 {
-							break
-						}
-						labels := make([]FeedbackLabel, len(resp.TopK))
-						for i, e := range resp.TopK {
-							labels[i] = FeedbackLabel{VS: e.VS, Relevant: judge(e)}
-						}
-						if resp, err = client.Feedback(ctx, resp.Session, labels); err != nil {
-							t.Fatalf("%s: round %d: %v", key, r+1, err)
-						}
-					}
-					if err := client.Delete(ctx, resp.Session); err != nil {
-						t.Fatalf("%s: delete: %v", key, err)
-					}
-					out[key] = hashes
+				}
+			}
+			for _, kind := range []index.Kind{index.KindVPTree, index.KindIVF} {
+				for _, c := range []int{n / 32, n / 4, n} {
+					key := fmt.Sprintf("%dx/%s/%s/C=%d", scale, kind, quant, c)
+					out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
+						Clip: rec.Name, Index: string(kind), Candidates: c,
+					})
 				}
 			}
 		}
 	}
 	return out
+}
+
+// sessionRankingHashes runs one five-round, top-20 session from req,
+// labeling each round's top-k by judge, and returns the hash of every
+// round's full ranking.
+func sessionRankingHashes(t *testing.T, client *Client, judge Judge, key string, req QueryRequest) []string {
+	t.Helper()
+	const topK, rounds = 20, 5
+	ctx := context.Background()
+	req.TopK = topK
+	resp, err := client.Query(ctx, req)
+	if err != nil {
+		t.Fatalf("%s: query: %v", key, err)
+	}
+	var hashes []string
+	for r := 0; ; r++ {
+		hashes = append(hashes, rankingHash(resp.Ranking))
+		if r == rounds-1 {
+			break
+		}
+		labels := make([]FeedbackLabel, len(resp.TopK))
+		for i, e := range resp.TopK {
+			labels[i] = FeedbackLabel{VS: e.VS, Relevant: judge(e)}
+		}
+		if resp, err = client.Feedback(ctx, resp.Session, labels); err != nil {
+			t.Fatalf("%s: round %d: %v", key, r+1, err)
+		}
+	}
+	if err := client.Delete(ctx, resp.Session); err != nil {
+		t.Fatalf("%s: delete: %v", key, err)
+	}
+	return hashes
 }
 
 // rankingHash is the hex SHA-256 of a ranking's decimal VS indices,

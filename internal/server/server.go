@@ -15,9 +15,7 @@
 //	DELETE /v1/clips/{name}           remove a clip from the catalog
 //	GET    /v1/stats                  expvar-backed service metrics
 //
-// Concurrency model: each session owns a retrieval.MILCache, so Gram
-// rows are reused across that session's feedback rounds exactly as in
-// the offline path; per-session rounds are serialized while re-ranks
+// Concurrency model: per-session rounds are serialized while re-ranks
 // of different sessions run concurrently under a bounded worker pool.
 // Queries rank against a read-mostly videodb.Snapshot, so serving
 // never blocks ingestion. The store applies TTL expiry and LRU
@@ -296,19 +294,12 @@ func (s *Server) janitor() {
 		case <-s.stop:
 			return
 		case <-t.C:
-			for _, victim := range s.store.sweep() {
-				s.retire(victim)
+			for range s.store.sweep() {
 				s.metrics.SessionsExpired.Add(1)
 				s.metrics.SessionsLive.Add(-1)
 			}
 		}
 	}
-}
-
-// retire folds a departing session's cache counters into the totals.
-func (s *Server) retire(sess *session) {
-	h, m := sess.cacheStats()
-	s.metrics.retire(h, m)
 }
 
 // ---- wire types ----
@@ -399,13 +390,6 @@ type FeedbackRequest struct {
 	Labels []FeedbackLabel `json:"labels"`
 }
 
-// KernelCacheStats aggregates per-session Gram reuse.
-type KernelCacheStats struct {
-	Hits     uint64  `json:"hits"`
-	Misses   uint64  `json:"misses"`
-	HitRatio float64 `json:"hit_ratio"`
-}
-
 // IndexStats reports the candidate-index subsystem: build/reuse
 // lifecycle and the probe work of pruned rounds.
 type IndexStats struct {
@@ -460,14 +444,8 @@ type StatsResponse struct {
 	RoundsServed     int64            `json:"rounds_served"`
 	RequestsRejected int64            `json:"requests_rejected"`
 	Degraded         DegradationStats `json:"degraded"`
-	KernelCache      KernelCacheStats `json:"kernel_cache"`
-	// KernelCacheLastRound aggregates, over live sessions, the
-	// counters of each session's most recent feedback round — the
-	// steady-state reuse rate, unpolluted by the all-miss first
-	// rounds that dominate the lifetime totals.
-	KernelCacheLastRound KernelCacheStats `json:"kernel_cache_last_round"`
-	Index                IndexStats       `json:"index"`
-	RerankLatency        LatencySummary   `json:"rerank_latency"`
+	Index            IndexStats       `json:"index"`
+	RerankLatency    LatencySummary   `json:"rerank_latency"`
 	// Shard reports the scatter–gather subsystem when this server
 	// shards in-process, coordinates a cluster, or serves a worker
 	// partition; Cluster additionally aggregates the workers behind a
@@ -565,14 +543,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	cache := retrieval.NewMILCache()
-	engine, err := core.EngineByName(req.Engine, cache)
+	engine, err := core.EngineByName(req.Engine, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	if _, isMIL := engine.(retrieval.MILEngine); !isMIL {
-		cache = nil // no kernel reuse for this engine; don't report one
 	}
 	if initial, err := initialEngine(req, rec); err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -602,7 +576,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		clip:       rec.Name,
 		engineName: engine.Name(),
 		engine:     engine,
-		cache:      cache,
 		db:         rec.VSs,
 		topK:       topK,
 		labels:     make(map[int]mil.Label),
@@ -619,8 +592,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeRoundError(w, err)
 		return
 	}
-	for _, victim := range s.store.put(sess) {
-		s.retire(victim)
+	for range s.store.put(sess) {
 		s.metrics.SessionsEvicted.Add(1)
 		s.metrics.SessionsLive.Add(-1)
 	}
@@ -942,12 +914,10 @@ func (s *Server) handleDeleteClip(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sess, ok := s.store.remove(id)
-	if !ok {
+	if !s.store.remove(id) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrSessionNotFound, id))
 		return
 	}
-	s.retire(sess)
 	s.metrics.SessionsDeleted.Add(1)
 	s.metrics.SessionsLive.Add(-1)
 	w.WriteHeader(http.StatusNoContent)
@@ -1009,8 +979,7 @@ func (s *Server) DropClips(names []string) int {
 	return n
 }
 
-// Stats assembles the service metrics, aggregating kernel-cache
-// counters over live and retired sessions.
+// Stats assembles the service metrics.
 func (s *Server) Stats() *StatsResponse {
 	resp := &StatsResponse{
 		SessionsLive:     s.metrics.SessionsLive.Value(),
@@ -1059,25 +1028,6 @@ func (s *Server) Stats() *StatsResponse {
 	if len(s.shardNodes) > 0 {
 		resp.Cluster = s.clusterStats()
 	}
-	hits := uint64(s.metrics.retiredHits.Value())
-	misses := uint64(s.metrics.retiredMisses.Value())
-	var lastHits, lastMisses uint64
-	s.store.forEach(func(sess *session) {
-		h, m := sess.cacheStats()
-		hits += h
-		misses += m
-		h, m = sess.lastRoundCacheStats()
-		lastHits += h
-		lastMisses += m
-	})
-	resp.KernelCache = KernelCacheStats{Hits: hits, Misses: misses}
-	if total := hits + misses; total > 0 {
-		resp.KernelCache.HitRatio = float64(hits) / float64(total)
-	}
-	resp.KernelCacheLastRound = KernelCacheStats{Hits: lastHits, Misses: lastMisses}
-	if total := lastHits + lastMisses; total > 0 {
-		resp.KernelCacheLastRound.HitRatio = float64(lastHits) / float64(total)
-	}
 	return resp
 }
 
@@ -1086,7 +1036,6 @@ func (s *Server) Stats() *StatsResponse {
 func (s *Server) sessionFor(r *http.Request) (*session, bool, error) {
 	sess, expired, err := s.store.get(r.PathValue("id"))
 	if expired {
-		s.retire(sess)
 		s.metrics.SessionsExpired.Add(1)
 		s.metrics.SessionsLive.Add(-1)
 	}
@@ -1150,7 +1099,6 @@ func (s *Server) runRound(ctx context.Context, sess *session, labels []FeedbackL
 	}
 	s.metrics.Rerank.Observe(time.Since(start))
 	s.metrics.RoundsServed.Add(1)
-	sess.noteRoundCacheStats()
 
 	entries := make([]RankingEntry, len(top))
 	for i, dbPos := range top {

@@ -43,8 +43,8 @@ func wantStatus(t *testing.T, err error, status int) {
 
 // TestServerOfflineIdentity is the acceptance gate: for the same
 // seeded database, query, and oracle feedback, the rankings returned
-// over HTTP per round must be identical to retrieval.Session.Run with
-// a MILCache — round by round, position by position.
+// over HTTP per round must be identical to retrieval.Session.Run —
+// round by round, position by position.
 func TestServerOfflineIdentity(t *testing.T) {
 	const topK, rounds = 8, 4
 	rec := synthRecord(t, 42, 5, 5, 20)
@@ -55,7 +55,7 @@ func TestServerOfflineIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	offline := &retrieval.Session{DB: rec.VSs, Oracle: oracle, TopK: topK}
-	ref, err := offline.Run(retrieval.MILEngine{Opt: mil.DefaultOptions(), Cache: retrieval.NewMILCache()}, rounds)
+	ref, err := offline.Run(retrieval.MILEngine{Opt: mil.DefaultOptions()}, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +119,10 @@ func TestServerOfflineIdentity(t *testing.T) {
 	}
 }
 
-// TestStatsKernelCacheHitRatio: after any multi-round MIL session the
-// per-session Gram reuse must surface as a nonzero kernel-cache hit
-// ratio in /v1/stats — and survive the session's deletion.
-func TestStatsKernelCacheHitRatio(t *testing.T) {
+// TestStatsSessionCounters: after a multi-round MIL session /v1/stats
+// counts its rounds, its latency samples and the live session, and
+// deleting the session moves it from live to deleted.
+func TestStatsSessionCounters(t *testing.T) {
 	rec := synthRecord(t, 7, 5, 5, 20)
 	judge, err := JudgeFromRecord(rec, nil)
 	if err != nil {
@@ -147,9 +147,6 @@ func TestStatsKernelCacheHitRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.KernelCache.Hits == 0 || stats.KernelCache.HitRatio <= 0 {
-		t.Fatalf("multi-round session left no cache hits: %+v", stats.KernelCache)
-	}
 	if stats.RoundsServed != 4 {
 		t.Fatalf("rounds served %d, want 4", stats.RoundsServed)
 	}
@@ -160,16 +157,12 @@ func TestStatsKernelCacheHitRatio(t *testing.T) {
 		t.Fatalf("latency histogram saw %d rounds, want 4", stats.RerankLatency.Count)
 	}
 
-	// Deleting the session retires its counters instead of losing them.
 	if err := client.Delete(ctx, resp.Session); err != nil {
 		t.Fatal(err)
 	}
 	after, err := client.Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if after.KernelCache.Hits < stats.KernelCache.Hits {
-		t.Fatalf("deletion lost cache hits: %d -> %d", stats.KernelCache.Hits, after.KernelCache.Hits)
 	}
 	if after.SessionsLive != 0 || after.SessionsDeleted != 1 {
 		t.Fatalf("post-delete counters off: %+v", after)

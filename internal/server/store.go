@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"milvideo/internal/index"
@@ -22,19 +21,14 @@ import (
 var ErrSessionNotFound = errors.New("server: session not found")
 
 // session is one interactive retrieval session: the paper's feedback
-// loop with the user on the far side of an HTTP connection. The
-// engine and its kernel cache live exactly as long as the session, so
-// Gram rows are reused across feedback rounds precisely as in the
-// offline path.
+// loop with the user on the far side of an HTTP connection.
 type session struct {
 	id         string
 	clip       string
 	engineName string
 	engine     retrieval.Engine
-	// cache is non-nil for engines with kernel reuse ("mil").
-	cache *retrieval.MILCache
-	db    []window.VS
-	topK  int
+	db         []window.VS
+	topK       int
 
 	// Live sessions track the ingest daemon's feed: every round
 	// re-resolves db (and rebuilds engine around base, for indexed
@@ -55,44 +49,9 @@ type session struct {
 	round  int // completed rounds (0 after the initial ranking ran... see server.go)
 	last   *RoundResponse
 
-	// Kernel-cache accounting: the underlying DistCache counters are
-	// reset after every round (see runRound), so cumHits/cumMisses
-	// carry the session lifetime totals while roundHits/roundMisses
-	// hold exactly the most recent round's counters. Atomics, because
-	// /v1/stats reads them while rounds run.
-	cumHits, cumMisses     atomic.Uint64
-	roundHits, roundMisses atomic.Uint64
-
 	// lastUsed and elem are guarded by the store's mutex.
 	lastUsed time.Time
 	elem     *list.Element
-}
-
-// cacheStats reports the session's lifetime kernel-cache counters
-// (zero when the engine has no cache).
-func (s *session) cacheStats() (hits, misses uint64) {
-	return s.cumHits.Load(), s.cumMisses.Load()
-}
-
-// lastRoundCacheStats reports the counters of the session's most
-// recent round alone.
-func (s *session) lastRoundCacheStats() (hits, misses uint64) {
-	return s.roundHits.Load(), s.roundMisses.Load()
-}
-
-// noteRoundCacheStats folds one finished round's counters in: the
-// session cache was reset after the previous round, so its current
-// counters are this round's counters.
-func (s *session) noteRoundCacheStats() {
-	if s.cache == nil {
-		return
-	}
-	h, m := s.cache.Stats()
-	s.cache.ResetStats()
-	s.roundHits.Store(h)
-	s.roundMisses.Store(m)
-	s.cumHits.Add(h)
-	s.cumMisses.Add(m)
 }
 
 // newSessionID draws a 128-bit random id.
@@ -131,7 +90,7 @@ func newSessionStore(capacity int, ttl time.Duration, now func() time.Time) *ses
 
 // put inserts a session, evicting least-recently-used sessions while
 // the store is over capacity. The evicted sessions are returned so the
-// caller can retire their metrics.
+// caller can count them.
 func (st *sessionStore) put(s *session) (evicted []*session) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -170,16 +129,15 @@ func (st *sessionStore) get(id string) (s *session, expired bool, err error) {
 	return s, false, nil
 }
 
-// remove deletes a session by id.
-func (st *sessionStore) remove(id string) (*session, bool) {
+// remove deletes a session by id, reporting whether it existed.
+func (st *sessionStore) remove(id string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s, ok := st.sessions[id]
-	if !ok {
-		return nil, false
+	if ok {
+		st.removeLocked(s)
 	}
-	st.removeLocked(s)
-	return s, true
+	return ok
 }
 
 func (st *sessionStore) removeLocked(s *session) {
@@ -217,14 +175,4 @@ func (st *sessionStore) len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.sessions)
-}
-
-// forEach visits every live session (under the store lock; keep fn
-// cheap).
-func (st *sessionStore) forEach(fn func(*session)) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, s := range st.sessions {
-		fn(s)
-	}
 }

@@ -24,12 +24,6 @@ type BinaryOptions struct {
 	Tol float64
 	// MaxIter caps SMO iterations (default 200·n, floor 20000).
 	MaxIter int
-	// CacheRows bounds the kernel-row cache exactly as
-	// Options.CacheRows does for the one-class trainer.
-	CacheRows int
-	// Gram, when non-nil, is the precomputed training-set Gram matrix
-	// K[i][j] = Kernel(X[i], X[j]); see Options.Gram.
-	Gram [][]float64
 }
 
 // Binary is a trained two-class kernel SVM, the building block of the
@@ -92,10 +86,7 @@ func TrainBinary(X [][]float64, y []bool, opt BinaryOptions) (*Binary, error) {
 		}
 	}
 
-	rows, err := solverRows(opt.Kernel, X, opt.Gram, opt.CacheRows)
-	if err != nil {
-		return nil, err
-	}
+	rows := newRowCache(opt.Kernel, X)
 	diag, err := rows.diag()
 	if err != nil {
 		return nil, err

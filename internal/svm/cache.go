@@ -8,132 +8,45 @@ import (
 )
 
 // rowCache serves Gram-matrix rows to the SMO solvers. Rows are
-// computed lazily on first use and retained under an LRU policy, so a
-// solve that converges after touching a fraction of the training set
-// never pays for the full O(n²) kernel evaluation, while a memory cap
-// (Options.CacheRows) keeps large problems bounded — evicted rows are
-// simply recomputed on the next touch, with buffers recycled.
+// computed lazily on first use and kept for the rest of the solve, so
+// a solve that converges after touching a fraction of the training set
+// never pays for the full O(n²) kernel evaluation.
 //
 // The kernel must be symmetric (K(u,v) == K(v,u) bitwise), which holds
 // for every Mercer kernel in the kernel package: row i then doubles as
 // column i, exactly as the eagerly mirrored Gram matrix did.
-//
-// Callers may hold at most the two most recently returned rows (the
-// SMO working pair); the cache enforces a minimum capacity of two so
-// an eviction can never reclaim a row the solver still reads.
 type rowCache struct {
-	k     kernel.Kernel
-	X     [][]float64
-	limit int // max cached rows; 0 = unlimited
-
-	rows [][]float64 // rows[i] non-nil when cached
-	free [][]float64 // buffers reclaimed from evicted rows
-
-	// Doubly linked LRU list over cached row indices.
-	prev, next []int
-	head, tail int // most / least recently used; -1 when empty
-	cached     int
-}
-
-// solverRows builds the Gram-row source for a solver: a validated
-// fixed view over a caller-supplied Gram matrix, or a lazy LRU cache
-// over the kernel.
-func solverRows(k kernel.Kernel, X [][]float64, gram [][]float64, limit int) (*rowCache, error) {
-	if gram == nil {
-		return newRowCache(k, X, limit), nil
-	}
-	n := len(X)
-	if len(gram) != n {
-		return nil, fmt.Errorf("svm: Gram has %d rows for %d instances", len(gram), n)
-	}
-	for i, row := range gram {
-		if len(row) != n {
-			return nil, fmt.Errorf("svm: Gram row %d has %d columns, want %d", i, len(row), n)
-		}
-		for j, v := range row {
-			if math.IsNaN(v) {
-				return nil, fmt.Errorf("svm: kernel produced NaN at (%d,%d)", i, j)
-			}
-		}
-	}
-	return newFixedRowCache(gram), nil
+	k    kernel.Kernel
+	X    [][]float64
+	rows [][]float64 // rows[i] non-nil once computed
 }
 
 // newRowCache returns a lazy cache over the training set.
-func newRowCache(k kernel.Kernel, X [][]float64, limit int) *rowCache {
-	n := len(X)
-	if limit > 0 && limit < 2 {
-		limit = 2
-	}
-	c := &rowCache{
-		k:     k,
-		X:     X,
-		limit: limit,
-		rows:  make([][]float64, n),
-		prev:  make([]int, n),
-		next:  make([]int, n),
-		head:  -1,
-		tail:  -1,
-	}
-	for i := range c.prev {
-		c.prev[i], c.next[i] = -1, -1
-	}
-	return c
+func newRowCache(k kernel.Kernel, X [][]float64) *rowCache {
+	return &rowCache{k: k, X: X, rows: make([][]float64, len(X))}
 }
 
-// newFixedRowCache wraps a caller-provided Gram matrix: rows are
-// served directly, nothing is computed or evicted.
-func newFixedRowCache(gram [][]float64) *rowCache {
-	return &rowCache{rows: gram, head: -1, tail: -1}
-}
-
-// fixed reports whether the cache serves a precomputed matrix.
-func (c *rowCache) fixed() bool { return c.X == nil }
-
-// row returns Gram row i (K(xᵢ, ·) over the training set). The slice
-// stays valid until two further row calls.
+// row returns Gram row i (K(xᵢ, ·) over the training set).
 func (c *rowCache) row(i int) ([]float64, error) {
 	if r := c.rows[i]; r != nil {
-		if !c.fixed() {
-			c.touch(i)
-		}
 		return r, nil
 	}
-	var buf []float64
-	if l := len(c.free); l > 0 {
-		buf = c.free[l-1]
-		c.free = c.free[:l-1]
-	} else {
-		buf = make([]float64, len(c.X))
-	}
+	buf := make([]float64, len(c.X))
 	xi := c.X[i]
 	for j, xj := range c.X {
 		v := c.k.Eval(xi, xj)
 		if math.IsNaN(v) {
-			c.free = append(c.free, buf)
 			return nil, fmt.Errorf("svm: kernel produced NaN at (%d,%d)", i, j)
 		}
 		buf[j] = v
 	}
 	c.rows[i] = buf
-	c.insertFront(i)
-	c.cached++
-	if c.limit > 0 && c.cached > c.limit {
-		c.evict()
-	}
 	return buf, nil
 }
 
 // diag returns the Gram diagonal, which every SMO iteration reads.
 func (c *rowCache) diag() ([]float64, error) {
-	n := len(c.rows)
-	d := make([]float64, n)
-	if c.fixed() {
-		for i := 0; i < n; i++ {
-			d[i] = c.rows[i][i]
-		}
-		return d, nil
-	}
+	d := make([]float64, len(c.X))
 	for i, xi := range c.X {
 		v := c.k.Eval(xi, xi)
 		if math.IsNaN(v) {
@@ -142,52 +55,4 @@ func (c *rowCache) diag() ([]float64, error) {
 		d[i] = v
 	}
 	return d, nil
-}
-
-// touch moves a cached row to the front of the LRU list.
-func (c *rowCache) touch(i int) {
-	if c.head == i {
-		return
-	}
-	c.unlink(i)
-	c.insertFront(i)
-}
-
-func (c *rowCache) unlink(i int) {
-	p, n := c.prev[i], c.next[i]
-	if p >= 0 {
-		c.next[p] = n
-	} else {
-		c.head = n
-	}
-	if n >= 0 {
-		c.prev[n] = p
-	} else {
-		c.tail = p
-	}
-	c.prev[i], c.next[i] = -1, -1
-}
-
-func (c *rowCache) insertFront(i int) {
-	c.prev[i] = -1
-	c.next[i] = c.head
-	if c.head >= 0 {
-		c.prev[c.head] = i
-	}
-	c.head = i
-	if c.tail < 0 {
-		c.tail = i
-	}
-}
-
-// evict drops the least recently used row and recycles its buffer.
-func (c *rowCache) evict() {
-	i := c.tail
-	if i < 0 {
-		return
-	}
-	c.unlink(i)
-	c.free = append(c.free, c.rows[i])
-	c.rows[i] = nil
-	c.cached--
 }

@@ -8,174 +8,89 @@ import (
 	"milvideo/internal/kernel"
 )
 
-// sameOneClass compares two trained models bitwise.
-func sameOneClass(t *testing.T, label string, a, b *OneClass) {
-	t.Helper()
-	if math.Float64bits(a.Rho()) != math.Float64bits(b.Rho()) {
-		t.Fatalf("%s: rho %v != %v", label, a.Rho(), b.Rho())
-	}
-	if a.NSupport() != b.NSupport() || a.Iterations() != b.Iterations() {
-		t.Fatalf("%s: nsv %d/%d iters %d/%d", label, a.NSupport(), b.NSupport(), a.Iterations(), b.Iterations())
-	}
-	for i := range a.alpha {
-		if math.Float64bits(a.alpha[i]) != math.Float64bits(b.alpha[i]) {
-			t.Fatalf("%s: alpha[%d] differs", label, i)
-		}
-		if a.svIdx[i] != b.svIdx[i] {
-			t.Fatalf("%s: svIdx[%d] %d != %d", label, i, a.svIdx[i], b.svIdx[i])
-		}
-	}
-}
-
-// TestRowCacheEquivalence: the lazy row cache, a tightly capped LRU
-// and a caller-provided Gram must all train to bitwise-identical
-// models.
+// TestRowCacheEquivalence: the lazily computed rows and the diagonal
+// are bitwise the eager Gram matrix, a row is computed only on its
+// first touch, and a row served twice is the same buffer.
 func TestRowCacheEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	X := append(cluster(rng, 60, 0, 0, 1), cluster(rng, 15, 4, 4, 0.7)...)
 	k := kernel.RBF{Sigma: 1.5}
-	base, err := TrainOneClass(X, Options{Nu: 0.25, Kernel: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := TrainOneClass(X, Options{Nu: 0.25, Kernel: k, CacheRows: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameOneClass(t, "CacheRows=2", base, capped)
-
 	gram, err := kernel.Matrix(k, X)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := TrainOneClass(X, Options{Nu: 0.25, Kernel: k, Gram: gram})
+	c := newRowCache(k, X)
+	diag, err := c.diag()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameOneClass(t, "Gram", base, fixed)
-}
-
-// TestBinaryRowCacheEquivalence: same property for the C-SVM.
-func TestBinaryRowCacheEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	X := append(cluster(rng, 40, -2, 0, 0.8), cluster(rng, 40, 2, 0, 0.8)...)
-	y := make([]bool, len(X))
-	for i := range y {
-		y[i] = i < 40
-	}
-	k := kernel.RBF{Sigma: 1.2}
-	base, err := TrainBinary(X, y, BinaryOptions{C: 2, Kernel: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := TrainBinary(X, y, BinaryOptions{C: 2, Kernel: k, CacheRows: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gram, err := kernel.Matrix(k, X)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, err := TrainBinary(X, y, BinaryOptions{C: 2, Kernel: k, Gram: gram})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range []*Binary{capped, fixed} {
-		if math.Float64bits(base.b) != math.Float64bits(m.b) {
-			t.Fatalf("b %v != %v", base.b, m.b)
-		}
-		if base.NSupport() != m.NSupport() || base.Iterations() != m.Iterations() {
-			t.Fatalf("nsv %d/%d iters %d/%d", base.NSupport(), m.NSupport(), base.Iterations(), m.Iterations())
-		}
-		for i := range base.coef {
-			if math.Float64bits(base.coef[i]) != math.Float64bits(m.coef[i]) {
-				t.Fatalf("coef[%d] differs", i)
-			}
+	for i := range X {
+		if math.Float64bits(diag[i]) != math.Float64bits(gram[i][i]) {
+			t.Fatalf("diag[%d] = %v, Gram %v", i, diag[i], gram[i][i])
 		}
 	}
-}
-
-// TestDecisionFromKernel: caller-evaluated kernel values reproduce
-// Decision bitwise, and mismatched lengths error.
-func TestDecisionFromKernel(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	X := cluster(rng, 50, 0, 0, 1)
-	k := kernel.RBF{Sigma: 2}
-	m, err := TrainOneClass(X, Options{Nu: 0.2, Kernel: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.4, -0.7}
-	kvals := make([]float64, m.NSupport())
-	for i := range kvals {
-		kvals[i] = k.Eval(m.SupportVector(i), x)
-	}
-	want, err := m.Decision(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.DecisionFromKernel(kvals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(want) != math.Float64bits(got) {
-		t.Fatalf("DecisionFromKernel %v != Decision %v", got, want)
-	}
-	if _, err := m.DecisionFromKernel(kvals[:1]); err == nil {
-		t.Fatal("short kvals accepted")
-	}
-	if len(m.SupportIndices()) != m.NSupport() {
-		t.Fatalf("SupportIndices len %d, want %d", len(m.SupportIndices()), m.NSupport())
-	}
-	for _, ti := range m.SupportIndices() {
-		if ti < 0 || ti >= len(X) {
-			t.Fatalf("support index %d out of range", ti)
-		}
-	}
-}
-
-// TestSolverRowsValidation: caller-provided Gram matrices are checked
-// for shape and NaNs.
-func TestSolverRowsValidation(t *testing.T) {
-	X := [][]float64{{0, 0}, {1, 1}}
-	k := kernel.RBF{Sigma: 1}
-	if _, err := solverRows(k, X, [][]float64{{1}}, 0); err == nil {
-		t.Fatal("short Gram accepted")
-	}
-	if _, err := solverRows(k, X, [][]float64{{1, 0}, {0}}, 0); err == nil {
-		t.Fatal("ragged Gram accepted")
-	}
-	if _, err := solverRows(k, X, [][]float64{{1, math.NaN()}, {0, 1}}, 0); err == nil {
-		t.Fatal("NaN Gram accepted")
-	}
-	if _, err := TrainOneClass(X, Options{Nu: 0.5, Kernel: k, Gram: [][]float64{{1}}}); err == nil {
-		t.Fatal("TrainOneClass accepted bad Gram")
-	}
-}
-
-// TestRowCacheLRUEviction exercises eviction directly: with a cap of
-// two, touching a third row evicts the least recently used one, and
-// every served row remains correct.
-func TestRowCacheLRUEviction(t *testing.T) {
-	X := [][]float64{{0, 0}, {1, 0}, {0, 2}, {3, 1}}
-	k := kernel.Linear{}
-	c := newRowCache(k, X, 2)
-	check := func(i int) {
-		t.Helper()
+	for _, i := range []int{3, 70, 3} {
 		row, err := c.row(i)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range X {
-			if math.Float64bits(row[j]) != math.Float64bits(k.Eval(X[i], X[j])) {
-				t.Fatalf("row %d col %d wrong", i, j)
+			if math.Float64bits(row[j]) != math.Float64bits(gram[i][j]) {
+				t.Fatalf("row %d col %d = %v, Gram %v", i, j, row[j], gram[i][j])
 			}
 		}
 	}
-	for _, i := range []int{0, 1, 2, 3, 0, 2, 1, 3} {
-		check(i)
-		if c.cached > 2 {
-			t.Fatalf("cache holds %d rows, cap 2", c.cached)
+	computed := 0
+	for _, r := range c.rows {
+		if r != nil {
+			computed++
 		}
+	}
+	if computed != 2 {
+		t.Fatalf("%d rows computed after touching 2", computed)
+	}
+	a, _ := c.row(70)
+	b, _ := c.row(70)
+	if &a[0] != &b[0] {
+		t.Fatal("a cached row was recomputed")
+	}
+}
+
+// nanOffDiagonal is finite on the diagonal and NaN elsewhere: a kernel
+// that breaks down on some pairs only.
+type nanOffDiagonal struct{}
+
+func (nanOffDiagonal) Eval(u, v []float64) float64 {
+	if u[0] == v[0] && u[1] == v[1] {
+		return 1
+	}
+	return math.NaN()
+}
+
+func (nanOffDiagonal) Name() string { return "nan-off-diagonal" }
+
+// TestSolverRowsValidation: a NaN kernel value fails the row or
+// diagonal that produced it, a failed row is not kept, and both
+// trainers return the error instead of a model.
+func TestSolverRowsValidation(t *testing.T) {
+	X := [][]float64{{0, 0}, {1, 1}, {2, 0}}
+	c := newRowCache(nanOffDiagonal{}, X)
+	if _, err := c.diag(); err != nil {
+		t.Fatalf("finite diagonal rejected: %v", err)
+	}
+	if _, err := c.row(1); err == nil {
+		t.Fatal("NaN row accepted")
+	}
+	if c.rows[1] != nil {
+		t.Fatal("failed row was cached")
+	}
+	if _, err := newRowCache(kernel.RBF{Sigma: math.NaN()}, X).diag(); err == nil {
+		t.Fatal("NaN diagonal accepted")
+	}
+	if _, err := TrainOneClass(X, Options{Nu: 0.5, Kernel: nanOffDiagonal{}}); err == nil {
+		t.Fatal("TrainOneClass accepted a NaN kernel")
+	}
+	if _, err := TrainBinary(X, []bool{true, false, true}, BinaryOptions{C: 1, Kernel: nanOffDiagonal{}}); err == nil {
+		t.Fatal("TrainBinary accepted a NaN kernel")
 	}
 }

@@ -39,17 +39,6 @@ type Options struct {
 	// MaxIter caps SMO iterations (default 100·n², generous for the
 	// problem sizes here).
 	MaxIter int
-	// CacheRows bounds the kernel-row cache: at most this many Gram
-	// rows are kept resident (LRU), evicted rows being recomputed on
-	// demand. 0 caches every touched row. The cached and uncached
-	// paths produce bitwise-identical models.
-	CacheRows int
-	// Gram, when non-nil, is the precomputed training-set Gram matrix
-	// K[i][j] = Kernel(X[i], X[j]); the solver then evaluates no
-	// kernels during training (Kernel is still required for Decision).
-	// Callers reusing distance caches across retrains (internal/mil)
-	// build Gram themselves.
-	Gram [][]float64
 }
 
 // OneClass is a trained one-class model.
@@ -57,7 +46,6 @@ type OneClass struct {
 	kernel  kernel.Kernel
 	sv      [][]float64 // support vectors (αᵢ > 0)
 	alpha   []float64   // their coefficients
-	svIdx   []int       // training-set index of each support vector
 	rho     float64
 	dim     int
 	nTrain  int
@@ -102,10 +90,7 @@ func TrainOneClass(X [][]float64, opt Options) (*OneClass, error) {
 		}
 	}
 
-	rows, err := solverRows(opt.Kernel, X, opt.Gram, opt.CacheRows)
-	if err != nil {
-		return nil, err
-	}
+	rows := newRowCache(opt.Kernel, X)
 	diag, err := rows.diag()
 	if err != nil {
 		return nil, err
@@ -241,7 +226,6 @@ func TrainOneClass(X [][]float64, opt Options) (*OneClass, error) {
 			copy(v, X[k])
 			m.sv = append(m.sv, v)
 			m.alpha = append(m.alpha, alpha[k])
-			m.svIdx = append(m.svIdx, k)
 		}
 	}
 	return m, nil
@@ -266,31 +250,6 @@ func (m *OneClass) Predict(x []float64) (bool, error) {
 	d, err := m.Decision(x)
 	return d >= 0, err
 }
-
-// DecisionFromKernel returns f(x) = Σᵢ αᵢ·kvals[i] − ρ, where kvals[i]
-// is the caller-evaluated K(svᵢ, x) for the i-th support vector (order
-// of SupportIndices). Bitwise identical to Decision when the kvals
-// match the model kernel's evaluations — callers that memoize squared
-// distances (internal/mil) use it to score without re-deriving the
-// distances.
-func (m *OneClass) DecisionFromKernel(kvals []float64) (float64, error) {
-	if len(kvals) != len(m.sv) {
-		return 0, fmt.Errorf("svm: %d kernel values for %d support vectors", len(kvals), len(m.sv))
-	}
-	s := 0.0
-	for i, a := range m.alpha {
-		s += a * kvals[i]
-	}
-	return s - m.rho, nil
-}
-
-// SupportIndices returns the training-set index of each support
-// vector, in support-vector order. The slice is read-only.
-func (m *OneClass) SupportIndices() []int { return m.svIdx }
-
-// SupportVector returns the i-th support vector. The slice is
-// read-only.
-func (m *OneClass) SupportVector(i int) []float64 { return m.sv[i] }
 
 // NSupport returns the number of support vectors.
 func (m *OneClass) NSupport() int { return len(m.sv) }

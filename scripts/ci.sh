@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: formatting, vet, the tier-1 build/test pair, a
-# race-detector pass over the internal packages (the concurrent paths:
-# streaming ingestion and batch ingest, videodb under concurrent
-# mutation and snapshots, pooled segmentation scratch, kernel Gram
-# workers and distance cache, the query-service session store and
+# CI gate: formatting, vet, the tier-1 build/test pair, the benchmark
+# module's vet and self-tests (perfbench/, a nested module that
+# `go test ./...` skips), a race-detector pass over the internal
+# packages (the concurrent paths: streaming ingestion and batch ingest,
+# videodb under concurrent mutation and snapshots, pooled segmentation
+# scratch, kernel Gram workers, the query-service session store and
 # load generator, the candidate-index build/probe paths), an explicit
 # candidate-index recall gate (both index kinds × quantization modes
 # on the demo catalog: recall@10 must be 1.0 at C=N and ≥ 0.9 at
@@ -62,6 +63,17 @@ go build ./...
 
 echo "== test =="
 go test ./...
+
+echo "== benchmark module (perfbench: vet + self-tests, offline) =="
+# perfbench imports the repository's packages through a replace
+# directive, so an API change here can break it without failing the
+# legs above. Same offline settings as perfbench/run.sh.
+(
+    cd perfbench
+    export GOTOOLCHAIN=local GOPROXY=off GOFLAGS=-mod=readonly
+    go vet ./...
+    go test ./...
+)
 
 echo "== race (internal: server, streaming/ingest, videodb, pools, sweeps) =="
 go test -race ./internal/...
