@@ -1,10 +1,8 @@
 package index
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -41,17 +39,14 @@ type Options struct {
 	Seed int64
 	// LeafSize forwards to VPOptions.LeafSize.
 	LeafSize int
-	// MaxEvals bounds each VP-tree probe's distance evaluations
-	// (0 = exact search).
-	MaxEvals int
 	// Clusters and Iters forward to IVFOptions.
 	Clusters int
 	Iters    int
-	// NProbe is the IVF search breadth (default max(2, Clusters/4)).
+	// NProbe is the IVF search breadth (default max(2, Clusters/8)).
 	NProbe int
-	// PerProbeK is the per-probe instance k-NN depth (default
-	// min(instances, 2·C + 8) at probe time). Deeper probes improve
-	// bag recall when bags hold many instances.
+	// PerProbeK is the per-probe instance k-NN depth (default C + 16
+	// at probe time, clamped to the live instances). Deeper probes
+	// improve bag recall when bags hold many instances.
 	PerProbeK int
 	// Quant selects a quantizer family for the instance store
 	// (default none: full float64 rows). Quantized probing is lossy
@@ -152,9 +147,12 @@ type BagIndex struct {
 	// trained quantizer.
 	trainTime time.Duration
 	bags      int
-	dim       int
-	vp        *VPTree
-	ivf       *IVF
+	// span is the VS.Index at the first and last positions of the
+	// covered database (see CandidatesOver).
+	span [2]int
+	dim  int
+	vp   *VPTree
+	ivf  *IVF
 	// owner maps instance id → bag position in the current database
 	// (stale entries for tombstoned ids are never read: searches skip
 	// dead points). byVS maps VS.Index → its live instance ids.
@@ -266,7 +264,7 @@ func (bi *BagIndex) rebuildLocked(db []window.VS) error {
 		}
 	}
 	bi.vp, bi.ivf = vp, ivf
-	bi.bags, bi.dim = len(db), dim
+	bi.bags, bi.span, bi.dim = len(db), spanOf(db), dim
 	bi.owner, bi.byVS = owner, byVS
 	bi.churn, bi.baseline = 0, len(pts)
 	return nil
@@ -453,7 +451,7 @@ func (bi *BagIndex) Update(newDB []window.VS) (UpdateResult, error) {
 			bi.owner[id] = pos
 		}
 	}
-	bi.bags = len(newDB)
+	bi.bags, bi.span = len(newDB), spanOf(newDB)
 	if bi.dim == -1 {
 		bi.dim = dim
 	}
@@ -465,9 +463,10 @@ func (bi *BagIndex) Update(newDB []window.VS) (UpdateResult, error) {
 }
 
 // BagHit is one candidate bag from a probe pass: its position in the
-// indexed database and the minimum squared distance from any probe to
-// any of its instances (the max-instance aggregate the candidate set
-// is ordered by).
+// indexed database and the minimum Euclidean distance from any probe
+// to any of its instances — measured to the instance's reconstruction
+// when the index is quantized (the max-instance aggregate the
+// candidate set is ordered by).
 type BagHit struct {
 	Pos  int
 	Dist float64
@@ -509,10 +508,11 @@ func (bi *BagIndex) CandidatesDist(probes [][]float64, c int) ([]BagHit, ProbeSt
 // means unbounded. The returned kth slice has one entry per probe:
 // the distance of the k-th instance neighbor that probe actually
 // retrieved, or +Inf when it retrieved fewer than k (dimension
-// mismatch, a tight incoming bound, or a small index). Each finite
-// kth[i] upper-bounds the true k-th neighbor distance of probe i over
-// this shard's instances, which is what makes it a sound carried
-// bound for another shard of the same quantile share.
+// mismatch, a tight incoming bound, the probes' shared threshold
+// cutting it short, or a small index). Each finite kth[i]
+// upper-bounds the true k-th neighbor distance of probe i over this
+// shard's instances, which is what makes it a sound carried bound for
+// another shard of the same quantile share.
 func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats) {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
@@ -521,11 +521,52 @@ func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []fl
 	return bi.candidatesLocked(probes, c, bounds, sc)
 }
 
+// CandidatesOver is CandidatesDistBounded for a caller holding the
+// database it ranks: under the probe's read lock it checks that the
+// index covers db and returns ErrStale if not. At steady retention a
+// live commit evicts as many VSs as it appends, so the count alone
+// cannot tell generations apart; the VS.Index at the first and last
+// positions can, since the feed evicts the oldest VSs, appends new
+// ones and never reuses an index.
+func (bi *BagIndex) CandidatesOver(db []window.VS, probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats, error) {
+	bi.mu.RLock()
+	defer bi.mu.RUnlock()
+	if sp := spanOf(db); len(db) != bi.bags || sp != bi.span {
+		return nil, nil, ProbeStats{}, fmt.Errorf("%w: index covers %d bags (VS %d…%d), database has %d (VS %d…%d)",
+			ErrStale, bi.bags, bi.span[0], bi.span[1], len(db), sp[0], sp[1])
+	}
+	sc := bi.scratches.Get().(*Scratch)
+	defer bi.scratches.Put(sc)
+	hits, kth, stats := bi.candidatesLocked(probes, c, bounds, sc)
+	return hits, kth, stats, nil
+}
+
+// spanOf returns the VS.Index at db's first and last positions (zeros
+// for an empty database).
+func spanOf(db []window.VS) [2]int {
+	if len(db) == 0 {
+		return [2]int{}
+	}
+	return [2]int{db[0].Index, db[len(db)-1].Index}
+}
+
 // candidatesLocked is CandidatesDistBounded under the read lock, with
 // its scratch passed in. Each probe's hits arrive unsorted — only
 // their per-bag minimum matters — and aggregate into the scratch's
-// dense per-position distances; only the touched bags are then
-// ordered by (distance, position) and cut to c.
+// dense per-position distances.
+//
+// The probes share one threshold tau: an upper bound on the c-th best
+// (distance, position) bag aggregated so far, +Inf until c bags are
+// in. Each probe searches within min(its incoming bound, tau), and
+// hits beyond tau are dropped. No candidate changes: a bag that ends
+// in the top c is at most the final c-th distance from its nearest
+// probe, hence within every probe's tau, and both searches return
+// every hit of their exact k-NN that lies within their bound, ties at
+// the bound included. cand lists the bags at or under tau; tau is
+// re-selected over cand only after c hits have lowered a bag since the
+// last selection — the k-best buffer's rule lifted to bags — so it
+// costs amortized O(1) per hit, and in between it is stale but still
+// an upper bound. The answer is then the c best of cand.
 func (bi *BagIndex) candidatesLocked(probes [][]float64, c int, bounds []float64, sc *Scratch) ([]BagHit, []float64, ProbeStats) {
 	var stats ProbeStats
 	kth := make([]float64, len(probes))
@@ -543,71 +584,98 @@ func (bi *BagIndex) candidatesLocked(probes [][]float64, c int, bounds []float64
 		// probes cheap without starving the aggregation.
 		k = c + 16
 	}
-	if k > live {
-		k = live
-	}
+	k = min(k, live)
 	for len(sc.bagDist) < bi.bags {
 		sc.bagDist = append(sc.bagDist, -1)
 	}
 	best := sc.bagDist
-	touched := sc.touched[:0]
+	touched, cand := sc.touched[:0], sc.cand[:0]
+	tau, fresh := math.Inf(1), 0
 	for qi, q := range probes {
 		if len(q) != bi.dim {
 			continue
 		}
 		stats.Probes++
-		bound := math.Inf(1)
-		if bounds != nil {
+		// A zero bound would read as unbounded to the searches.
+		bound := max(tau, math.SmallestNonzeroFloat64)
+		if bounds != nil && bounds[qi] > 0 && bounds[qi] < bound {
 			bound = bounds[qi]
 		}
 		var hits []Neighbor
 		var evals int
 		switch bi.kind {
 		case KindVPTree:
-			hits, kth[qi], evals = bi.vp.knn(q, k, bi.opt.MaxEvals, bound, sc)
+			hits, kth[qi], evals = bi.vp.knn(q, k, bound, sc)
 		case KindIVF:
 			nprobe := bi.opt.NProbe
 			if nprobe <= 0 {
 				// clusters/8 scans ~⅛ of the instances per probe; the
 				// union over probes restores coverage (the CI recall
 				// gate holds both kinds to ≥ 0.9 at C = N/4).
-				nprobe = bi.ivf.Clusters() / 8
-				if nprobe < 2 {
-					nprobe = 2
-				}
+				nprobe = max(2, bi.ivf.Clusters()/8)
 			}
 			hits, kth[qi], evals = bi.ivf.search(q, k, nprobe, bound, sc)
 		}
 		stats.DistEvals += evals
 		for _, h := range hits {
+			if h.Dist > tau {
+				continue
+			}
 			bag := bi.owner[h.Idx]
 			// Distances are never negative, so -1 marks a bag no hit
 			// has reached yet.
-			if d := best[bag]; d < 0 {
-				best[bag] = h.Dist
+			prev := best[bag]
+			if prev < 0 {
 				touched = append(touched, bag)
-			} else if h.Dist < d {
-				best[bag] = h.Dist
+			} else if !(h.Dist < prev) {
+				continue
 			}
+			best[bag] = h.Dist
+			if prev < 0 || prev > tau {
+				cand = append(cand, Neighbor{Idx: bag})
+			}
+			fresh++
+		}
+		if fresh >= c && len(cand) >= c {
+			var cth float64
+			if cand, cth = topBags(cand, c, best); cth < tau {
+				tau = cth
+			}
+			fresh = 0
 		}
 	}
-	slices.SortFunc(touched, func(a, b int) int {
-		if c := cmp.Compare(best[a], best[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 	var out []BagHit
-	if n := min(c, len(touched)); n > 0 {
+	if n := min(c, len(cand)); n > 0 {
+		cand, _ = topBags(cand, n, best)
+		sortNeighbors(cand[:n])
 		// The scratch buffers are recycled; hand the caller a copy.
 		out = make([]BagHit, n)
-		for i, bag := range touched[:n] {
-			out[i] = BagHit{Pos: bag, Dist: best[bag]}
+		for i, nb := range cand[:n] {
+			out[i] = BagHit{Pos: nb.Idx, Dist: nb.Dist}
 		}
 	}
 	for _, bag := range touched {
 		best[bag] = -1
 	}
-	sc.touched = touched[:0]
+	sc.touched, sc.cand = touched[:0], cand[:0]
 	return out, kth, stats
+}
+
+// topBags refreshes the bag distances in cand from best and cuts cand
+// to its c best bags by (distance, position), keeping any tied with
+// the c-th, which it returns. 1 <= c <= len(cand).
+func topBags(cand []Neighbor, c int, best []float64) ([]Neighbor, float64) {
+	for i := range cand {
+		cand[i].Dist = best[cand[i].Idx]
+	}
+	selectK(cand, c)
+	cth := cand[c-1].Dist
+	n := c
+	for _, nb := range cand[c:] {
+		if !(nb.Dist > cth) {
+			cand[n] = nb
+			n++
+		}
+	}
+	return cand[:n], cth
 }

@@ -1,10 +1,14 @@
 package index
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
+	"milvideo/internal/kernel"
 	"milvideo/internal/window"
 )
 
@@ -168,6 +172,36 @@ func TestCandidatesDistBounded(t *testing.T) {
 	}
 }
 
+// TestCandidatesOverGeneration: CandidatesOver answers only for the
+// database the index covers. After an Update from VS 0–99 to VS 20–119
+// both databases hold 100 bags; probing with VS 50's own instance names
+// position 30 first, which is VS 50 in the current database but VS 30
+// in the superseded one, so the superseded one must get ErrStale.
+func TestCandidatesOverGeneration(t *testing.T) {
+	db := synthVSs(12, 120)
+	old, cur := db[:100], db[20:]
+	probes := [][]float64{db[50].TSs[0].Flat()}
+	for _, kind := range Kinds() {
+		bi, err := Build(old, kind, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bi.Update(cur); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := bi.CandidatesOver(old, probes, 5, nil); !errors.Is(err, ErrStale) {
+			t.Fatalf("%s: superseded database: err %v, want ErrStale", kind, err)
+		}
+		hits, kth, _, err := bi.CandidatesOver(cur, probes, 5, nil)
+		if err != nil {
+			t.Fatalf("%s: current database: %v", kind, err)
+		}
+		if len(hits) == 0 || hits[0].Pos != 30 || hits[0].Dist != 0 || len(kth) != 1 {
+			t.Fatalf("%s: self-probe hits %v (kth %v), want position 30 first at distance 0", kind, hits, kth)
+		}
+	}
+}
+
 // TestBagIndexEmptyAndMismatch: empty databases and empty VSs are
 // tolerated; dim-mismatched probes are skipped; ragged instance dims
 // fail the build.
@@ -199,4 +233,171 @@ func TestBagIndexEmptyAndMismatch(t *testing.T) {
 	if _, err := Build(db, Kind("lsh"), Options{}); err == nil {
 		t.Fatal("unknown kind built successfully")
 	}
+}
+
+// candidatesOracle is the multi-probe pass without a shared threshold:
+// each probe's sorted KNN (VP-tree) or Search at the default nprobe
+// (IVF), at k = c + 16 clamped to the live instances, min-aggregated
+// per bag, ordered by (distance, position) and cut to c. It also
+// returns the per-probe distance evaluations summed.
+func candidatesOracle(bi *BagIndex, probes [][]float64, c int) ([]BagHit, int) {
+	k := min(c+16, bi.Instances())
+	if c <= 0 || k == 0 {
+		return nil, 0
+	}
+	best := map[int]float64{}
+	evals := 0
+	for _, q := range probes {
+		var nbs []Neighbor
+		var e int
+		switch bi.Kind() {
+		case KindVPTree:
+			nbs, e = bi.vp.KNN(q, k)
+		case KindIVF:
+			nbs, e = bi.ivf.Search(q, k, max(2, bi.ivf.Clusters()/8))
+		}
+		evals += e
+		for _, nb := range nbs {
+			pos := bi.owner[nb.Idx]
+			if d, ok := best[pos]; !ok || nb.Dist < d {
+				best[pos] = nb.Dist
+			}
+		}
+	}
+	out := make([]BagHit, 0, len(best))
+	for pos, d := range best {
+		out = append(out, BagHit{Pos: pos, Dist: d})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Dist != out[b].Dist {
+			return out[a].Dist < out[b].Dist
+		}
+		return out[a].Pos < out[b].Pos
+	})
+	return out[:min(c, len(out))], evals
+}
+
+// fuzzQuantizers holds one scalar and one PQ quantizer trained on a
+// fixed synthVSs draw; the fuzz adopts them instead of training per
+// input.
+var fuzzQuantizers = sync.OnceValues(func() (map[QuantKind]Quantizer, error) {
+	pts, _, _, _, err := flatten(synthVSs(1, 400), -1)
+	if err != nil {
+		return nil, err
+	}
+	blk, err := kernel.FeatureBlockFromRows(pts)
+	if err != nil {
+		return nil, err
+	}
+	out := map[QuantKind]Quantizer{}
+	for _, qk := range []QuantKind{QuantScalar, QuantPQ} {
+		if out[qk], err = TrainQuantizer(qk, blk, 1); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+})
+
+// FuzzCandidatesExact: the shared-threshold multi-probe pass returns
+// exactly candidatesOracle's candidates, distances included, through
+// CandidatesDist and CandidatesDistBounded with nil bounds alike. It
+// covers both kinds × {none, scalar, pq}, general-position and lattice
+// (rounded, tie-heavy) instances, tombstones left by a delta Update, a
+// dimension-mismatched and a duplicate probe, and c from 1 to past the
+// bag count. IVF spends exactly the per-probe evaluations (its cost is
+// the list scan); a VP-tree over 500 or more bags probed 10 or more
+// times at c <= bags/8 must spend strictly fewer. The seed corpus
+// doubles as the table test.
+func FuzzCandidatesExact(f *testing.F) {
+	// seed, bags-8, probes-1, c step, deletion phase, kind, quant, lattice
+	for _, kind := range []uint8{0, 1} {
+		for quant := uint8(0); quant < 3; quant++ {
+			f.Add(int64(1+quant), uint16(592), uint8(11), uint8(6), uint8(0), kind, quant, false)
+			f.Add(int64(4+quant), uint16(40), uint8(5), uint8(0), uint8(3), kind, quant, true)
+		}
+		f.Add(int64(7), uint16(120), uint8(15), uint8(200), uint8(5), kind, uint8(0), false)
+		f.Add(int64(8), uint16(0), uint8(2), uint8(255), uint8(0), kind, uint8(2), true)
+		f.Add(int64(9), uint16(300), uint8(12), uint8(3), uint8(9), kind, uint8(1), true)
+	}
+	// Lattice ties at the threshold: dropping hits at exactly tau, or
+	// the bags tied with the c-th at a re-selection, changes these.
+	f.Add(int64(58), uint16(29), uint8(5), uint8(47), uint8(1), uint8(1), uint8(0), true)
+	f.Add(int64(-58), uint16(40), uint8(5), uint8(91), uint8(102), uint8(1), uint8(12), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, pRaw, cRaw, delRaw, kindRaw, quantRaw uint8, lattice bool) {
+		qzs, err := fuzzQuantizers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		kind := Kinds()[kindRaw%2]
+		opt := Options{}
+		if quant := []QuantKind{QuantNone, QuantScalar, QuantPQ}[quantRaw%3]; quant != QuantNone {
+			opt.Quantizer = qzs[quant]
+		}
+		n := 8 + int(nRaw)%600
+		db := synthVSs(seed, n+3)
+		if lattice {
+			for _, vs := range db {
+				for _, ts := range vs.TSs {
+					for _, v := range ts.Vectors {
+						for j := range v {
+							v[j] = math.Round(v[j])
+						}
+					}
+				}
+			}
+		}
+		bi, err := Build(db[:n], kind, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delRaw > 0 {
+			// Drop about a tenth of the bags and append three: unless the
+			// index is tiny the churn stays under the rebuild threshold,
+			// so the departed bags' instances stay resident as
+			// tombstones.
+			var next []window.VS
+			for i, vs := range db[:n] {
+				if i%11 != int(delRaw)%11 {
+					next = append(next, vs)
+				}
+			}
+			db = append(next, db[n:]...)
+			if _, err := bi.Update(db); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			db = db[:n]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		probes := [][]float64{{1, 2}} // dimension mismatch: skipped
+		for len(probes) < 2+int(pRaw)%16 {
+			vs := db[rng.Intn(len(db))]
+			probes = append(probes, vs.TSs[rng.Intn(len(vs.TSs))].Flat())
+		}
+		probes = append(probes, probes[1])
+		c := 1 + int(cRaw)*len(db)/128
+
+		want, sumEvals := candidatesOracle(bi, probes, c)
+		got, stats := bi.CandidatesDist(probes, c)
+		bounded, _, bstats := bi.CandidatesDistBounded(probes, c, nil)
+		for name, hits := range map[string][]BagHit{"CandidatesDist": got, "CandidatesDistBounded": bounded} {
+			if len(hits) != len(want) {
+				t.Fatalf("%s %s c=%d: %d hits, oracle %d", kind, name, c, len(hits), len(want))
+			}
+			for i := range want {
+				if hits[i] != want[i] {
+					t.Fatalf("%s %s c=%d: hit %d = %+v, oracle %+v", kind, name, c, i, hits[i], want[i])
+				}
+			}
+		}
+		if stats != bstats || stats.Probes != len(probes)-1 {
+			t.Fatalf("%s: stats %+v and %+v for %d answerable probes", kind, stats, bstats, len(probes)-1)
+		}
+		switch {
+		case kind == KindIVF && stats.DistEvals != sumEvals:
+			t.Fatalf("ivf: %d evals, per-probe searches %d", stats.DistEvals, sumEvals)
+		case kind == KindVPTree && len(db) >= 500 && stats.Probes >= 10 && c <= len(db)/8 && stats.DistEvals >= sumEvals:
+			t.Fatalf("vptree: %d evals, per-probe searches %d: the shared threshold pruned nothing", stats.DistEvals, sumEvals)
+		}
+	})
 }

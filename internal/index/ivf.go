@@ -383,54 +383,28 @@ func (f *IVF) Delete(id int) bool {
 // (centroids + scanned points). nprobe is clamped to [1, Clusters];
 // nprobe == Clusters makes the search exact over the live points.
 func (f *IVF) Search(q []float64, k, nprobe int) ([]Neighbor, int) {
-	return f.searchSorted(q, k, nprobe, math.Inf(1), nil)
-}
-
-// SearchScratch is Search with caller-owned probe buffers: the
-// returned slice aliases sc and is valid until sc's next use.
-func (f *IVF) SearchScratch(q []float64, k, nprobe int, sc *Scratch) ([]Neighbor, int) {
-	return f.searchSorted(q, k, nprobe, math.Inf(1), sc)
-}
-
-// SearchScratchBound is SearchScratch keeping only neighbors within
-// bound (non-positive or NaN means unbounded). The scanned lists are
-// unchanged — IVF cost is the scan — but the returned set shrinks to
-// the in-bound neighbors, which is what a scatter–gather caller that
-// already holds bound-quality candidates elsewhere wants merged back.
-func (f *IVF) SearchScratchBound(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	return f.searchSorted(q, k, nprobe, bound, sc)
-}
-
-func (f *IVF) searchSorted(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	res, _, evals := f.search(q, k, nprobe, bound, sc)
+	res, _, evals := f.search(q, k, nprobe, math.Inf(1), NewScratch())
 	sortNeighbors(res)
 	return res, evals
 }
 
-// search is the probe behind every Search variant: it selects the
+// search is the probe behind Search and the bag probe: it selects the
 // nprobe nearest centroids, scans their lists into a k-best buffer and
-// returns the k best in-bound points in no particular order, the
+// returns the k best points within bound (a non-positive or NaN bound
+// means unbounded; ties at bound are kept) in no particular order, the
 // distance of the k-th of them (+Inf when fewer than k were found)
-// and the distance evaluations spent.
+// and the distance evaluations spent. The bound filters hits, not
+// lists: IVF's cost is the scan. The result aliases sc.
 func (f *IVF) search(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]Neighbor, float64, int) {
 	if k <= 0 || len(q) != f.dim || f.live == 0 {
 		return nil, math.Inf(1), 0
 	}
-	if nprobe < 1 {
-		nprobe = 1
-	}
-	if nprobe > len(f.centroids) {
-		nprobe = len(f.centroids)
-	}
+	nprobe = min(max(nprobe, 1), len(f.centroids))
 	if math.IsNaN(bound) || bound <= 0 {
 		bound = math.Inf(1)
 	}
 	evals := 0
-	var order []Neighbor
-	best := kBest{k: k}
-	if sc != nil {
-		order, best.buf = sc.cord[:0], sc.best[:0]
-	}
+	order, best := sc.cord[:0], kBest{k: k, buf: sc.best[:0]}
 	for c, cen := range f.centroids {
 		evals++
 		order = append(order, Neighbor{Idx: c, Dist: kernel.SquaredDistance(q, cen)})
@@ -440,12 +414,7 @@ func (f *IVF) search(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]
 	selectK(order, nprobe)
 	var tab []float64
 	if f.codes != nil {
-		if sc != nil {
-			tab = sc.adcTab(f.codes.qz, q)
-		} else {
-			tab = make([]float64, f.codes.qz.TabLen())
-			f.codes.qz.FillADC(q, tab)
-		}
+		tab = sc.adcTab(f.codes.qz, q)
 	}
 	for _, cn := range order[:nprobe] {
 		for _, idx := range f.lists[cn.Idx] {
@@ -466,9 +435,6 @@ func (f *IVF) search(q []float64, k, nprobe int, bound float64, sc *Scratch) ([]
 		}
 	}
 	res, kth := best.result()
-	if sc != nil {
-		sc.cord = order[:0]
-		sc.best = res // return grown buffer to the scratch
-	}
+	sc.cord, sc.best = order[:0], res // return grown buffers to the scratch
 	return res, kth, evals
 }

@@ -1,9 +1,8 @@
 // Package index provides metric-space candidate indexes over instance
 // (trajectory-sequence) feature vectors: a vantage-point tree with
-// exact and visit-bounded approximate k-NN, a coarse k-means
-// inverted-file (IVF) index with deterministic seeded k-means++
-// initialization, and a BagIndex that maps instance hits back to
-// their owning video sequence. The retrieval layer uses them to prune
+// exact k-NN, a coarse k-means inverted-file (IVF) index with
+// deterministic seeded k-means++ initialization, and a BagIndex that
+// maps instance hits back to their owning video sequence. The retrieval layer uses them to prune
 // the database to a small candidate set before exact MIL re-ranking,
 // turning per-round query cost from linear in the catalog into the
 // index's sublinear probe cost plus a constant-size re-rank.
@@ -39,6 +38,9 @@ var (
 	ErrNoPoints = errors.New("index: no points")
 	// ErrDim is returned when points (or a query) differ in dimension.
 	ErrDim = errors.New("index: dimension mismatch")
+	// ErrStale is returned by BagIndex.CandidatesOver when the index
+	// covers a different database than the caller's.
+	ErrStale = errors.New("index: index covers a different database")
 )
 
 // Neighbor is one k-NN result: the point's index in the build slice
@@ -59,9 +61,11 @@ type Scratch struct {
 	cord []Neighbor
 	// bagDist is BagIndex's per-position best distance, -1 where no
 	// hit landed; touched lists the positions set since the last
-	// reset, so a probe pass resets only what it wrote.
+	// reset, so a probe pass resets only what it wrote. cand lists the
+	// positions at or under the pass's shared threshold.
 	bagDist []float64
 	touched []int
+	cand    []Neighbor
 }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
@@ -331,89 +335,54 @@ func (t *VPTree) Delete(id int) bool {
 // distance (ties broken by ascending index) and the number of
 // distance evaluations spent. k is clamped to the live point count.
 func (t *VPTree) KNN(q []float64, k int) ([]Neighbor, int) {
-	return t.knnSorted(q, k, 0, math.Inf(1), nil)
+	return t.knnSorted(q, k, math.Inf(1))
 }
 
-// KNNBounded is the approximate search: it follows the same
-// best-prune order as KNN but stops after maxEvals distance
-// evaluations, returning the best k found so far. maxEvals <= 0 means
-// exact. Results are deterministic for a fixed tree.
-func (t *VPTree) KNNBounded(q []float64, k, maxEvals int) ([]Neighbor, int) {
-	return t.knnSorted(q, k, maxEvals, math.Inf(1), nil)
-}
-
-// KNNScratch is KNNBounded with caller-owned probe buffers: the
-// returned slice aliases sc and is valid until sc's next use.
-func (t *VPTree) KNNScratch(q []float64, k, maxEvals int, sc *Scratch) ([]Neighbor, int) {
-	return t.knnSorted(q, k, maxEvals, math.Inf(1), sc)
-}
-
-// KNNScratchBound is KNNScratch with an initial pruning radius: the
-// search starts with tau = bound instead of +Inf, so subtrees and
-// points wholly beyond bound are skipped from the first descent. When
-// bound upper-bounds the true k-th neighbor distance the result is
-// the exact top k; a tighter bound returns only the neighbors within
-// it (possibly fewer than k) — the caller is trading completeness it
-// has already covered elsewhere for the skipped work. A non-positive
-// or NaN bound means unbounded. Results may include points slightly
-// beyond the bound (leaves reached before pruning engaged); they are
-// correct neighbors, just unpromised ones.
-func (t *VPTree) KNNScratchBound(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	return t.knnSorted(q, k, maxEvals, bound, sc)
-}
-
-func (t *VPTree) knnSorted(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, int) {
-	res, _, evals := t.knn(q, k, maxEvals, bound, sc)
+// knnSorted is knn with its result in the sorted contract of KNN.
+func (t *VPTree) knnSorted(q []float64, k int, bound float64) ([]Neighbor, int) {
+	res, _, evals := t.knn(q, k, bound, NewScratch())
 	sortNeighbors(res)
 	return res, evals
 }
 
-// knn is the search behind every KNN variant. It returns the k best
-// points found in no particular order, the distance of the k-th of
-// them (+Inf when fewer than k were found), and the distance
-// evaluations spent.
-func (t *VPTree) knn(q []float64, k, maxEvals int, bound float64, sc *Scratch) ([]Neighbor, float64, int) {
+// knn is the search behind KNN and the bag probe. It starts with the
+// pruning radius tau = bound instead of +Inf (a non-positive or NaN
+// bound means unbounded), so subtrees wholly beyond bound are skipped
+// from the first descent. It returns the k best points it found in no
+// particular order, the distance of the k-th of them (+Inf when fewer
+// than k were found) and the distance evaluations spent. The result
+// holds every point of the exact top k that lies within bound, ties at
+// bound included; a bound under the true k-th distance can leave fewer
+// than k, and points beyond bound that the search reached before
+// pruning engaged may fill the rest. The result aliases sc.
+func (t *VPTree) knn(q []float64, k int, bound float64, sc *Scratch) ([]Neighbor, float64, int) {
 	if k <= 0 || len(q) != t.dim || t.live == 0 {
 		return nil, math.Inf(1), 0
-	}
-	if k > t.live {
-		k = t.live
 	}
 	if math.IsNaN(bound) || bound <= 0 {
 		bound = math.Inf(1)
 	}
-	s := &vpSearch{t: t, q: q, maxEvals: maxEvals, tau: bound, eps: float64(t.dim+8) * 0x1p-53, best: kBest{k: k}}
-	if sc != nil {
-		s.best.buf = sc.best[:0]
-	}
+	s := &vpSearch{t: t, q: q, tau: bound, eps: float64(t.dim+8) * 0x1p-53, best: kBest{k: min(k, t.live), buf: sc.best[:0]}}
 	if t.codes != nil {
-		if sc != nil {
-			s.tab = sc.adcTab(t.codes.qz, q)
-		} else {
-			s.tab = make([]float64, t.codes.qz.TabLen())
-			t.codes.qz.FillADC(q, s.tab)
-		}
+		s.tab = sc.adcTab(t.codes.qz, q)
 	}
 	s.visit(t.root)
 	res, kth := s.best.result()
-	if sc != nil {
-		sc.best = res // return grown buffer to the scratch
-	}
+	sc.best = res // return grown buffer to the scratch
 	return res, kth, s.evals
 }
 
 // vpSearch carries one query's state: the k-best buffer, the pruning
 // radius tau, the prune's rounding allowance eps and the evaluation
-// budget.
+// count.
 type vpSearch struct {
-	t        *VPTree
-	q        []float64
-	tab      []float64 // ADC table (quantized trees)
-	maxEvals int
-	evals    int
-	tau      float64
-	eps      float64
-	best     kBest
+	t     *VPTree
+	q     []float64
+	tab   []float64 // ADC table (quantized trees)
+	evals int
+	tau   float64
+	eps   float64
+	best  kBest
 }
 
 // margin is the rounding allowance of a far-side test at vantage
@@ -427,9 +396,6 @@ type vpSearch struct {
 // distances and the test's own rounding; eps = (dim+8)·u adds
 // headroom.
 func (s *vpSearch) margin(d, r float64) float64 { return s.eps * (d + s.tau + r) }
-
-// spent reports whether the evaluation budget is exhausted.
-func (s *vpSearch) spent() bool { return s.maxEvals > 0 && s.evals >= s.maxEvals }
 
 // offer records a candidate point. tau only ever tightens: with an
 // initial bound the buffer's k-th may still sit beyond it, and the
@@ -449,19 +415,15 @@ func (s *vpSearch) dist(idx int) float64 {
 }
 
 func (s *vpSearch) visit(ni int32) {
-	if ni < 0 || s.spent() {
+	if ni < 0 {
 		return
 	}
 	n := &s.t.nodes[ni]
 	if n.leaf != nil {
 		for _, idx := range n.leaf {
-			if s.t.dead[idx] {
-				continue
+			if !s.t.dead[idx] {
+				s.offer(idx, s.dist(idx))
 			}
-			if s.spent() {
-				return
-			}
-			s.offer(idx, s.dist(idx))
 		}
 		return
 	}

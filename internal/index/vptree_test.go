@@ -75,45 +75,6 @@ func TestVPTreeExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestVPTreeBounded: the bounded search respects its budget, returns
-// a subset of the point set, and converges to exact as the budget
-// covers the tree.
-func TestVPTreeBounded(t *testing.T) {
-	pts := randPts(3, 300, 9)
-	tree, err := BuildVPTree(pts, VPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := randPts(4, 1, 9)[0]
-	exact, exactEvals := tree.KNN(q, 10)
-
-	got, evals := tree.KNNBounded(q, 10, 40)
-	if evals > 40 {
-		t.Fatalf("bounded search spent %d evals, budget 40", evals)
-	}
-	if len(got) == 0 {
-		t.Fatal("bounded search found nothing")
-	}
-	// A generous budget reproduces the exact answer.
-	full, _ := tree.KNNBounded(q, 10, exactEvals+len(pts))
-	for i := range exact {
-		if full[i] != exact[i] {
-			t.Fatalf("bounded(full budget) diverged at %d: %+v vs %+v", i, full[i], exact[i])
-		}
-	}
-	// Determinism.
-	again, evals2 := tree.KNNBounded(q, 10, 40)
-	if evals2 != evals || len(again) != len(got) {
-		t.Fatalf("bounded search nondeterministic: %d/%d evals, %d/%d results",
-			evals, evals2, len(got), len(again))
-	}
-	for i := range got {
-		if got[i] != again[i] {
-			t.Fatalf("bounded search result %d differs across runs", i)
-		}
-	}
-}
-
 // TestVPTreeBoundCarry: the scout-and-carry initial radius. A bound
 // that upper-bounds the true k-th neighbor distance reproduces the
 // exact answer (in no more evals), a tighter bound misses nothing
@@ -136,7 +97,7 @@ func TestVPTreeBoundCarry(t *testing.T) {
 		// unbounded sentinels — must reproduce the exact answer without
 		// extra work.
 		for _, bound := range []float64{kth, kth * 1.5, math.Inf(1), 0, -1, math.NaN()} {
-			got, evals := tree.KNNScratchBound(q, k, 0, bound, nil)
+			got, evals := tree.knnSorted(q, k, bound)
 			if len(got) != len(exact) {
 				t.Fatalf("q=%d bound=%v: %d results, want %d", qi, bound, len(got), len(exact))
 			}
@@ -153,7 +114,7 @@ func TestVPTreeBoundCarry(t *testing.T) {
 		// A bound below the k-th distance trades completeness for
 		// pruning, but must still surface every neighbor within it.
 		tight := exact[2].Dist
-		got, evals := tree.KNNScratchBound(q, k, 0, tight, nil)
+		got, evals := tree.knnSorted(q, k, tight)
 		tightTotal += evals
 		var within []Neighbor
 		for _, nb := range got {

@@ -41,8 +41,8 @@ type CandidateStats struct {
 type CandidateEngine struct {
 	// Inner is the exact ranker (MIL-OCSVM, Weighted-RF, Rocchio, …).
 	Inner Engine
-	// Index must be built over the same database Rank receives (same
-	// length, same order).
+	// Index must cover the database Rank receives (same bags, same
+	// order); pruned rounds check it and fail with ErrStaleIndex.
 	Index *index.BagIndex
 	// C caps the candidate set handed to Inner. C <= 0 or C >= len(db)
 	// disables pruning.
@@ -75,13 +75,7 @@ func (e CandidateEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, 
 	if e.Inner == nil {
 		return nil, ErrNilEngine
 	}
-	if e.Index == nil {
-		return e.full(db, labels)
-	}
-	if bags := e.Index.Bags(); bags != len(db) {
-		return nil, fmt.Errorf("%w: index covers %d bags, database has %d", ErrStaleIndex, bags, len(db))
-	}
-	if e.C <= 0 || e.C >= len(db) {
+	if e.Index == nil || e.C <= 0 || e.C >= len(db) {
 		return e.full(db, labels)
 	}
 	// Positive-labeled instances are the probes: the accumulated
@@ -113,7 +107,16 @@ func (e CandidateEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, 
 		return e.full(db, labels)
 	}
 
-	cands, stats := e.Index.Candidates(probes, e.C)
+	// The probe checks the index against db under its own lock, so a
+	// live commit cannot re-map positions between check and probe.
+	hits, _, stats, err := e.Index.CandidatesOver(db, probes, e.C, nil)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrStaleIndex, err)
+	}
+	cands := make([]int, len(hits))
+	for i, h := range hits {
+		cands[i] = h.Pos
+	}
 	if e.Stats != nil {
 		if seeded {
 			e.Stats.SeededRounds.Add(1)

@@ -204,6 +204,37 @@ func TestCandidateStaleIndex(t *testing.T) {
 	}
 }
 
+// TestCandidateStaleGeneration: at steady retention a live commit
+// evicts as many VSs as it appends, so an index updated to the next
+// generation covers as many bags as the superseded database. A round
+// ranked against the superseded database must fail with ErrStaleIndex
+// instead of reading the new generation's positions as its own.
+func TestCandidateStaleGeneration(t *testing.T) {
+	db := candSynthDB(8, 120)
+	old, cur := db[:100], db[20:]
+	labels := map[int]mil.Label{49: mil.Positive}
+	for _, kind := range index.Kinds() {
+		bi, err := index.Build(old, kind, index.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bi.Update(cur); err != nil {
+			t.Fatal(err)
+		}
+		cand := CandidateEngine{Inner: RocchioEngine{}, Index: bi, C: 5}
+		if _, err := cand.Rank(old, labels); !errors.Is(err, ErrStaleIndex) {
+			t.Fatalf("%s: ranking the superseded database returned %v, want ErrStaleIndex", kind, err)
+		}
+		ranking, err := cand.Rank(cur, labels)
+		if err != nil {
+			t.Fatalf("%s: current database: %v", kind, err)
+		}
+		if len(ranking) != len(cur) {
+			t.Fatalf("%s: ranking of %d positions for %d bags", kind, len(ranking), len(cur))
+		}
+	}
+}
+
 // seedingEngine wraps an Engine with canned round-0 probes, standing
 // in for a predicate query. (The identity test against the real
 // predicate engine lives in predicate_seed_test.go, outside this

@@ -34,7 +34,7 @@ var (
 	// ErrBadRounds is returned for non-positive round counts.
 	ErrBadRounds = errors.New("retrieval: rounds must be positive")
 	// ErrStaleIndex is returned when a candidate index covers a
-	// different bag count than the database being ranked. Against a
+	// different database than the one being ranked. Against a
 	// live-ingested catalog this is a transient race (the index is
 	// maintained moments after the catalog commits); callers that
 	// track a live feed re-resolve and retry.

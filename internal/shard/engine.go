@@ -17,13 +17,14 @@ import (
 )
 
 // Hit is one shard's answer for one bag: the bag's global VS index
-// and the minimum squared distance from any probe to any of its
-// instances. Dist < 0 encodes +Inf — the bag is present on the shard
-// but no probe reached it (JSON cannot carry +Inf, so the wire uses
-// the sentinel). Such completion hits exist so that when the
-// per-shard budget covers a whole partition the shard answers with
-// every bag it owns, which is what lets a C ≥ N scatter reassemble
-// the entire database and reproduce the unsharded ranking.
+// and the minimum Euclidean distance from any probe to any of its
+// instances (to their reconstructions on a quantized index). Dist < 0
+// encodes +Inf — the bag is on the shard but no probe reached it
+// (JSON cannot carry +Inf, so the wire uses the sentinel). Such
+// completion hits exist so that when the per-shard budget covers a
+// whole partition the shard answers with every bag it owns, which is
+// what lets a C ≥ N scatter reassemble the entire database and
+// reproduce the unsharded ranking.
 type Hit struct {
 	VS   int     `json:"vs"`
 	Dist float64 `json:"dist"`
@@ -92,11 +93,10 @@ func ProbeLocalBound(vss []window.VS, bi *index.BagIndex, probes [][]float64, c 
 	if bi == nil {
 		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: nil index for a %d-bag partition", len(vss))
 	}
-	if bi.Bags() != len(vss) {
-		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: index covers %d bags, partition holds %d (stale index?)",
-			bi.Bags(), len(vss))
+	hits, kth, stats, err := bi.CandidatesOver(vss, probes, c, bounds)
+	if err != nil {
+		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: %w", err)
 	}
-	hits, kth, stats := bi.CandidatesDistBounded(probes, c, bounds)
 	out := make([]Hit, 0, len(hits))
 	for _, h := range hits {
 		out = append(out, Hit{VS: vss[h.Pos].Index, Dist: h.Dist})

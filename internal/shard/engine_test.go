@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -350,6 +351,39 @@ func TestProbeLocalCompletion(t *testing.T) {
 	// Mismatched index is rejected, not silently misaligned.
 	if _, _, err := ProbeLocal(db[:10], bi, probes, 5); err == nil {
 		t.Fatal("stale index accepted")
+	}
+}
+
+// TestProbeLocalStaleGeneration: an index updated to the next
+// generation at steady retention covers as many bags as the superseded
+// partition; probing it for that partition fails, and inside a scatter
+// the failure is a counted shard error, never a misaligned answer.
+func TestProbeLocalStaleGeneration(t *testing.T) {
+	db := shardSynthDB(9, 40)
+	old, cur := db[:30], db[10:]
+	bi, err := index.Build(old, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bi.Update(cur); err != nil {
+		t.Fatal(err)
+	}
+	labels := shardLabels(old, 3, 1)
+	probes := PositiveProbes(old, labels)
+	if _, _, err := ProbeLocal(old, bi, probes, 5); !errors.Is(err, index.ErrStale) {
+		t.Fatalf("superseded partition: err %v, want index.ErrStale", err)
+	}
+	if _, _, err := ProbeLocal(cur, bi, probes, 5); err != nil {
+		t.Fatalf("current partition: %v", err)
+	}
+	stats := &Stats{}
+	eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: []Prober{LocalProber{VSs: old, Index: bi}}, C: 5, Stats: stats}
+	if _, err := eng.Rank(old, labels); err != nil {
+		t.Fatal(err)
+	}
+	if stats.ShardErrors.Load() != 1 || stats.AllFailedRounds.Load() != 1 {
+		t.Fatalf("stale shard: %d shard errors, %d all-failed rounds; want 1 and 1",
+			stats.ShardErrors.Load(), stats.AllFailedRounds.Load())
 	}
 }
 

@@ -10,8 +10,8 @@
 # on the demo catalog: recall@10 must be 1.0 at C=N and ≥ 0.9 at
 # C=N/4), the chaos conformance suite under -race (seeded fault
 # schedules across ingest, persistence and the query service), fuzz
-# smoke legs for the snapshot decoder, the HTTP API and exact VP-tree
-# k-NN, a
+# smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
+# k-NN and the shared-threshold multi-probe candidate pass, a
 # statement-coverage floor over the internal packages, a
 # one-iteration smoke of the ingest benchmarks, an
 # incremental-maintenance smoke (20 whole-bag deltas, all absorbed
@@ -78,11 +78,14 @@ echo "== benchmark module (perfbench: vet + self-tests, offline) =="
 echo "== race (internal: server, streaming/ingest, videodb, pools, sweeps) =="
 go test -race ./internal/...
 
-echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings; exact k-best) =="
+echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings; exact k-best and multi-probe) =="
 # Besides the recall gates: pruned (C<N) session rankings must match
 # their pinned hashes, the heap-free k-best search must equal brute
-# force, and one probe scratch must serve indexes of any bag count.
-go test -race -count=1 -run 'TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly' \
+# force, the shared-threshold multi-probe pass must equal independent
+# per-probe searches (FuzzCandidatesExact's seed corpus) while
+# spending fewer VP-tree evaluations, and one probe scratch must serve
+# indexes of any bag count.
+go test -race -count=1 -run 'TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact' \
     ./internal/server/ ./internal/retrieval/ ./internal/index/
 
 echo "== chaos conformance (seeded fault schedules, -race) =="
@@ -131,11 +134,12 @@ jq -e 'all(.categories[]; .min_recall.exact >= 0.9 and .min_recall.candidate >= 
 }
 rm -rf "$rbdir"
 
-echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN; 5s each) =="
+echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates; 5s each) =="
 go test -run xxx -fuzz FuzzDBDecode -fuzztime 5s ./internal/videodb/
 go test -run xxx -fuzz FuzzPredicateDecode -fuzztime 5s ./internal/predicate/
 go test -run xxx -fuzz FuzzQueryRequest -fuzztime 5s ./internal/server/
 go test -run xxx -fuzz FuzzKNNExact -fuzztime 5s ./internal/index/
+go test -run xxx -fuzz FuzzCandidatesExact -fuzztime 5s ./internal/index/
 
 echo "== coverage floor (internal packages, >= ${COVERAGE_FLOOR}%) =="
 covdir=$(mktemp -d)
