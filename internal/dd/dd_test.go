@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milvideo/internal/mil"
@@ -240,14 +241,15 @@ func TestEngineRanking(t *testing.T) {
 	if e.Name() == "" {
 		t.Fatal("name")
 	}
-	// No positive labels: heuristic fallback still returns a full
-	// ranking.
+	// No positive labels: the fallback is the §5.3 heuristic order,
+	// pinned.
 	rank, err = e.Rank(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rank) != len(db) {
-		t.Fatalf("fallback rank size: %d", len(rank))
+	want := []int{10, 15, 5, 0, 2, 6, 11, 9, 18, 1, 19, 14, 17, 8, 7, 16, 4, 3, 12, 13}
+	if !slices.Equal(rank, want) {
+		t.Fatalf("fallback rank %v, want %v", rank, want)
 	}
 }
 

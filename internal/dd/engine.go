@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"milvideo/internal/mil"
+	"milvideo/internal/retrieval"
 	"milvideo/internal/window"
 )
 
@@ -35,7 +36,7 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	}
 	concept, err := Train(bags, e.Opt)
 	if errors.Is(err, ErrNoPositiveBags) {
-		return heuristicRank(db), nil
+		return retrieval.HeuristicOrder(db), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dd: %w", err)
@@ -58,32 +59,4 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx, nil
-}
-
-// heuristicRank mirrors retrieval's initial-query ordering without
-// importing the retrieval package (avoiding a dependency cycle should
-// retrieval ever grow a DD default).
-func heuristicRank(db []window.VS) []int {
-	scores := make([]float64, len(db))
-	for i, vs := range db {
-		best := math.Inf(-1)
-		for _, ts := range vs.TSs {
-			for _, f := range ts.Vectors {
-				s := 0.0
-				for _, v := range f {
-					s += v * v
-				}
-				if s > best {
-					best = s
-				}
-			}
-		}
-		scores[i] = best
-	}
-	idx := make([]int, len(db))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx
 }

@@ -20,6 +20,7 @@ import (
 
 	"milvideo/internal/kernel"
 	"milvideo/internal/mil"
+	"milvideo/internal/retrieval"
 	"milvideo/internal/svm"
 	"milvideo/internal/window"
 )
@@ -183,7 +184,7 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	}
 	m, err := Train(bags, e.Opt)
 	if errors.Is(err, ErrNoPositiveBags) || errors.Is(err, ErrNoNegatives) {
-		return heuristicRank(db), nil
+		return retrieval.HeuristicOrder(db), nil
 	}
 	if err != nil {
 		return nil, err
@@ -205,30 +206,4 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
 	return idx, nil
-}
-
-// heuristicRank mirrors the §5.3 initial-query ordering.
-func heuristicRank(db []window.VS) []int {
-	scores := make([]float64, len(db))
-	for i, vs := range db {
-		best := math.Inf(-1)
-		for _, ts := range vs.TSs {
-			for _, f := range ts.Vectors {
-				s := 0.0
-				for _, v := range f {
-					s += v * v
-				}
-				if s > best {
-					best = s
-				}
-			}
-		}
-		scores[i] = best
-	}
-	idx := make([]int, len(db))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx
 }

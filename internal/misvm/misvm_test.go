@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milvideo/internal/kernel"
@@ -169,9 +170,13 @@ func TestEngineRanking(t *testing.T) {
 	if e.Name() == "" {
 		t.Fatal("name")
 	}
-	// Fallback without labels.
+	// Fallback without labels: the §5.3 heuristic order, pinned.
 	rank, err = e.Rank(db, nil)
-	if err != nil || len(rank) != len(db) {
-		t.Fatalf("fallback: %v %v", len(rank), err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 8, 12, 4, 6, 9, 2, 3, 5, 10, 1, 11, 13, 7, 15, 14}
+	if !slices.Equal(rank, want) {
+		t.Fatalf("fallback rank %v, want %v", rank, want)
 	}
 }

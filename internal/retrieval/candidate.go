@@ -55,6 +55,13 @@ type CandidateEngine struct {
 	Seeder ProbeSeeder
 	// Stats, when non-nil, accumulates probe counters.
 	Stats *CandidateStats
+	// Order, when non-nil, returns the stored HeuristicOrder of the
+	// database Rank receives, which pruned rounds filter for their
+	// remainder (see RerankUnionOrder). Only pruned rounds call it, so
+	// its owner may compute the order on first call; an order of the
+	// wrong length fails the round with ErrStaleIndex. Nil computes
+	// the order in every pruned round.
+	Order func() []int
 }
 
 // Name implements Engine.
@@ -125,7 +132,7 @@ func (e CandidateEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, 
 		e.Stats.Probes.Add(int64(stats.Probes))
 		e.Stats.DistEvals.Add(int64(stats.DistEvals))
 	}
-	out, ranked, err := RerankUnion(e.Inner, db, labels, cands)
+	out, ranked, err := RerankUnionOrder(e.Inner, db, labels, cands, e.Order)
 	if err != nil {
 		return nil, err
 	}
@@ -138,12 +145,25 @@ func (e CandidateEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, 
 // RerankUnion produces a full ranking of db from a candidate set: the
 // candidate positions plus every labeled bag are re-ranked exactly by
 // inner, and the pruned remainder keeps the cheap §5.3 heuristic
-// ordering. It is the shared tail of CandidateEngine and the sharded
-// scatter–gather engine — both reduce their probe phase to "which
-// positions get the exact treatment" and defer here. Out-of-range
-// candidate positions are ignored. Returns the ranking and the size
-// of the exactly re-ranked union.
+// ordering, computed here. Out-of-range and duplicate candidate
+// positions are ignored. Returns the ranking and the size of the
+// exactly re-ranked union.
 func RerankUnion(inner Engine, db []window.VS, labels map[int]mil.Label, candPos []int) ([]int, int, error) {
+	return RerankUnionOrder(inner, db, labels, candPos, nil)
+}
+
+// RerankUnionOrder is RerankUnion over a stored heuristic order, the
+// shared tail of CandidateEngine and the sharded scatter–gather engine
+// — both reduce their probe phase to "which positions get the exact
+// treatment" and defer here. stored, when non-nil, returns
+// HeuristicOrder(db), and the remainder is that order with the
+// re-ranked union skipped. The catalog-wide
+// order restricted to the remainder is exactly the remainder's own
+// heuristic ranking, so the result equals RerankUnion's. stored is
+// called only when a remainder exists, before inner runs; an order of
+// another length was computed over another database and fails the
+// round with ErrStaleIndex. A nil stored computes the order here.
+func RerankUnionOrder(inner Engine, db []window.VS, labels map[int]mil.Label, candPos []int, stored func() []int) ([]int, int, error) {
 	if inner == nil {
 		return nil, 0, ErrNilEngine
 	}
@@ -169,6 +189,20 @@ func RerankUnion(inner Engine, db []window.VS, labels map[int]mil.Label, candPos
 			subPos = append(subPos, pos)
 		}
 	}
+	// The pruned remainder keeps the §5.3 heuristic ordering — the
+	// same ordering every engine falls back to before feedback exists.
+	var order []int
+	switch {
+	case len(sub) == len(db):
+		// Nothing was pruned: no remainder to order.
+	case stored == nil:
+		order = HeuristicOrder(db)
+	default:
+		if order = stored(); len(order) != len(db) {
+			return nil, 0, fmt.Errorf("%w: stored heuristic order covers %d bags, database has %d",
+				ErrStaleIndex, len(order), len(db))
+		}
+	}
 	subRank, err := inner.Rank(sub, labels)
 	if err != nil {
 		return nil, 0, err
@@ -185,18 +219,10 @@ func RerankUnion(inner Engine, db []window.VS, labels map[int]mil.Label, candPos
 		}
 		out = append(out, subPos[r])
 	}
-	// The pruned remainder keeps the §5.3 heuristic ordering — the
-	// same ordering every engine falls back to before feedback exists.
-	rest := make([]int, 0, len(db)-len(sub))
-	scores := make([]float64, 0, len(db)-len(sub))
-	for pos := range db {
+	for _, pos := range order {
 		if !in[pos] {
-			rest = append(rest, pos)
-			scores = append(scores, HeuristicScore(db[pos]))
+			out = append(out, pos)
 		}
-	}
-	for _, ri := range rankByScore(scores) {
-		out = append(out, rest[ri])
 	}
 	return out, len(sub), nil
 }

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"milvideo/internal/index"
@@ -333,5 +334,54 @@ func TestCandidateSeededPrunes(t *testing.T) {
 	}
 	if stats.FullRounds.Load() != 1 {
 		t.Fatalf("empty seeder did not delegate: %+v", stats)
+	}
+}
+
+// TestCandidateStoredOrder: a pruned round that filters a stored
+// heuristic order ranks exactly as one that computes the order, for
+// every engine and both index kinds. Only pruned rounds read the
+// order — round 0 without probes and C = N delegate without it — and
+// an order of the wrong length fails the round with ErrStaleIndex.
+func TestCandidateStoredOrder(t *testing.T) {
+	db := candSynthDB(9, 80)
+	order := HeuristicOrder(db)
+	for _, kind := range index.Kinds() {
+		bi, err := index.Build(db, kind, index.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, eng := range wrappedEngines() {
+			for _, tc := range []struct {
+				labels map[int]mil.Label
+				c      int
+				reads  int
+			}{
+				{candLabels(db, 3, 3), 12, 1},
+				{candLabels(db, 3, 3), len(db), 0},
+				{map[int]mil.Label{}, 12, 0},
+			} {
+				reads := 0
+				stored := CandidateEngine{Inner: eng, Index: bi, C: tc.c, Order: func() []int { reads++; return order }}
+				got, err := stored.Rank(db, tc.labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := CandidateEngine{Inner: eng, Index: bi, C: tc.c}.Rank(db, tc.labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s C=%d: stored-order ranking diverges from the computed one", kind, eng.Name(), tc.c)
+				}
+				if reads != tc.reads {
+					t.Fatalf("%s %s C=%d labels=%d: stored order read %d times, want %d",
+						kind, eng.Name(), tc.c, len(tc.labels), reads, tc.reads)
+				}
+			}
+			stale := CandidateEngine{Inner: eng, Index: bi, C: 12, Order: func() []int { return order[:len(order)-1] }}
+			if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, ErrStaleIndex) {
+				t.Fatalf("%s %s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
+			}
+		}
 	}
 }

@@ -128,7 +128,7 @@ func TestMILRankPositiveBagsOnly(t *testing.T) {
 		}
 		learner, err := mil.Train(training, mil.DefaultOptions())
 		if errors.Is(err, mil.ErrNoPositiveBags) {
-			return heuristicRank(db)
+			return HeuristicOrder(db)
 		}
 		if err != nil {
 			t.Fatal(err)

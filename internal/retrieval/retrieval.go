@@ -260,8 +260,11 @@ func rankByScore(scores []float64) []int {
 	return append(idx, nans...)
 }
 
-// heuristicRank is the shared round-0 ranking.
-func heuristicRank(db []window.VS) []int {
+// HeuristicOrder is the §5.3 initial-query ranking of db: positions
+// by HeuristicScore descending (never NaN: a NaN point score never
+// beats the running max), ties by ascending position. It depends only
+// on the catalog, so servers store it for RerankUnionOrder.
+func HeuristicOrder(db []window.VS) []int {
 	scores := make([]float64, len(db))
 	for i, vs := range db {
 		scores[i] = HeuristicScore(vs)
@@ -322,11 +325,11 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 		}
 	}
 	if len(training) == 0 {
-		return heuristicRank(db), nil
+		return HeuristicOrder(db), nil
 	}
 	learner, err := mil.Train(training, e.Opt)
 	if errors.Is(err, mil.ErrNoPositiveBags) {
-		return heuristicRank(db), nil
+		return HeuristicOrder(db), nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %s: %w", e.Name(), err)
@@ -413,7 +416,7 @@ func (e WeightedEngine) Name() string { return "Weighted-RF(" + e.Norm.String() 
 func (e WeightedEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	dim := instanceDim(db)
 	if dim == 0 {
-		return heuristicRank(db), nil
+		return HeuristicOrder(db), nil
 	}
 	w, err := rf.NewWeighted(dim, e.Norm)
 	if err != nil {
@@ -453,7 +456,7 @@ func (RocchioEngine) Name() string { return "Rocchio" }
 func (e RocchioEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	rel := relevantPointVectors(db, labels)
 	if len(rel) == 0 {
-		return heuristicRank(db), nil
+		return HeuristicOrder(db), nil
 	}
 	var irr [][]float64
 	for _, vs := range db {

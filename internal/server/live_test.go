@@ -41,6 +41,14 @@ func TestDeleteClipDropsIndexCache(t *testing.T) {
 	if got := srv.indexes.len(); got != 1 {
 		t.Fatalf("deleting a clip left %d cached indexes, want 1", got)
 	}
+	// The memo holds every indexed clip's stored order, sharded or not.
+	srv.memo.mu.Lock()
+	_, staleA := srv.memo.entries["a"]
+	_, keptB := srv.memo.entries["b"]
+	srv.memo.mu.Unlock()
+	if staleA || !keptB {
+		t.Fatalf("after deleting a: memo holds a %v, b %v", staleA, keptB)
+	}
 
 	// A new clip under the recycled name is served from a freshly
 	// built index over its own content.
@@ -61,8 +69,8 @@ func TestDeleteClipDropsIndexCache(t *testing.T) {
 }
 
 // TestDeleteClipDropsShardedCache is the sharded flavor: one deletion
-// removes all of the clip's per-shard entries and its memoized
-// partition.
+// removes all of the clip's per-shard entries and its memo entry
+// (partition and stored heuristic order).
 func TestDeleteClipDropsShardedCache(t *testing.T) {
 	recA := synthRecord(t, 3, 2, 2, 10)
 	recA.Name = "a"
@@ -90,11 +98,11 @@ func TestDeleteClipDropsShardedCache(t *testing.T) {
 	if got := srv.indexes.len(); got != 0 {
 		t.Fatalf("deleting the clip left %d per-shard indexes", got)
 	}
-	srv.partitions.mu.Lock()
-	_, stale := srv.partitions.entries["a"]
-	srv.partitions.mu.Unlock()
+	srv.memo.mu.Lock()
+	_, stale := srv.memo.entries["a"]
+	srv.memo.mu.Unlock()
 	if stale {
-		t.Fatal("deleting the clip left its memoized partition")
+		t.Fatal("deleting the clip left its memo entry")
 	}
 }
 

@@ -185,11 +185,12 @@ type Server struct {
 	// schedule is a deterministic function of (seed, arrival order).
 	roundSeq atomic.Uint64
 
-	// Sharded serving state: the memoized clip partitions (in-process
-	// mode), the partition-filter ring (worker mode), the scatter
-	// engine's shared counters, the optional per-shard chaos hook,
-	// and the coordinator's worker nodes (cluster mode).
-	partitions *partitionCache
+	// memo holds each clip's stored heuristic order for pruned rounds
+	// and, when sharding in process, its partition.
+	memo *clipMemo
+	// Sharded serving state: the partition-filter ring (worker mode),
+	// the scatter engine's shared counters, the optional per-shard
+	// chaos hook, and the coordinator's worker nodes (cluster mode).
 	partRing   *shard.Ring
 	shardStats *shard.Stats
 	shardFault func(shard int, seq uint64) (time.Duration, error)
@@ -236,13 +237,15 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.shardStats = &shard.Stats{}
 	s.shardFault = shardFaultHook(cfg.Faults)
+	var ring *shard.Ring
 	if len(cfg.ShardURLs) > 0 {
 		for _, u := range cfg.ShardURLs {
 			s.shardNodes = append(s.shardNodes, &shardNode{url: u, client: &Client{BaseURL: u}})
 		}
 	} else if cfg.Shards > 1 {
-		s.partitions = newPartitionCache(shard.NewRing(cfg.Shards))
+		ring = shard.NewRing(cfg.Shards)
 	}
+	s.memo = newClipMemo(ring)
 	if cfg.PartitionCount > 1 {
 		s.partRing = shard.NewRing(cfg.PartitionCount)
 	}
@@ -639,28 +642,31 @@ func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (index.Kind, i
 // engineFor wraps a session's base ranking engine in this server's
 // candidate-index machinery for one catalog snapshot: the cluster
 // scatter engine, the in-process sharded engine, or a plain
-// CandidateEngine over the cached whole-clip index. kind == ""
-// returns base unchanged (exact ranking). Live sessions call it
-// again every round with that round's snapshot.
+// CandidateEngine over the cached whole-clip index. Each reads the
+// clip's stored heuristic order from the memo, which computes it on
+// the first pruned round. kind == "" returns base unchanged (exact
+// ranking). Live sessions call it again every round with that round's
+// snapshot.
 func (s *Server) engineFor(base retrieval.Engine, rec *videodb.ClipRecord, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
 	if kind == "" {
 		return base, nil
 	}
+	entry := s.memo.get(rec.Name, rec.VSs)
 	switch {
 	case len(s.shardNodes) > 0:
 		// Cluster mode: probes scatter to the shard workers over
 		// HTTP; the union re-ranks here against the full catalog.
-		return s.clusterEngine(base, rec.Name, kind, cand), nil
-	case s.partitions != nil:
+		return s.clusterEngine(base, rec.Name, entry, kind, cand), nil
+	case s.memo.ring != nil:
 		// In-process sharded mode: one maintained index per
 		// (clip, shard, kind), probed concurrently.
-		return s.shardedEngine(base, rec, gen, kind, cand)
+		return s.shardedEngine(base, rec, entry, gen, kind, cand)
 	default:
 		bi, err := s.indexFor(rec.Name, wholeClipShard, rec.VSs, kind, gen)
 		if err != nil {
 			return nil, err
 		}
-		return retrieval.CandidateEngine{Inner: base, Index: bi, C: cand, Stats: s.candStats}, nil
+		return retrieval.CandidateEngine{Inner: base, Index: bi, C: cand, Stats: s.candStats, Order: entry.heuristicOrder}, nil
 	}
 }
 
@@ -929,13 +935,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // dropClipState discards every piece of per-clip serving state the
 // server caches outside the catalog: candidate indexes (all shards
-// and kinds) and the memoized partition. Returns the number of index
-// entries dropped.
+// and kinds) and the memoized partition and heuristic order. Returns
+// the number of index entries dropped.
 func (s *Server) dropClipState(name string) int {
 	n := s.indexes.dropClip(name)
-	if s.partitions != nil {
-		s.partitions.drop(name)
-	}
+	s.memo.drop(name)
 	return n
 }
 
@@ -950,11 +954,8 @@ func (s *Server) ApplyLive(clip string, vss []window.VS, gen uint64) (ingestd.Ap
 		if sh == wholeClipShard {
 			return vss
 		}
-		if s.partitions == nil {
-			return nil
-		}
 		if parts == nil {
-			parts = s.partitions.getVSs(clip, vss)
+			parts = s.memo.get(clip, vss).parts
 		}
 		if sh < 0 || sh >= len(parts) {
 			return nil

@@ -17,47 +17,63 @@ import (
 	"milvideo/internal/window"
 )
 
-// partitionCache memoizes the consistent-hash partition of each
-// clip's VS database. Recomputing a partition reallocates the part
-// slices, which would defeat the backing-identity test the per-shard
-// index cache uses to absorb generation bumps as incremental deltas;
-// caching by the clip's own backing array keeps part slices stable
-// exactly as long as the clip itself is unchanged.
-type partitionCache struct {
+// clipMemo memoizes what serving derives from each clip's VS database:
+// its §5.3 heuristic order, which pruned rounds filter for their
+// remainder, and its consistent-hash partition when sharding in
+// process (stable part slices keep the per-shard index cache's
+// backing-identity test absorbing generation bumps as deltas). An
+// entry is reused only while the clip's VS backing array is the one
+// it was computed over (videodb.SharesBacking), never by length: a
+// live commit can evict and append as many windows as it drops.
+type clipMemo struct {
 	mu      sync.Mutex
-	ring    *shard.Ring
-	entries map[string]*partitionEntry
+	ring    *shard.Ring // nil unless sharding in process
+	entries map[string]*clipMemoEntry
 }
 
-type partitionEntry struct {
+type clipMemoEntry struct {
 	vss   []window.VS
-	parts []shard.Part
+	parts []shard.Part // nil unless the memo has a ring
+	// order is HeuristicOrder(vss), computed under mu by the first
+	// pruned round that needs it.
+	mu    sync.Mutex
+	order []int
 }
 
-func newPartitionCache(ring *shard.Ring) *partitionCache {
-	return &partitionCache{ring: ring, entries: make(map[string]*partitionEntry)}
+func newClipMemo(ring *shard.Ring) *clipMemo {
+	return &clipMemo{ring: ring, entries: make(map[string]*clipMemoEntry)}
 }
 
-func (c *partitionCache) get(rec *videodb.ClipRecord) []shard.Part {
-	return c.getVSs(rec.Name, rec.VSs)
-}
-
-// getVSs is get for callers holding a VS database without its record
-// (the ingest daemon's live apply path).
-func (c *partitionCache) getVSs(name string, vss []window.VS) []shard.Part {
+// get returns the entry for a clip's current VS database, replacing
+// one computed over another backing.
+func (c *clipMemo) get(name string, vss []window.VS) *clipMemoEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[name]; ok && videodb.SharesBacking(e.vss, vss) {
-		return e.parts
+		return e
 	}
-	parts := shard.PartitionVS(c.ring, name, vss)
-	c.entries[name] = &partitionEntry{vss: vss, parts: parts}
-	return parts
+	e := &clipMemoEntry{vss: vss}
+	if c.ring != nil {
+		e.parts = shard.PartitionVS(c.ring, name, vss)
+	}
+	c.entries[name] = e
+	return e
 }
 
-// drop discards the memoized partition for one clip (deletion or
+// heuristicOrder returns the entry's stored order, computing it on
+// first use.
+func (e *clipMemoEntry) heuristicOrder() []int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.order == nil {
+		e.order = retrieval.HeuristicOrder(e.vss)
+	}
+	return e.order
+}
+
+// drop discards the memoized state for one clip (deletion or
 // retention eviction).
-func (c *partitionCache) drop(name string) {
+func (c *clipMemo) drop(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.entries, name)
@@ -88,14 +104,14 @@ func (s *Server) indexFor(clip string, sh int, vss []window.VS, kind index.Kind,
 }
 
 // shardedEngine wraps inner in the in-process scatter–gather engine:
-// the clip's partition (cached by backing identity), one maintained
+// the clip's partition (memoized by backing identity), one maintained
 // index per (clip, shard, kind), a LocalProber over each part. The S
 // per-part index fetches run concurrently — builds on first use and
 // delta applications on generation bumps alike — so maintenance cost
 // arrives as S parallel ~1/S-sized units instead of one clip-sized
 // pass.
-func (s *Server) shardedEngine(inner retrieval.Engine, rec *videodb.ClipRecord, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
-	parts := s.partitions.get(rec)
+func (s *Server) shardedEngine(inner retrieval.Engine, rec *videodb.ClipRecord, entry *clipMemoEntry, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
+	parts := entry.parts
 	probers := make([]shard.Prober, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
@@ -125,6 +141,7 @@ func (s *Server) shardedEngine(inner retrieval.Engine, rec *videodb.ClipRecord, 
 		Workers: s.cfg.ShardWorkers,
 		Stats:   s.shardStats,
 		Fault:   s.shardFault,
+		Order:   entry.heuristicOrder,
 	}, nil
 }
 
@@ -256,7 +273,7 @@ func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]sha
 // clusterEngine wraps inner in the cluster scatter–gather engine:
 // probes fan to the shard workers over HTTP, the merged union
 // re-ranks centrally against the coordinator's full catalog.
-func (s *Server) clusterEngine(inner retrieval.Engine, clip string, kind index.Kind, cand int) retrieval.Engine {
+func (s *Server) clusterEngine(inner retrieval.Engine, clip string, entry *clipMemoEntry, kind index.Kind, cand int) retrieval.Engine {
 	probers := make([]shard.Prober, len(s.shardNodes))
 	for i, n := range s.shardNodes {
 		probers[i] = httpProber{node: n, clip: clip, kind: kind}
@@ -269,6 +286,7 @@ func (s *Server) clusterEngine(inner retrieval.Engine, clip string, kind index.K
 		Workers: s.cfg.ShardWorkers,
 		Stats:   s.shardStats,
 		Fault:   s.shardFault,
+		Order:   entry.heuristicOrder,
 	}
 }
 
@@ -349,7 +367,7 @@ func (s *Server) shardMode() string {
 	switch {
 	case len(s.shardNodes) > 0:
 		return "coordinator"
-	case s.partitions != nil:
+	case s.memo.ring != nil:
 		return "inprocess"
 	case s.partRing != nil:
 		return "worker"

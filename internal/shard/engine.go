@@ -211,6 +211,9 @@ type Engine struct {
 	Seeder retrieval.ProbeSeeder
 	// Stats, when non-nil, accumulates scatter counters.
 	Stats *Stats
+	// Order is the stored heuristic order scattered rounds filter for
+	// their remainder (retrieval.CandidateEngine.Order's contract).
+	Order func() []int
 	// Fault, when non-nil, is consulted per (shard, round): a
 	// positive stall delays that shard's probe, a non-nil error fails
 	// it — the deterministic chaos hook (faults.Injector.ShardFault).
@@ -376,7 +379,7 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 		e.Stats.ScatterNs.Add(int64(scatter))
 		e.Stats.MergeNs.Add(int64(merge))
 	}
-	out, _, err := retrieval.RerankUnion(e.Inner, db, labels, order)
+	out, _, err := retrieval.RerankUnionOrder(e.Inner, db, labels, order, e.Order)
 	return out, err
 }
 

@@ -432,3 +432,44 @@ func TestShardedSeededIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedStoredOrder: a scattered round that filters a stored
+// heuristic order ranks exactly as one that computes the order. The
+// order is read only when the merged union leaves a remainder — never
+// at C = N with every shard answering — and an order of the wrong
+// length fails the round with ErrStaleIndex.
+func TestShardedStoredOrder(t *testing.T) {
+	db := shardSynthDB(2, 90)
+	labels := shardLabels(db, 3, 3)
+	order := retrieval.HeuristicOrder(db)
+	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+	for _, kind := range index.Kinds() {
+		probers := buildProbers(t, db, 3, kind, index.Options{})
+		for _, c := range []int{10, len(db)} {
+			reads := 0
+			stored := &Engine{Inner: inner, Probers: probers, C: c, Order: func() []int { reads++; return order }}
+			got, err := stored.Rank(db, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&Engine{Inner: inner, Probers: probers, C: c}).Rank(db, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s C=%d: stored-order ranking diverges from the computed one", kind, c)
+			}
+			wantReads := 0
+			if c < len(db) {
+				wantReads = 1
+			}
+			if reads != wantReads {
+				t.Fatalf("%s C=%d: stored order read %d times, want %d", kind, c, reads, wantReads)
+			}
+		}
+		stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
+		if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("%s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, len(order)-1, len(db), err)
+		}
+	}
+}

@@ -11,7 +11,8 @@
 # C=N/4), the chaos conformance suite under -race (seeded fault
 # schedules across ingest, persistence and the query service), fuzz
 # smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
-# k-NN and the shared-threshold multi-probe candidate pass, a
+# k-NN, the shared-threshold multi-probe candidate pass and the
+# stored-heuristic-order re-rank tail, a
 # statement-coverage floor over the internal packages, a
 # one-iteration smoke of the ingest benchmarks, an
 # incremental-maintenance smoke (20 whole-bag deltas, all absorbed
@@ -78,15 +79,20 @@ echo "== benchmark module (perfbench: vet + self-tests, offline) =="
 echo "== race (internal: server, streaming/ingest, videodb, pools, sweeps) =="
 go test -race ./internal/...
 
-echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings; exact k-best and multi-probe) =="
+echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings; exact k-best and multi-probe; stored heuristic order) =="
 # Besides the recall gates: pruned (C<N) session rankings must match
 # their pinned hashes, the heap-free k-best search must equal brute
 # force, the shared-threshold multi-probe pass must equal independent
 # per-probe searches (FuzzCandidatesExact's seed corpus) while
 # spending fewer VP-tree evaluations, and one probe scratch must serve
-# indexes of any bag count.
-go test -race -count=1 -run 'TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact' \
-    ./internal/server/ ./internal/retrieval/ ./internal/index/
+# indexes of any bag count. The stored heuristic order: the filtered
+# re-rank tail must equal re-scoring and re-sorting the remainder
+# (FuzzRerankUnionOrder's seed corpus), the candidate and sharded
+# engines must rank the same with and without a stored order, only
+# pruned rounds may compute it, and the server must reuse it by VS
+# backing identity, never by length.
+go test -race -count=1 -run 'TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder' \
+    ./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/
 
 echo "== chaos conformance (seeded fault schedules, -race) =="
 go test -race -count=1 -run 'TestChaos' ./internal/testkit/
@@ -134,12 +140,13 @@ jq -e 'all(.categories[]; .min_recall.exact >= 0.9 and .min_recall.candidate >= 
 }
 rm -rf "$rbdir"
 
-echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates; 5s each) =="
+echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail; 5s each) =="
 go test -run xxx -fuzz FuzzDBDecode -fuzztime 5s ./internal/videodb/
 go test -run xxx -fuzz FuzzPredicateDecode -fuzztime 5s ./internal/predicate/
 go test -run xxx -fuzz FuzzQueryRequest -fuzztime 5s ./internal/server/
 go test -run xxx -fuzz FuzzKNNExact -fuzztime 5s ./internal/index/
 go test -run xxx -fuzz FuzzCandidatesExact -fuzztime 5s ./internal/index/
+go test -run xxx -fuzz FuzzRerankUnionOrder -fuzztime 5s ./internal/retrieval/
 
 echo "== coverage floor (internal packages, >= ${COVERAGE_FLOOR}%) =="
 covdir=$(mktemp -d)
