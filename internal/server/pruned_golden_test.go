@@ -23,8 +23,9 @@ import (
 // change to the learner itself would move exact and C=N alike. The
 // pruned hashes were recorded from the serving stack before the probe
 // path was optimized, the exact, C=N and predicate hashes before the
-// cross-round kernel distance cache was deleted, and every later
-// change must reproduce them byte for byte.
+// cross-round kernel distance cache was deleted, the in-process
+// sharded ones before unsharded serving moved onto the shard engine,
+// and every later change must reproduce them byte for byte.
 var prunedGoldenPath = filepath.Join("testdata", "pruned_rankings.json")
 
 // prunedRankingHashes drives one five-round, top-20 session per
@@ -32,8 +33,11 @@ var prunedGoldenPath = filepath.Join("testdata", "pruned_rankings.json")
 // JudgeFromRecord ground truth, and returns the SHA-256 of every
 // round's full ranking keyed by configuration. Per scale the
 // configurations are an exact session, {vptree, ivf} × {none, pq} ×
-// C ∈ {N/32, N/4, N}, and at 10× one exact session seeded with
-// DemoPredicates()[0].
+// C ∈ {N/32, N/4, N}, in-process sharded sessions over Config.Shards
+// ∈ {2, 3} × {vptree, ivf} × {none, pq} × C ∈ {N/32, N/4}, and at 10×
+// one exact session seeded with DemoPredicates()[0]. At 100× and
+// three shards the per-shard budget falls below C, so the sharded
+// entries pin the budget slack and the scout's carried bound too.
 func prunedRankingHashes(t *testing.T) map[string][]string {
 	t.Helper()
 	out := make(map[string][]string)
@@ -65,6 +69,17 @@ func prunedRankingHashes(t *testing.T) map[string][]string {
 					out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
 						Clip: rec.Name, Index: string(kind), Candidates: c,
 					})
+				}
+			}
+			for _, shards := range []int{2, 3} {
+				_, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: quant, Shards: shards})
+				for _, kind := range []index.Kind{index.KindVPTree, index.KindIVF} {
+					for _, c := range []int{n / 32, n / 4} {
+						key := fmt.Sprintf("%dx/S=%d/%s/%s/C=%d", scale, shards, kind, quant, c)
+						out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
+							Clip: rec.Name, Index: string(kind), Candidates: c,
+						})
+					}
 				}
 			}
 		}
