@@ -684,7 +684,7 @@ func runOracleSession(db []window.VS, oracle retrieval.Oracle, bi *index.BagInde
 	var engine retrieval.Engine = retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	var ref retrieval.Engine
 	if bi != nil {
-		engine = retrieval.CandidateEngine{Inner: engine, Index: bi, C: c}
+		engine = &shard.Engine{Inner: engine, Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}}, C: c}
 		if withRecall {
 			ref = retrieval.MILEngine{Opt: mil.DefaultOptions()}
 		}
@@ -1132,7 +1132,7 @@ func (r *shardedChurnRun) run(oracle retrieval.Oracle, withRecall bool) (total, 
 	const rounds, topK = 5, 20
 	probers := make([]shard.Prober, len(r.indexes))
 	for i := range r.indexes {
-		probers[i] = shard.LocalProber{VSs: r.parts[i].VSs, Index: r.indexes[i]}
+		probers[i] = shard.LocalProber{VSs: r.parts[i].VSs, Pos: r.parts[i].Pos, Index: r.indexes[i]}
 	}
 	engine := &shard.Engine{
 		Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions()},
@@ -1158,7 +1158,7 @@ func (r *shardedChurnRun) run(oracle retrieval.Oracle, withRecall bool) (total, 
 				if _, err := r.indexes[i].Update(parts[i].VSs); err != nil {
 					return 0, 0, nil, fmt.Errorf("round %d shard %d update: %w", round, i, err)
 				}
-				probers[i] = shard.LocalProber{VSs: parts[i].VSs, Index: r.indexes[i]}
+				probers[i] = shard.LocalProber{VSs: parts[i].VSs, Pos: parts[i].Pos, Index: r.indexes[i]}
 			}
 			r.parts = parts
 			maint += time.Since(t0)

@@ -286,13 +286,14 @@ func run(url, dbPath string, demo bool, demoSeed int64, demoScale int, clip, eng
 }
 
 // printShardBreakdown summarizes a cluster run on stderr: the
-// coordinator's scatter/merge accounting and per-shard scatter
-// latency, plus each polled worker's probe counters.
+// coordinator's round accounting (the index block) with its scatter
+// and merge time (the shard block) and per-shard scatter latency,
+// plus each polled worker's probe counters.
 func printShardBreakdown(rep *server.Report, coordinator bool, shardURLs []string) {
 	if coordinator && rep.ServerStats != nil && rep.ServerStats.Shard != nil {
-		sh := rep.ServerStats.Shard
-		fmt.Fprintf(os.Stderr, "loadgen: scatter %d rounds (%d full, %d partial) merged %d candidates  scatter %.1fms merge %.1fms total\n",
-			sh.ScatterRounds, sh.FullRounds, sh.PartialRounds, sh.MergedCandidates, sh.ScatterMsTotal, sh.MergeMsTotal)
+		ix, sh := rep.ServerStats.Index, rep.ServerStats.Shard
+		fmt.Fprintf(os.Stderr, "loadgen: pruned %d rounds (%d full, %d partial) re-ranked %d candidates  scatter %.1fms merge %.1fms total\n",
+			ix.PrunedRounds, ix.FullRounds, sh.PartialRounds, ix.CandidatesRanked, sh.ScatterMsTotal, sh.MergeMsTotal)
 	}
 	if coordinator && rep.ServerStats != nil && rep.ServerStats.Cluster != nil {
 		cl := rep.ServerStats.Cluster

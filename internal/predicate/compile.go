@@ -187,7 +187,7 @@ func (e *Engine) Rank(db []window.VS, _ map[int]mil.Label) ([]int, error) {
 // SeedProbes implements retrieval.ProbeSeeder: before any positive
 // feedback exists, the instance vectors of the highest-scoring bags
 // stand in for positive-labeled instances as index probes, letting
-// the candidate engine prune predicate sessions from round 0. Bags
+// the pruned engine prune predicate sessions from round 0. Bags
 // scoring under half the best score contribute nothing; a predicate
 // that matches nothing seeds nothing (the wrapper then ranks the full
 // database, which is the correct fallback).

@@ -227,13 +227,14 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 	case PathExact:
 		return mile, nil
 	case PathCandidate:
-		// C = N: the candidate layer's exactness identity — the probe
-		// machinery runs, the ranking must match exact bit for bit.
+		// C = N through the unsharded (S = 1) pruned engine: the
+		// candidate layer's exactness identity — the probe machinery
+		// runs, the ranking must match exact bit for bit.
 		bi, err := index.Build(db, index.KindVPTree, index.Options{})
 		if err != nil {
 			return nil, err
 		}
-		return retrieval.CandidateEngine{Inner: mile, Index: bi, C: len(db)}, nil
+		return wholeClip(mile, db, bi, len(db)), nil
 	case PathQuantized:
 		// Scalar-quantized IVF probing at C < N: the probe is lossy,
 		// the re-rank exact — recall floors measure what pruning costs.
@@ -245,7 +246,7 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 		if min := 2 * cfg.TopK; c < min {
 			c = min
 		}
-		return retrieval.CandidateEngine{Inner: mile, Index: bi, C: c}, nil
+		return wholeClip(mile, db, bi, c), nil
 	case PathSharded:
 		ring := shard.NewRing(cfg.Shards)
 		parts := shard.PartitionVS(ring, clip, db)
@@ -259,7 +260,7 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 			if err != nil {
 				return nil, err
 			}
-			probers[i] = shard.LocalProber{VSs: part.VSs, Index: bi}
+			probers[i] = shard.LocalProber{VSs: part.VSs, Pos: part.Pos, Index: bi}
 		}
 		// C = N: completion hits reassemble every partition, so the
 		// scatter–gather ranking reproduces the unsharded exact one.
@@ -267,6 +268,12 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 	default:
 		return nil, fmt.Errorf("retbench: unknown path %q", path)
 	}
+}
+
+// wholeClip is the pruned engine an unsharded server runs: one shard
+// over the whole database and its index.
+func wholeClip(inner retrieval.Engine, db []window.VS, bi *index.BagIndex, c int) *shard.Engine {
+	return &shard.Engine{Inner: inner, Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}}, C: c}
 }
 
 func equalInts(a, b []int) bool {

@@ -1,39 +1,30 @@
-package retrieval
+// The pruned-ranking contract — a candidate index prunes the database
+// to C bags, the wrapped engine re-ranks them plus every labeled bag
+// (RerankUnionOrder), the remainder keeps the §5.3 heuristic order —
+// checked on the engine every unsharded indexed session runs: a
+// shard.Engine with one LocalProber over the whole database (S = 1).
+// This lives outside package retrieval because shard imports it.
+package retrieval_test
 
 import (
 	"errors"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
+	"milvideo/internal/retrieval"
 	"milvideo/internal/rf"
+	"milvideo/internal/shard"
 	"milvideo/internal/window"
 )
 
-// candSynthDB builds a seeded synthetic VS database: mostly smooth
-// traffic, a few accident-like spikes, 1–3 TSs per bag.
-func candSynthDB(seed int64, n int) []window.VS {
-	rng := rand.New(rand.NewSource(seed))
-	db := make([]window.VS, n)
-	for i := range db {
-		vs := window.VS{Index: i, StartFrame: i * 15, EndFrame: i*15 + 10}
-		spike := i%7 == 0
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			ts := window.TS{TrackID: i*10 + k}
-			for p := 0; p < 3; p++ {
-				v := []float64{rng.Float64() * 0.1, rng.Float64() * 0.3, rng.Float64() * 0.1}
-				if spike && k == 0 && p == 1 {
-					v = []float64{0.4 + rng.Float64()*0.1, 2.5 + rng.Float64(), 1 + rng.Float64()*0.3}
-				}
-				ts.Vectors = append(ts.Vectors, v)
-			}
-			vs.TSs = append(vs.TSs, ts)
-		}
-		db[i] = vs
-	}
-	return db
+var candSynthDB = retrieval.CandSynthDB
+
+// wholeDB is the pruned engine an unsharded server builds: one shard
+// over all of db and an index built over exactly it.
+func wholeDB(inner retrieval.Engine, db []window.VS, bi *index.BagIndex, c int, st *shard.Stats) *shard.Engine {
+	return &shard.Engine{Inner: inner, Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}}, C: c, Stats: st}
 }
 
 // candLabels labels the first few spike bags positive and a few
@@ -52,17 +43,19 @@ func candLabels(db []window.VS, nPos, nNeg int) map[int]mil.Label {
 	return labels
 }
 
-func wrappedEngines() []Engine {
-	return []Engine{
-		MILEngine{Opt: mil.DefaultOptions()},
-		WeightedEngine{Norm: rf.NormPercentage},
-		RocchioEngine{},
+func wrappedEngines() []retrieval.Engine {
+	return []retrieval.Engine{
+		retrieval.MILEngine{Opt: mil.DefaultOptions()},
+		retrieval.WeightedEngine{Norm: rf.NormPercentage},
+		retrieval.RocchioEngine{},
 	}
 }
 
-// TestCandidateFullCIdentity: with C = N the candidate wrapper must
+// TestCandidateFullCIdentity: with C = N the pruned engine must
 // reproduce the wrapped engine's ranking exactly — for every engine,
-// both index kinds, several seeds and label mixes.
+// both index kinds, several seeds and label mixes. Rounds with
+// positives scatter and reassemble the database through completion
+// hits; rounds without delegate.
 func TestCandidateFullCIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		db := candSynthDB(seed, 70)
@@ -83,19 +76,14 @@ func TestCandidateFullCIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s: %v", seed, eng.Name(), err)
 					}
-					cand := CandidateEngine{Inner: eng, Index: bi, C: len(db)}
+					cand := wholeDB(eng, db, bi, len(db), nil)
 					got, err := cand.Rank(db, labels)
 					if err != nil {
 						t.Fatalf("seed %d %s: %v", seed, cand.Name(), err)
 					}
-					if len(got) != len(want) {
-						t.Fatalf("seed %d %s %s: %d vs %d entries", seed, kind, eng.Name(), len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("seed %d %s %s labels=%d: rank diverges at %d: got %d want %d",
-								seed, kind, eng.Name(), len(labels), i, got[i], want[i])
-						}
+					if !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s %s labels=%d: ranking diverges\ngot  %v\nwant %v",
+							seed, kind, eng.Name(), len(labels), got, want)
 					}
 				}
 			}
@@ -115,8 +103,8 @@ func TestCandidatePrunedInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, eng := range wrappedEngines() {
-			stats := &CandidateStats{}
-			cand := CandidateEngine{Inner: eng, Index: bi, C: 12, Stats: stats}
+			stats := &shard.Stats{}
+			cand := wholeDB(eng, db, bi, 12, stats)
 			got, err := cand.Rank(db, labels)
 			if err != nil {
 				t.Fatalf("%s: %v", cand.Name(), err)
@@ -142,29 +130,30 @@ func TestCandidatePrunedInvariants(t *testing.T) {
 					t.Fatalf("%s %s: labeled VS %d fell out of the re-ranked head", kind, eng.Name(), idx)
 				}
 			}
-			if stats.PrunedRounds.Load() != 1 || stats.Probes.Load() == 0 {
-				t.Fatalf("%s %s: stats %+v after one pruned round", kind, eng.Name(), stats)
+			if stats.PrunedRounds.Load() != 1 || stats.FullRounds.Load() != 0 || stats.Probes.Load() == 0 {
+				t.Fatalf("%s %s: pruned=%d full=%d probes=%d after one pruned round", kind, eng.Name(),
+					stats.PrunedRounds.Load(), stats.FullRounds.Load(), stats.Probes.Load())
 			}
-			if ranked := stats.CandidatesRanked.Load(); ranked > int64(12+len(labels)) {
-				t.Fatalf("%s %s: re-ranked %d bags, cap %d", kind, eng.Name(), ranked, 12+len(labels))
+			if ranked := stats.CandidatesRanked.Load(); ranked < 12 || ranked > int64(12+len(labels)) {
+				t.Fatalf("%s %s: re-ranked %d bags, want 12..%d", kind, eng.Name(), ranked, 12+len(labels))
 			}
 		}
 	}
 }
 
-// TestCandidateRoundZeroDelegates: with no positive labels there are
-// no probes, so the wrapper must delegate wholesale (counted as a
-// full round) — the initial heuristic query is never pruned.
+// TestCandidateRoundZeroDelegates: with no positive labels and no
+// seeder there are no probes, so the engine must delegate wholesale
+// (counted as a full round) — the initial heuristic query is never
+// pruned.
 func TestCandidateRoundZeroDelegates(t *testing.T) {
 	db := candSynthDB(5, 40)
 	bi, err := index.Build(db, index.KindVPTree, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := MILEngine{Opt: mil.DefaultOptions()}
-	stats := &CandidateStats{}
-	cand := CandidateEngine{Inner: eng, Index: bi, C: 8, Stats: stats}
-	got, err := cand.Rank(db, map[int]mil.Label{})
+	eng := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+	stats := &shard.Stats{}
+	got, err := wholeDB(eng, db, bi, 8, stats).Rank(db, map[int]mil.Label{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,33 +161,33 @@ func TestCandidateRoundZeroDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round-0 rank diverges at %d", i)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatal("round-0 ranking diverges from the wrapped engine's")
 	}
 	if stats.FullRounds.Load() != 1 || stats.PrunedRounds.Load() != 0 {
-		t.Fatalf("round-0 stats %+v, want one full round", stats)
+		t.Fatalf("round-0 stats full=%d pruned=%d, want one full round", stats.FullRounds.Load(), stats.PrunedRounds.Load())
 	}
 }
 
 // TestCandidateStaleIndex: an index built over a different database
-// size must be rejected loudly, not silently misrank.
+// size must be rejected loudly with the typed sentinel, not silently
+// misrank or degrade to a full rank.
 func TestCandidateStaleIndex(t *testing.T) {
 	db := candSynthDB(6, 30)
 	bi, err := index.Build(db[:20], index.KindIVF, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand := CandidateEngine{Inner: RocchioEngine{}, Index: bi, C: 5}
+	stats := &shard.Stats{}
+	cand := wholeDB(retrieval.RocchioEngine{}, db, bi, 5, stats)
 	_, err = cand.Rank(db, candLabels(db, 2, 0))
-	if err == nil {
-		t.Fatal("stale index accepted")
-	}
 	// The typed sentinel is what lets live sessions distinguish a
 	// losable race from a real failure.
-	if !errors.Is(err, ErrStaleIndex) {
-		t.Fatalf("stale index error %v does not wrap ErrStaleIndex", err)
+	if !errors.Is(err, retrieval.ErrStaleIndex) {
+		t.Fatalf("stale index: got %v, want ErrStaleIndex", err)
+	}
+	if stats.FullRounds.Load() != 0 || stats.ShardErrors.Load() != 0 {
+		t.Fatalf("stale index counted as a lost shard: full=%d errors=%d", stats.FullRounds.Load(), stats.ShardErrors.Load())
 	}
 	if name := cand.Name(); name == "" {
 		t.Fatal("empty engine name")
@@ -222,11 +211,11 @@ func TestCandidateStaleGeneration(t *testing.T) {
 		if _, err := bi.Update(cur); err != nil {
 			t.Fatal(err)
 		}
-		cand := CandidateEngine{Inner: RocchioEngine{}, Index: bi, C: 5}
-		if _, err := cand.Rank(old, labels); !errors.Is(err, ErrStaleIndex) {
+		inner := retrieval.RocchioEngine{}
+		if _, err := wholeDB(inner, old, bi, 5, nil).Rank(old, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
 			t.Fatalf("%s: ranking the superseded database returned %v, want ErrStaleIndex", kind, err)
 		}
-		ranking, err := cand.Rank(cur, labels)
+		ranking, err := wholeDB(inner, cur, bi, 5, nil).Rank(cur, labels)
 		if err != nil {
 			t.Fatalf("%s: current database: %v", kind, err)
 		}
@@ -238,11 +227,9 @@ func TestCandidateStaleGeneration(t *testing.T) {
 
 // seedingEngine wraps an Engine with canned round-0 probes, standing
 // in for a predicate query. (The identity test against the real
-// predicate engine lives in predicate_seed_test.go, outside this
-// package — predicate imports retrieval through query, so it cannot
-// be imported here.)
+// predicate engine lives in predicate_seed_test.go.)
 type seedingEngine struct {
-	Engine
+	retrieval.Engine
 	probes [][]float64
 }
 
@@ -250,8 +237,7 @@ func (s seedingEngine) SeedProbes([]window.VS) [][]float64 { return s.probes }
 
 // TestCandidateSeededIdentity: the C=N identity extends to seeded
 // sessions — with no feedback at all, a probe-seeding engine at C=N
-// must reproduce its own unwrapped ranking, whether it seeds as the
-// inner engine or through the explicit Seeder field.
+// must reproduce its own unwrapped ranking.
 func TestCandidateSeededIdentity(t *testing.T) {
 	db := candSynthDB(7, 60)
 	probes := [][]float64{db[0].TSs[0].Flat(), db[7].TSs[0].Flat()}
@@ -265,21 +251,18 @@ func TestCandidateSeededIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			stats := &shard.Stats{}
 			seeded := seedingEngine{Engine: inner, probes: probes}
-			for name, cand := range map[string]CandidateEngine{
-				"inner-seeder":    {Inner: seeded, Index: bi, C: len(db)},
-				"explicit-seeder": {Inner: inner, Seeder: seeded, Index: bi, C: len(db)},
-			} {
-				got, err := cand.Rank(db, map[int]mil.Label{})
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", kind, inner.Name(), name, err)
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s %s %s: seeded C=N rank diverges at %d: got %d want %d",
-							kind, inner.Name(), name, i, got[i], want[i])
-					}
-				}
+			got, err := wholeDB(seeded, db, bi, len(db), stats).Rank(db, map[int]mil.Label{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, inner.Name(), err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %s: seeded C=N ranking diverges\ngot  %v\nwant %v", kind, inner.Name(), got, want)
+			}
+			if stats.SeededRounds.Load() != 1 || stats.PrunedRounds.Load() != 1 {
+				t.Fatalf("%s %s: seeded=%d pruned=%d, want the C=N round seeded and pruned",
+					kind, inner.Name(), stats.SeededRounds.Load(), stats.PrunedRounds.Load())
 			}
 		}
 	}
@@ -295,14 +278,10 @@ func TestCandidateSeededPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := MILEngine{Opt: mil.DefaultOptions()}
-	stats := &CandidateStats{}
-	cand := CandidateEngine{
-		Inner:  inner,
-		Seeder: seedingEngine{Engine: inner, probes: [][]float64{db[0].TSs[0].Flat()}},
-		Index:  bi, C: 10, Stats: stats,
-	}
-	got, err := cand.Rank(db, map[int]mil.Label{})
+	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+	stats := &shard.Stats{}
+	seeded := seedingEngine{Engine: inner, probes: [][]float64{db[0].TSs[0].Flat()}}
+	got, err := wholeDB(seeded, db, bi, 10, stats).Rank(db, map[int]mil.Label{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,37 +293,31 @@ func TestCandidateSeededPrunes(t *testing.T) {
 		seen[p] = true
 	}
 	if stats.SeededRounds.Load() != 1 || stats.PrunedRounds.Load() != 1 || stats.FullRounds.Load() != 0 {
-		t.Fatalf("seeded round stats %+v, want one seeded pruned round", stats)
+		t.Fatalf("seeded=%d pruned=%d full=%d, want one seeded pruned round",
+			stats.SeededRounds.Load(), stats.PrunedRounds.Load(), stats.FullRounds.Load())
 	}
-	head := got[:10]
-	found := false
-	for _, p := range head {
-		if p == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("probe's own bag missing from the pruned head %v", head)
+	if !slices.Contains(got[:10], 0) {
+		t.Fatalf("probe's own bag missing from the pruned head %v", got[:10])
 	}
 	// A seeder returning nothing must leave the full-delegation
 	// behaviour untouched.
-	cand.Seeder = seedingEngine{Engine: inner}
-	if _, err := cand.Rank(db, map[int]mil.Label{}); err != nil {
+	if _, err := wholeDB(seedingEngine{Engine: inner}, db, bi, 10, stats).Rank(db, map[int]mil.Label{}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.FullRounds.Load() != 1 {
-		t.Fatalf("empty seeder did not delegate: %+v", stats)
+	if stats.FullRounds.Load() != 1 || stats.SeededRounds.Load() != 1 {
+		t.Fatalf("empty seeder did not delegate: full=%d seeded=%d", stats.FullRounds.Load(), stats.SeededRounds.Load())
 	}
 }
 
 // TestCandidateStoredOrder: a pruned round that filters a stored
 // heuristic order ranks exactly as one that computes the order, for
-// every engine and both index kinds. Only pruned rounds read the
-// order — round 0 without probes and C = N delegate without it — and
-// an order of the wrong length fails the round with ErrStaleIndex.
+// every engine and both index kinds. Only rounds that leave a
+// remainder read the order — round 0 without probes and C = N do not
+// — and an order of the wrong length fails the round with
+// ErrStaleIndex.
 func TestCandidateStoredOrder(t *testing.T) {
 	db := candSynthDB(9, 80)
-	order := HeuristicOrder(db)
+	order := retrieval.HeuristicOrder(db)
 	for _, kind := range index.Kinds() {
 		bi, err := index.Build(db, kind, index.Options{})
 		if err != nil {
@@ -361,12 +334,13 @@ func TestCandidateStoredOrder(t *testing.T) {
 				{map[int]mil.Label{}, 12, 0},
 			} {
 				reads := 0
-				stored := CandidateEngine{Inner: eng, Index: bi, C: tc.c, Order: func() []int { reads++; return order }}
+				stored := wholeDB(eng, db, bi, tc.c, nil)
+				stored.Order = func() []int { reads++; return order }
 				got, err := stored.Rank(db, tc.labels)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := CandidateEngine{Inner: eng, Index: bi, C: tc.c}.Rank(db, tc.labels)
+				want, err := wholeDB(eng, db, bi, tc.c, nil).Rank(db, tc.labels)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -378,8 +352,9 @@ func TestCandidateStoredOrder(t *testing.T) {
 						kind, eng.Name(), tc.c, len(tc.labels), reads, tc.reads)
 				}
 			}
-			stale := CandidateEngine{Inner: eng, Index: bi, C: 12, Order: func() []int { return order[:len(order)-1] }}
-			if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, ErrStaleIndex) {
+			stale := wholeDB(eng, db, bi, 12, nil)
+			stale.Order = func() []int { return order[:len(order)-1] }
+			if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, retrieval.ErrStaleIndex) {
 				t.Fatalf("%s %s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
 			}
 		}

@@ -1,8 +1,8 @@
-// Predicate-seeded candidate sessions, tested against the real
-// compiled predicate engine. This lives outside package retrieval
-// because predicate imports retrieval (through query); the in-package
-// fake-seeder tests in candidate_test.go cover the same plumbing with
-// synthetic probes.
+// Predicate-seeded candidate sessions on the unsharded pruned engine,
+// tested against the real compiled predicate engine. This lives
+// outside package retrieval because predicate imports retrieval
+// (through query); the fake-seeder tests in candidate_test.go cover
+// the same plumbing with synthetic probes.
 package retrieval_test
 
 import (
@@ -14,7 +14,7 @@ import (
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
 	"milvideo/internal/predicate"
-	"milvideo/internal/retrieval"
+	"milvideo/internal/shard"
 	"milvideo/internal/window"
 )
 
@@ -85,8 +85,7 @@ func TestCandidatePredicateSeededIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cand := retrieval.CandidateEngine{Inner: eng, Index: bi, C: len(db)}
-		got, err := cand.Rank(db, map[int]mil.Label{})
+		got, err := wholeDB(eng, db, bi, len(db), nil).Rank(db, map[int]mil.Label{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,14 +108,13 @@ func TestCandidatePredicateSeededPrunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := &retrieval.CandidateStats{}
-	cand := retrieval.CandidateEngine{Inner: eng, Index: bi, C: 12, Stats: stats}
-	got, err := cand.Rank(db, map[int]mil.Label{})
+	stats := &shard.Stats{}
+	got, err := wholeDB(eng, db, bi, 12, stats).Rank(db, map[int]mil.Label{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.SeededRounds.Load() != 1 || stats.PrunedRounds.Load() != 1 {
-		t.Fatalf("stats %+v, want one seeded pruned round", stats)
+		t.Fatalf("seeded=%d pruned=%d, want one seeded pruned round", stats.SeededRounds.Load(), stats.PrunedRounds.Load())
 	}
 	inHead := map[int]bool{}
 	for _, p := range got[:12] {

@@ -227,3 +227,30 @@ func BenchmarkRerankUnion(b *testing.B) {
 		})
 	}
 }
+
+// candSynthDB builds a seeded synthetic VS database: mostly smooth
+// traffic, a few accident-like spikes, 1–3 TSs per bag.
+func candSynthDB(seed int64, n int) []window.VS {
+	rng := rand.New(rand.NewSource(seed))
+	db := make([]window.VS, n)
+	for i := range db {
+		vs := window.VS{Index: i, StartFrame: i * 15, EndFrame: i*15 + 10}
+		spike := i%7 == 0
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			ts := window.TS{TrackID: i*10 + k}
+			for p := 0; p < 3; p++ {
+				v := []float64{rng.Float64() * 0.1, rng.Float64() * 0.3, rng.Float64() * 0.1}
+				if spike && k == 0 && p == 1 {
+					v = []float64{0.4 + rng.Float64()*0.1, 2.5 + rng.Float64(), 1 + rng.Float64()*0.3}
+				}
+				ts.Vectors = append(ts.Vectors, v)
+			}
+			vs.TSs = append(vs.TSs, ts)
+		}
+		db[i] = vs
+	}
+	return db
+}
+
+// CandSynthDB exposes candSynthDB to the package's external tests.
+var CandSynthDB = candSynthDB

@@ -11,6 +11,7 @@ import (
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
 	"milvideo/internal/retrieval"
+	"milvideo/internal/shard"
 )
 
 // recallAt10 measures the overlap of the first 10 ranked positions.
@@ -34,10 +35,11 @@ func recallAt10(got, want []int) float64 {
 
 // TestIndexSmokeRecall is the CI smoke gate for the candidate index:
 // on the demo catalog, a 5-round feedback session routed through
-// either index kind — exact-probing or quantized — must keep
-// recall@10 against the exact ranking at 1.0 with C = N (identity by
-// construction: C ≥ N delegates to the exact engine) and at ≥ 0.9
-// with C = N/4. Recall is judged per round against the exact engine
+// either index kind — exact-probing or quantized — on the unsharded
+// (S = 1) pruned engine must keep recall@10 against the exact ranking
+// at 1.0 with C = N (identity by construction: completion hits
+// reassemble the whole clip for the exact re-rank) and at ≥ 0.9 with
+// C = N/4. Recall is judged per round against the exact engine
 // run on the very same accumulated labels, so it isolates pruning
 // error from feedback drift.
 func TestIndexSmokeRecall(t *testing.T) {
@@ -62,9 +64,10 @@ func TestIndexSmokeRecall(t *testing.T) {
 				{n / 4, 0.9},
 			} {
 				exact := retrieval.MILEngine{Opt: mil.DefaultOptions()}
-				indexed := retrieval.CandidateEngine{
-					Inner: retrieval.MILEngine{Opt: mil.DefaultOptions()},
-					Index: bi, C: tc.c,
+				indexed := &shard.Engine{
+					Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions()},
+					Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}},
+					C:       tc.c,
 				}
 				labels := make(map[int]mil.Label)
 				for round := 0; round < 5; round++ {
@@ -110,7 +113,7 @@ func TestQueryIndexAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Engine, "candidate(vptree,C=10)") {
+	if !strings.Contains(resp.Engine, "sharded(S=1,C=10)") {
 		t.Fatalf("indexed session reports engine %q", resp.Engine)
 	}
 	labels := make([]FeedbackLabel, len(resp.TopK))
@@ -167,8 +170,14 @@ func TestQueryIndexAPI(t *testing.T) {
 	if httpResp.StatusCode != http.StatusCreated {
 		t.Fatalf("URL-overridden query got HTTP %d", httpResp.StatusCode)
 	}
-	if !strings.Contains(round.Engine, "candidate(ivf,C=5)") {
+	if !strings.Contains(round.Engine, "sharded(S=1,C=5)") {
 		t.Fatalf("URL override produced engine %q", round.Engine)
+	}
+	srv.indexes.mu.Lock()
+	_, ivf := srv.indexes.entries[indexCacheKey{clip: rec.Name, shard: wholeClipShard, kind: index.KindIVF}]
+	srv.indexes.mu.Unlock()
+	if !ivf {
+		t.Fatal("URL override did not build the ivf index")
 	}
 
 	// Malformed overrides fail loudly.
@@ -245,14 +254,14 @@ func TestQueryIndexDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(resp.Engine, "candidate(vptree,C=7)") {
+	if !strings.Contains(resp.Engine, "sharded(S=1,C=7)") {
 		t.Fatalf("default-index session reports engine %q", resp.Engine)
 	}
 	resp, err = client.Query(ctx, QueryRequest{Clip: rec.Name, TopK: 5, Index: "exact"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(resp.Engine, "candidate") {
+	if strings.Contains(resp.Engine, "sharded") {
 		t.Fatalf("exact override still indexed: %q", resp.Engine)
 	}
 }

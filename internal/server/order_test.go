@@ -9,7 +9,7 @@ import (
 	"milvideo/internal/core"
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
-	"milvideo/internal/retrieval"
+	"milvideo/internal/shard"
 )
 
 // orderComputed reports whether the server's memo holds a computed
@@ -85,8 +85,8 @@ func TestHeuristicOrderOnlyPrunedRounds(t *testing.T) {
 // TestHeuristicOrderFollowsBacking: the stored order is reused by VS
 // backing identity, never by length. A pruned session stores clip a's
 // order; db.Replace then swaps in a different record of the same
-// length, and a new session's pruned round must rank exactly as a
-// CandidateEngine with no stored order over the new record.
+// length, and a new session's pruned round must rank exactly as an
+// unsharded pruned engine with no stored order over the new record.
 func TestHeuristicOrderFollowsBacking(t *testing.T) {
 	recA, err := ScaledDemoRecord(1, 2)
 	if err != nil {
@@ -143,7 +143,8 @@ func TestHeuristicOrderFollowsBacking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranking, err := retrieval.CandidateEngine{Inner: inner, Index: bi, C: c}.Rank(recB.VSs, labels)
+	ref := &shard.Engine{Inner: inner, Probers: []shard.Prober{shard.LocalProber{VSs: recB.VSs, Index: bi}}, C: c}
+	ranking, err := ref.Rank(recB.VSs, labels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +153,6 @@ func TestHeuristicOrderFollowsBacking(t *testing.T) {
 		want[i] = recB.VSs[pos].Index
 	}
 	if !slices.Equal(resp.Ranking, want) {
-		t.Fatal("pruned round over the replaced record diverges from a CandidateEngine computing its own order")
+		t.Fatal("pruned round over the replaced record diverges from an engine computing its own order")
 	}
 }

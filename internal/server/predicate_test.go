@@ -66,7 +66,7 @@ func TestQueryPredicate(t *testing.T) {
 }
 
 // TestQueryPredicateIdentity: the same judged predicate session served
-// three ways — exact, through the candidate engine at C = N, and
+// three ways — exact, through the unsharded pruned engine at C = N, and
 // scatter–gathered across 3 in-process shards — returns identical
 // final rankings, and the sharded round-0 scatter is accounted as a
 // seeded round (its probes came from the predicate's own seeds, not
@@ -120,8 +120,8 @@ func TestQueryPredicateIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shard == nil || stats.Shard.SeededRounds < 1 {
-		t.Fatalf("predicate round 0 not accounted as a seeded scatter: %+v", stats.Shard)
+	if stats.Shard == nil || stats.Index.SeededRounds < 1 {
+		t.Fatalf("predicate round 0 not accounted as a seeded scatter: %+v", stats.Index)
 	}
 }
 

@@ -98,23 +98,20 @@ type Config struct {
 	// Clock overrides time.Now for TTL tests.
 	Clock func() time.Time
 
-	// Shards, when > 1, serves indexed sessions through the
-	// in-process sharded scatter–gather engine: each clip's VS
-	// database is partitioned across Shards consistent-hash shards,
-	// each shard maintains its own candidate index (per-(clip, shard,
-	// kind) cache entries, built and delta-maintained in parallel on
-	// generation bumps), and every indexed round scatters its probes
-	// across them. C >= N sessions still reproduce the exact
-	// unsharded ranking. 0 or 1 disables.
+	// Shards, when > 1, partitions each clip's VS database across
+	// Shards in-process consistent-hash shards: each shard maintains
+	// its own candidate index (per-(clip, shard, kind) cache entries,
+	// built and delta-maintained in parallel on generation bumps), and
+	// every indexed round scatters its probes across them. 0 or 1
+	// serves indexed sessions as one shard over the whole clip. Every
+	// shard count runs the same engine, and C >= N sessions reproduce
+	// the exact ranking at each.
 	Shards int
-	// ShardTimeout bounds each shard's probe in a scattered round and
+	// ShardTimeout bounds each shard's probe in an indexed round and
 	// each coordinator→worker catalog forward. A shard that misses it
 	// is dropped from the round (partial results, counted in
 	// /v1/stats). Default 10s.
 	ShardTimeout time.Duration
-	// ShardWorkers bounds concurrent shard probes per round (0 = all
-	// shards at once).
-	ShardWorkers int
 	// ShardURLs, when set, turns the server into a cluster
 	// coordinator: it owns the full catalog and re-ranks centrally,
 	// but indexed rounds scatter their probes to these shard workers'
@@ -174,25 +171,24 @@ type Server struct {
 	cfg     Config
 	store   *sessionStore
 	metrics *Metrics
-	// indexes caches built candidate indexes per (clip, kind,
-	// generation); candStats accumulates every session's probe work.
-	indexes   *indexCache
-	candStats *retrieval.CandidateStats
-	sem       chan struct{}
-	mux       *http.ServeMux
+	// indexes caches built candidate indexes per (clip, shard, kind);
+	// engineStats accumulates every indexed session's round counters.
+	indexes     *indexCache
+	engineStats *shard.Stats
+	sem         chan struct{}
+	mux         *http.ServeMux
 	// roundSeq numbers every round attempt across all sessions; the
 	// fault injector keys its per-round decisions to it, so a fault
 	// schedule is a deterministic function of (seed, arrival order).
 	roundSeq atomic.Uint64
 
 	// memo holds each clip's stored heuristic order for pruned rounds
-	// and, when sharding in process, its partition.
+	// and the parts its in-process probers cover.
 	memo *clipMemo
 	// Sharded serving state: the partition-filter ring (worker mode),
-	// the scatter engine's shared counters, the optional per-shard
-	// chaos hook, and the coordinator's worker nodes (cluster mode).
+	// the optional per-shard chaos hook, and the coordinator's worker
+	// nodes (cluster mode).
 	partRing   *shard.Ring
-	shardStats *shard.Stats
 	shardFault func(shard int, seq uint64) (time.Duration, error)
 	shardNodes []*shardNode
 
@@ -225,17 +221,16 @@ func New(cfg Config) (*Server, error) {
 		return nil, errors.New("server: ingest daemon is incompatible with cluster modes")
 	}
 	s := &Server{
-		cfg:       cfg,
-		store:     newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Clock),
-		metrics:   &Metrics{},
-		indexes:   newIndexCache(cfg.IndexOptions),
-		candStats: &retrieval.CandidateStats{},
-		sem:       make(chan struct{}, cfg.RerankWorkers),
-		mux:       http.NewServeMux(),
-		stop:      make(chan struct{}),
-		stopped:   make(chan struct{}),
+		cfg:         cfg,
+		store:       newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Clock),
+		metrics:     &Metrics{},
+		indexes:     newIndexCache(cfg.IndexOptions),
+		engineStats: &shard.Stats{},
+		sem:         make(chan struct{}, cfg.RerankWorkers),
+		mux:         http.NewServeMux(),
+		stop:        make(chan struct{}),
+		stopped:     make(chan struct{}),
 	}
-	s.shardStats = &shard.Stats{}
 	s.shardFault = shardFaultHook(cfg.Faults)
 	var ring *shard.Ring
 	if len(cfg.ShardURLs) > 0 {
@@ -410,11 +405,14 @@ type IndexStats struct {
 	// training time.
 	Tombstones       int64   `json:"tombstones"`
 	QuantizerTrainMs float64 `json:"quantizer_train_ms"`
-	// PrunedRounds ranked through a candidate set; FullRounds fell
-	// back to exact ranking (no feedback yet, or C ≥ N).
-	// SeededRounds are the subset of pruned rounds whose probes came
-	// from the engine's own seeds (predicate sessions before any
-	// positive feedback) rather than positive-labeled bags.
+	// PrunedRounds ranked through a scattered candidate set (C ≥ N
+	// rounds included, whose candidate set is the whole clip);
+	// FullRounds fell back to exact ranking (no probes yet, or every
+	// shard lost). SeededRounds are the subset of pruned rounds whose
+	// probes came from the engine's own seeds (predicate sessions
+	// before any positive feedback) rather than positive-labeled bags.
+	// The counters cover every shard count, unsharded (S = 1)
+	// included.
 	PrunedRounds int64 `json:"pruned_rounds"`
 	FullRounds   int64 `json:"full_rounds"`
 	SeededRounds int64 `json:"seeded_rounds"`
@@ -639,35 +637,37 @@ func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (index.Kind, i
 	return kind, cand, nil
 }
 
-// engineFor wraps a session's base ranking engine in this server's
-// candidate-index machinery for one catalog snapshot: the cluster
-// scatter engine, the in-process sharded engine, or a plain
-// CandidateEngine over the cached whole-clip index. Each reads the
-// clip's stored heuristic order from the memo, which computes it on
-// the first pruned round. kind == "" returns base unchanged (exact
-// ranking). Live sessions call it again every round with that round's
-// snapshot.
+// engineFor wraps a session's base ranking engine in the pruned
+// engine (shard.Engine) for one catalog snapshot. Its probes go to
+// the cluster's shard workers over HTTP, or to in-process probers:
+// one per ring partition when sharding in process, else one over the
+// whole clip (S = 1). The engine reads the clip's stored heuristic
+// order from the memo, which computes it on the first pruned round.
+// kind == "" returns base unchanged (exact ranking). Live sessions
+// call it again every round with that round's snapshot.
 func (s *Server) engineFor(base retrieval.Engine, rec *videodb.ClipRecord, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
 	if kind == "" {
 		return base, nil
 	}
 	entry := s.memo.get(rec.Name, rec.VSs)
-	switch {
-	case len(s.shardNodes) > 0:
-		// Cluster mode: probes scatter to the shard workers over
-		// HTTP; the union re-ranks here against the full catalog.
-		return s.clusterEngine(base, rec.Name, entry, kind, cand), nil
-	case s.memo.ring != nil:
-		// In-process sharded mode: one maintained index per
-		// (clip, shard, kind), probed concurrently.
-		return s.shardedEngine(base, rec, entry, gen, kind, cand)
-	default:
-		bi, err := s.indexFor(rec.Name, wholeClipShard, rec.VSs, kind, gen)
-		if err != nil {
+	var probers []shard.Prober
+	if len(s.shardNodes) > 0 {
+		probers = s.clusterProbers(rec, kind)
+	} else {
+		var err error
+		if probers, err = s.localProbers(rec.Name, entry, gen, kind); err != nil {
 			return nil, err
 		}
-		return retrieval.CandidateEngine{Inner: base, Index: bi, C: cand, Stats: s.candStats, Order: entry.heuristicOrder}, nil
 	}
+	return &shard.Engine{
+		Inner:   base,
+		Probers: probers,
+		C:       cand,
+		Timeout: s.cfg.ShardTimeout,
+		Stats:   s.engineStats,
+		Fault:   s.shardFault,
+		Order:   entry.heuristicOrder,
+	}, nil
 }
 
 // named overrides an engine's reported name: a sketch seed is a
@@ -1002,12 +1002,12 @@ func (s *Server) Stats() *StatsResponse {
 			CacheHits:          s.metrics.IndexCacheHits.Value(),
 			IncrementalApplies: s.metrics.IndexApplies.Value(),
 			ForcedRebuilds:     s.metrics.IndexRebuilds.Value(),
-			PrunedRounds:       s.candStats.PrunedRounds.Load(),
-			FullRounds:         s.candStats.FullRounds.Load(),
-			SeededRounds:       s.candStats.SeededRounds.Load(),
-			Probes:             s.candStats.Probes.Load(),
-			DistEvals:          s.candStats.DistEvals.Load(),
-			CandidatesRanked:   s.candStats.CandidatesRanked.Load(),
+			PrunedRounds:       s.engineStats.PrunedRounds.Load(),
+			FullRounds:         s.engineStats.FullRounds.Load(),
+			SeededRounds:       s.engineStats.SeededRounds.Load(),
+			Probes:             s.engineStats.Probes.Load(),
+			DistEvals:          s.engineStats.DistEvals.Load(),
+			CandidatesRanked:   s.engineStats.CandidatesRanked.Load(),
 			BuildLatency:       s.metrics.IndexBuild.Summary(),
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -19,12 +20,14 @@ import (
 
 // clipMemo memoizes what serving derives from each clip's VS database:
 // its §5.3 heuristic order, which pruned rounds filter for their
-// remainder, and its consistent-hash partition when sharding in
-// process (stable part slices keep the per-shard index cache's
-// backing-identity test absorbing generation bumps as deltas). An
-// entry is reused only while the clip's VS backing array is the one
-// it was computed over (videodb.SharesBacking), never by length: a
-// live commit can evict and append as many windows as it drops.
+// remainder, and the slices its in-process probers cover — the
+// consistent-hash partition when sharding in process (stable part
+// slices keep the per-shard index cache's backing-identity test
+// absorbing generation bumps as deltas), else the whole clip as one
+// part. An entry is reused only while the clip's VS backing array is
+// the one it was computed over (videodb.SharesBacking), never by
+// length: a live commit can evict and append as many windows as it
+// drops.
 type clipMemo struct {
 	mu      sync.Mutex
 	ring    *shard.Ring // nil unless sharding in process
@@ -32,8 +35,10 @@ type clipMemo struct {
 }
 
 type clipMemoEntry struct {
-	vss   []window.VS
-	parts []shard.Part // nil unless the memo has a ring
+	vss []window.VS
+	// parts is the ring partition, or without a ring the whole clip
+	// as one part with identity positions (Pos nil).
+	parts []shard.Part
 	// order is HeuristicOrder(vss), computed under mu by the first
 	// pruned round that needs it.
 	mu    sync.Mutex
@@ -52,7 +57,7 @@ func (c *clipMemo) get(name string, vss []window.VS) *clipMemoEntry {
 	if e, ok := c.entries[name]; ok && videodb.SharesBacking(e.vss, vss) {
 		return e
 	}
-	e := &clipMemoEntry{vss: vss}
+	e := &clipMemoEntry{vss: vss, parts: []shard.Part{{VSs: vss}}}
 	if c.ring != nil {
 		e.parts = shard.PartitionVS(c.ring, name, vss)
 	}
@@ -103,28 +108,33 @@ func (s *Server) indexFor(clip string, sh int, vss []window.VS, kind index.Kind,
 	return bi, nil
 }
 
-// shardedEngine wraps inner in the in-process scatter–gather engine:
-// the clip's partition (memoized by backing identity), one maintained
-// index per (clip, shard, kind), a LocalProber over each part. The S
-// per-part index fetches run concurrently — builds on first use and
-// delta applications on generation bumps alike — so maintenance cost
-// arrives as S parallel ~1/S-sized units instead of one clip-sized
-// pass.
-func (s *Server) shardedEngine(inner retrieval.Engine, rec *videodb.ClipRecord, entry *clipMemoEntry, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
+// localProbers returns one LocalProber per in-process part of the
+// clip (memoized by backing identity), each over a maintained index
+// per (clip, shard, kind). Unsharded, the one part is the whole clip
+// under wholeClipShard, so its sessions and /v1/scatter share one
+// index per kind. The part fetches run concurrently — builds on first
+// use and delta applications on generation bumps alike — so with S
+// shards maintenance cost arrives as S parallel ~1/S-sized units
+// instead of one clip-sized pass.
+func (s *Server) localProbers(clip string, entry *clipMemoEntry, gen uint64, kind index.Kind) ([]shard.Prober, error) {
 	parts := entry.parts
 	probers := make([]shard.Prober, len(parts))
 	errs := make([]error, len(parts))
 	var wg sync.WaitGroup
 	for i := range parts {
+		sh := i
+		if s.memo.ring == nil {
+			sh = wholeClipShard
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bi, err := s.indexFor(rec.Name, i, parts[i].VSs, kind, gen)
+			bi, err := s.indexFor(clip, sh, parts[i].VSs, kind, gen)
 			if err != nil {
 				errs[i] = err
 				return
 			}
-			probers[i] = shard.LocalProber{VSs: parts[i].VSs, Index: bi}
+			probers[i] = shard.LocalProber{VSs: parts[i].VSs, Pos: parts[i].Pos, Index: bi}
 		}(i)
 	}
 	wg.Wait()
@@ -133,16 +143,7 @@ func (s *Server) shardedEngine(inner retrieval.Engine, rec *videodb.ClipRecord, 
 			return nil, err
 		}
 	}
-	return &shard.Engine{
-		Inner:   inner,
-		Probers: probers,
-		C:       cand,
-		Timeout: s.cfg.ShardTimeout,
-		Workers: s.cfg.ShardWorkers,
-		Stats:   s.shardStats,
-		Fault:   s.shardFault,
-		Order:   entry.heuristicOrder,
-	}, nil
+	return probers, nil
 }
 
 // shardFaultHook adapts the chaos injector to the scatter engine's
@@ -171,13 +172,19 @@ type ScatterRequest struct {
 
 // ScatterResponse carries the shard's local top-C hits. Bags is the
 // shard's partition size for the clip (0 when it owns none of it).
-// Hits use shard.Hit's wire convention: dist < 0 means the bag was
-// returned by completion (+Inf), not probing.
 type ScatterResponse struct {
-	Hits      []shard.Hit `json:"hits"`
-	Bags      int         `json:"bags"`
-	Probes    int         `json:"probes"`
-	DistEvals int         `json:"dist_evals"`
+	Hits      []ScatterHit `json:"hits"`
+	Bags      int          `json:"bags"`
+	Probes    int          `json:"probes"`
+	DistEvals int          `json:"dist_evals"`
+}
+
+// ScatterHit is one bag of a scatter answer: its VS index and its
+// distance to the nearest probe. Dist < 0 means the bag was returned
+// by completion (+Inf), not probing — JSON cannot carry +Inf.
+type ScatterHit struct {
+	VS   int     `json:"vs"`
+	Dist float64 `json:"dist"`
 }
 
 // handleScatter answers a coordinator's probe from this worker's
@@ -218,14 +225,21 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	hits, pstats, err := shard.ProbeLocal(rec.VSs, bi, req.Probes, req.Candidates)
+	hits, pstats, err := shard.LocalProber{VSs: rec.VSs, Index: bi}.Probe(r.Context(), req.Probes, req.Candidates)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
+	wire := make([]ScatterHit, len(hits))
+	for i, h := range hits {
+		wire[i] = ScatterHit{VS: rec.VSs[h.Pos].Index, Dist: h.Dist}
+		if math.IsInf(h.Dist, 1) {
+			wire[i].Dist = -1
+		}
+	}
 	s.metrics.ScatterServed.Add(1)
 	writeJSON(w, http.StatusOK, &ScatterResponse{
-		Hits:      hits,
+		Hits:      wire,
 		Bags:      len(rec.VSs),
 		Probes:    pstats.Probes,
 		DistEvals: pstats.DistEvals,
@@ -243,14 +257,17 @@ type shardNode struct {
 }
 
 // httpProber scatters one clip's probes to one worker's /v1/scatter.
+// pos maps the VS indices the wire carries to positions in the
+// database the session ranks.
 type httpProber struct {
 	node *shardNode
 	clip string
 	kind index.Kind
+	pos  map[int]int
 }
 
 // Probe implements shard.Prober.
-func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]shard.Hit, index.ProbeStats, error) {
+func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]index.BagHit, index.ProbeStats, error) {
 	start := time.Now()
 	resp, err := p.node.client.Scatter(ctx, ScatterRequest{
 		Clip:       p.clip,
@@ -267,27 +284,38 @@ func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]sha
 		}
 		return nil, index.ProbeStats{}, err
 	}
-	return resp.Hits, index.ProbeStats{Probes: resp.Probes, DistEvals: resp.DistEvals}, nil
+	hits := make([]index.BagHit, 0, len(resp.Hits))
+	for _, h := range resp.Hits {
+		pos, ok := p.pos[h.VS]
+		if !ok {
+			// A worker whose catalog view ran ahead of (or behind) the
+			// coordinator's may answer with bags the session's database
+			// does not hold; they cannot be ranked and are dropped —
+			// degradation, not corruption.
+			continue
+		}
+		d := h.Dist
+		if d < 0 {
+			d = math.Inf(1)
+		}
+		hits = append(hits, index.BagHit{Pos: pos, Dist: d})
+	}
+	return hits, index.ProbeStats{Probes: resp.Probes, DistEvals: resp.DistEvals}, nil
 }
 
-// clusterEngine wraps inner in the cluster scatter–gather engine:
-// probes fan to the shard workers over HTTP, the merged union
+// clusterProbers returns one HTTP prober per shard worker for a
+// session over rec: probes fan to the workers, and the merged union
 // re-ranks centrally against the coordinator's full catalog.
-func (s *Server) clusterEngine(inner retrieval.Engine, clip string, entry *clipMemoEntry, kind index.Kind, cand int) retrieval.Engine {
+func (s *Server) clusterProbers(rec *videodb.ClipRecord, kind index.Kind) []shard.Prober {
+	pos := make(map[int]int, len(rec.VSs))
+	for p, vs := range rec.VSs {
+		pos[vs.Index] = p
+	}
 	probers := make([]shard.Prober, len(s.shardNodes))
 	for i, n := range s.shardNodes {
-		probers[i] = httpProber{node: n, clip: clip, kind: kind}
+		probers[i] = httpProber{node: n, clip: rec.Name, kind: kind, pos: pos}
 	}
-	return &shard.Engine{
-		Inner:   inner,
-		Probers: probers,
-		C:       cand,
-		Timeout: s.cfg.ShardTimeout,
-		Workers: s.cfg.ShardWorkers,
-		Stats:   s.shardStats,
-		Fault:   s.shardFault,
-		Order:   entry.heuristicOrder,
-	}
+	return probers
 }
 
 // forwardToShards relays a catalog write to every shard worker so
@@ -306,15 +334,15 @@ func (s *Server) forwardToShards(ctx context.Context, f func(ctx context.Context
 	}
 }
 
-// ShardStats reports the scatter–gather subsystem in /v1/stats. The
-// in-process sharded engine and the coordinator share the counters;
-// shard workers report the probes they served under scatter_served.
+// ShardStats reports what only sharded serving has in /v1/stats: the
+// topology, lost and partial shard probes, and scatter/merge time.
+// The round counters every indexed session shares (pruned, full and
+// seeded rounds, probe work, re-ranked bags) are in the index block
+// at every shard count. Shard workers report the probes they served
+// under scatter_served.
 type ShardStats struct {
 	Mode             string `json:"mode"` // "inprocess", "coordinator" or "worker"
 	Shards           int    `json:"shards"`
-	ScatterRounds    int64  `json:"scatter_rounds"`
-	FullRounds       int64  `json:"full_rounds"`
-	SeededRounds     int64  `json:"seeded_rounds"`
 	PartialRounds    int64  `json:"partial_rounds"`
 	AllFailedRounds  int64  `json:"all_failed_rounds"`
 	ShardTimeouts    int64  `json:"shard_timeouts"`
@@ -325,14 +353,11 @@ type ShardStats struct {
 	// against a scout bound (see shard.Engine's scout-and-carry
 	// scatter) — zero on coordinators, whose HTTP probers don't carry
 	// bounds.
-	BoundedProbes    int64   `json:"bounded_shard_probes"`
-	Probes           int64   `json:"probes"`
-	DistEvals        int64   `json:"dist_evals"`
-	MergedCandidates int64   `json:"merged_candidates"`
-	ScatterMsTotal   float64 `json:"scatter_ms_total"`
-	MergeMsTotal     float64 `json:"merge_ms_total"`
-	ScatterServed    int64   `json:"scatter_served,omitempty"`
-	ForwardErrors    int64   `json:"forward_errors,omitempty"`
+	BoundedProbes  int64   `json:"bounded_shard_probes"`
+	ScatterMsTotal float64 `json:"scatter_ms_total"`
+	MergeMsTotal   float64 `json:"merge_ms_total"`
+	ScatterServed  int64   `json:"scatter_served,omitempty"`
+	ForwardErrors  int64   `json:"forward_errors,omitempty"`
 }
 
 // ShardNodeStats is the coordinator's per-worker telemetry: scatter
@@ -375,9 +400,9 @@ func (s *Server) shardMode() string {
 	return ""
 }
 
-// shardStatsJSON snapshots the scatter counters.
+// shardStatsJSON snapshots the shard-only counters.
 func (s *Server) shardStatsJSON(mode string) *ShardStats {
-	st := s.shardStats
+	st := s.engineStats
 	shards := 0
 	switch mode {
 	case "coordinator":
@@ -390,9 +415,6 @@ func (s *Server) shardStatsJSON(mode string) *ShardStats {
 	return &ShardStats{
 		Mode:             mode,
 		Shards:           shards,
-		ScatterRounds:    st.ScatterRounds.Load(),
-		FullRounds:       st.FullRounds.Load(),
-		SeededRounds:     st.SeededRounds.Load(),
 		PartialRounds:    st.PartialRounds.Load(),
 		AllFailedRounds:  st.AllFailedRounds.Load(),
 		ShardTimeouts:    st.ShardTimeouts.Load(),
@@ -400,9 +422,6 @@ func (s *Server) shardStatsJSON(mode string) *ShardStats {
 		InjectedStalls:   st.InjectedStalls.Load(),
 		InjectedFailures: st.InjectedFailures.Load(),
 		BoundedProbes:    st.BoundedShardProbes.Load(),
-		Probes:           st.Probes.Load(),
-		DistEvals:        st.DistEvals.Load(),
-		MergedCandidates: st.MergedCandidates.Load(),
 		ScatterMsTotal:   ms(time.Duration(st.ScatterNs.Load())),
 		MergeMsTotal:     ms(time.Duration(st.MergeNs.Load())),
 		ScatterServed:    s.metrics.ScatterServed.Value(),

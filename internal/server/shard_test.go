@@ -44,8 +44,8 @@ func runJudgedSession(t *testing.T, client *Client, clip string, judge Judge, ro
 
 // TestInProcessShardedIdentity: a server partitioned across 3
 // in-process shards with C = N serves rankings identical to the
-// unsharded candidate server — round for round, over a full judged
-// session — and the scatter counters account for the rounds.
+// unsharded (S = 1) server — round for round, over a full judged
+// session — and the round counters account for the rounds.
 func TestInProcessShardedIdentity(t *testing.T) {
 	rec := synthRecord(t, 21, 6, 6, 36)
 	judge, err := JudgeFromRecord(rec, nil)
@@ -59,8 +59,8 @@ func TestInProcessShardedIdentity(t *testing.T) {
 	plainCfg.DB = testCatalog(t, rec)
 	_, plainClient := newTestServer(t, plainCfg)
 	wantRank, wantEngine := runJudgedSession(t, plainClient, rec.Name, judge, 4)
-	if !strings.Contains(wantEngine, "candidate(vptree") {
-		t.Fatalf("baseline engine %q is not the candidate engine", wantEngine)
+	if !strings.Contains(wantEngine, "sharded(S=1") {
+		t.Fatalf("baseline engine %q is not the unsharded pruned engine", wantEngine)
 	}
 
 	shardCfg := base
@@ -83,8 +83,8 @@ func TestInProcessShardedIdentity(t *testing.T) {
 		t.Fatalf("shard stats missing or wrong: %+v", stats.Shard)
 	}
 	// Rounds 1–3 carry positive labels and scatter; round 0 is full.
-	if stats.Shard.ScatterRounds < 1 || stats.Shard.FullRounds < 1 {
-		t.Fatalf("scatter/full rounds: %+v", stats.Shard)
+	if stats.Index.PrunedRounds < 1 || stats.Index.FullRounds < 1 {
+		t.Fatalf("pruned/full rounds: %+v", stats.Index)
 	}
 	if stats.Shard.PartialRounds != 0 || stats.Shard.AllFailedRounds != 0 {
 		t.Fatalf("healthy run degraded: %+v", stats.Shard)
@@ -208,8 +208,8 @@ func TestClusterScatterGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Shard == nil || stats.Shard.Mode != "coordinator" || stats.Shard.ScatterRounds < 1 {
-		t.Fatalf("coordinator shard stats: %+v", stats.Shard)
+	if stats.Shard == nil || stats.Shard.Mode != "coordinator" || stats.Index.PrunedRounds < 1 {
+		t.Fatalf("coordinator shard stats: %+v, index stats: %+v", stats.Shard, stats.Index)
 	}
 	if stats.Cluster == nil || stats.Cluster.Shards != workers || stats.Cluster.Reachable != workers {
 		t.Fatalf("cluster stats: %+v", stats.Cluster)
@@ -385,7 +385,7 @@ func TestLoadGenShardBreakdown(t *testing.T) {
 	if served < 1 {
 		t.Fatal("no worker reported served scatters")
 	}
-	if rep.ServerStats == nil || rep.ServerStats.Shard == nil || rep.ServerStats.Shard.ScatterRounds < 1 {
+	if rep.ServerStats == nil || rep.ServerStats.Shard == nil || rep.ServerStats.Index.PrunedRounds < 1 {
 		t.Fatal("coordinator report lacks scatter telemetry")
 	}
 }

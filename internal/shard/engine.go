@@ -1,11 +1,12 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,26 +17,21 @@ import (
 	"milvideo/internal/window"
 )
 
-// Hit is one shard's answer for one bag: the bag's global VS index
-// and the minimum Euclidean distance from any probe to any of its
-// instances (to their reconstructions on a quantized index). Dist < 0
-// encodes +Inf — the bag is on the shard but no probe reached it
-// (JSON cannot carry +Inf, so the wire uses the sentinel). Such
-// completion hits exist so that when the per-shard budget covers a
-// whole partition the shard answers with every bag it owns, which is
-// what lets a C ≥ N scatter reassemble the entire database and
-// reproduce the unsharded ranking.
-type Hit struct {
-	VS   int     `json:"vs"`
-	Dist float64 `json:"dist"`
-}
-
 // Prober answers a scatter probe for one shard: the shard's top-c
-// candidate bags by distance. Probers must be safe for concurrent
-// use. LocalProber serves an in-process partition; the server's HTTP
-// prober forwards to a shard worker's /v1/scatter endpoint.
+// candidate bags as (database position, distance) hits, in any order
+// (the gather sorts them). The distance is the minimum Euclidean
+// distance from any probe to any of the bag's instances (to their
+// reconstructions on a quantized index). When c covers the shard's
+// whole slice of the database, every bag no probe reached is
+// appended as a completion hit with distance +Inf, which is what lets
+// a C ≥ N scatter reassemble the entire database and reproduce the
+// exact ranking. Positions index the database the round ranks, so the
+// gather never maps VS indices. Probers must be safe for concurrent
+// use. LocalProber serves in-process slices; the server's HTTP prober
+// forwards to a shard worker's /v1/scatter endpoint and translates
+// the VS indices the wire carries.
 type Prober interface {
-	Probe(ctx context.Context, probes [][]float64, c int) ([]Hit, index.ProbeStats, error)
+	Probe(ctx context.Context, probes [][]float64, c int) ([]index.BagHit, index.ProbeStats, error)
 }
 
 // BoundedProber is the optional fast path of the scout-and-carry
@@ -46,78 +42,71 @@ type Prober interface {
 // prober) simply doesn't implement this; the engine falls back to
 // Probe and the scatter stays a plain fan-out.
 type BoundedProber interface {
-	ProbeBounded(ctx context.Context, probes [][]float64, c int, bounds []float64) ([]Hit, []float64, index.ProbeStats, error)
+	ProbeBounded(ctx context.Context, probes [][]float64, c int, bounds []float64) ([]index.BagHit, []float64, index.ProbeStats, error)
 }
 
-// LocalProber probes an in-process partition: the partition's VSs
-// and a BagIndex built over exactly them, in the same order.
+// LocalProber probes an in-process slice of the database: VSs, in
+// database order, and a BagIndex built over exactly them. Pos maps
+// the slice's positions to database positions (a partition's
+// Part.Pos); nil means VSs is the whole database, whose positions map
+// to themselves.
 type LocalProber struct {
 	VSs   []window.VS
+	Pos   []int
 	Index *index.BagIndex
 }
 
 // Probe implements Prober.
-func (p LocalProber) Probe(ctx context.Context, probes [][]float64, c int) ([]Hit, index.ProbeStats, error) {
+func (p LocalProber) Probe(ctx context.Context, probes [][]float64, c int) ([]index.BagHit, index.ProbeStats, error) {
 	hits, _, stats, err := p.ProbeBounded(ctx, probes, c, nil)
 	return hits, stats, err
 }
 
-// ProbeBounded implements BoundedProber.
-func (p LocalProber) ProbeBounded(ctx context.Context, probes [][]float64, c int, bounds []float64) ([]Hit, []float64, index.ProbeStats, error) {
+// ProbeBounded implements BoundedProber. The completion rule is what
+// keeps carried pruning off the exactness path: when c covers the
+// slice, every bag the bounded probe skipped still goes out as a
+// completion hit, so a C ≥ N scatter reassembles the whole database
+// no matter how tight the bounds were. An index that covers other
+// bags than VSs fails with index.ErrStale.
+func (p LocalProber) ProbeBounded(ctx context.Context, probes [][]float64, c int, bounds []float64) ([]index.BagHit, []float64, index.ProbeStats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, index.ProbeStats{}, err
 	}
-	return ProbeLocalBound(p.VSs, p.Index, probes, c, bounds)
-}
-
-// ProbeLocal answers one shard's scatter probe from its partition
-// and index: the local top-c candidate bags as (VS index, distance)
-// hits. When c covers the whole partition, every unprobed bag is
-// appended as a completion hit (Dist = -1, i.e. +Inf) — the
-// exactness rule above.
-func ProbeLocal(vss []window.VS, bi *index.BagIndex, probes [][]float64, c int) ([]Hit, index.ProbeStats, error) {
-	hits, _, stats, err := ProbeLocalBound(vss, bi, probes, c, nil)
-	return hits, stats, err
-}
-
-// ProbeLocalBound is ProbeLocal with carried pruning bounds in and
-// scout bounds out (see BoundedProber). The completion rule is
-// unchanged and is what keeps carried pruning off the exactness
-// path: when c covers the partition, every bag the bounded probe
-// skipped still goes out as a completion hit, so a C ≥ N scatter
-// reassembles the whole database no matter how tight the bounds were.
-func ProbeLocalBound(vss []window.VS, bi *index.BagIndex, probes [][]float64, c int, bounds []float64) ([]Hit, []float64, index.ProbeStats, error) {
-	if len(vss) == 0 || c <= 0 {
+	if len(p.VSs) == 0 || c <= 0 {
 		return nil, nil, index.ProbeStats{}, nil
 	}
-	if bi == nil {
-		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: nil index for a %d-bag partition", len(vss))
+	if p.Index == nil {
+		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: nil index for a %d-bag slice", len(p.VSs))
 	}
-	hits, kth, stats, err := bi.CandidatesOver(vss, probes, c, bounds)
+	// The probe checks the index against VSs under its own lock, so a
+	// live commit cannot re-map positions between check and probe.
+	hits, kth, stats, err := p.Index.CandidatesOver(p.VSs, probes, c, bounds)
 	if err != nil {
 		return nil, nil, index.ProbeStats{}, fmt.Errorf("shard: %w", err)
 	}
-	out := make([]Hit, 0, len(hits))
-	for _, h := range hits {
-		out = append(out, Hit{VS: vss[h.Pos].Index, Dist: h.Dist})
-	}
-	if c >= len(vss) && len(out) < len(vss) {
-		probed := make([]bool, len(vss))
+	if c >= len(p.VSs) && len(hits) < len(p.VSs) {
+		probed := make([]bool, len(p.VSs))
 		for _, h := range hits {
 			probed[h.Pos] = true
 		}
-		for pos := range vss {
+		for pos := range p.VSs {
 			if !probed[pos] {
-				out = append(out, Hit{VS: vss[pos].Index, Dist: -1})
+				hits = append(hits, index.BagHit{Pos: pos, Dist: math.Inf(1)})
 			}
 		}
 	}
-	return out, kth, stats, nil
+	if p.Pos != nil {
+		for i := range hits {
+			hits[i].Pos = p.Pos[hits[i].Pos]
+		}
+	}
+	return hits, kth, stats, nil
 }
 
 // PositiveProbes gathers the flattened instance vectors of every
 // positively labeled bag — the probe set the accumulated relevant
-// feedback defines, the same rule retrieval.CandidateEngine applies.
+// feedback defines. It is exactly what the MIL learner trains on, so
+// bags near it are the ones whose exact scores can matter.
 func PositiveProbes(db []window.VS, labels map[int]mil.Label) [][]float64 {
 	var probes [][]float64
 	for _, vs := range db {
@@ -131,19 +120,23 @@ func PositiveProbes(db []window.VS, labels map[int]mil.Label) [][]float64 {
 	return probes
 }
 
-// Stats accumulates a sharded engine's work across rounds
-// (atomically; one instance can be shared by every session of a
-// server and read while rounds run).
+// Stats accumulates an engine's work across rounds (atomically; one
+// instance can be shared by every session of a server and read while
+// rounds run).
 type Stats struct {
-	// ScatterRounds counts rounds served through the scatter–gather
-	// path; FullRounds counts delegations to the inner engine (no
-	// positive probes yet, no shards, or C disabled).
-	ScatterRounds atomic.Int64
-	FullRounds    atomic.Int64
-	// PartialRounds counts scattered rounds in which at least one
-	// shard failed or timed out and the merge continued over the
-	// survivors; AllFailedRounds counts rounds every shard was lost
-	// and the engine fell back to an exact full rank.
+	// PrunedRounds counts rounds ranked through a scattered candidate
+	// set, C ≥ N rounds included; FullRounds counts delegations to the
+	// inner engine (no probes yet, no shards, C disabled, or every
+	// shard lost). SeededRounds are the subset of pruned rounds whose
+	// probes came from a ProbeSeeder (no positive feedback yet) rather
+	// than labels.
+	PrunedRounds atomic.Int64
+	FullRounds   atomic.Int64
+	SeededRounds atomic.Int64
+	// PartialRounds counts pruned rounds in which at least one shard
+	// failed or timed out and the merge continued over the survivors;
+	// AllFailedRounds counts rounds every shard was lost and the
+	// engine fell back to an exact full rank.
 	PartialRounds   atomic.Int64
 	AllFailedRounds atomic.Int64
 	// ShardTimeouts counts per-shard probes lost to their deadline;
@@ -157,29 +150,29 @@ type Stats struct {
 	// with a scout bound (the pruned fast path).
 	BoundedShardProbes atomic.Int64
 	// Probes and DistEvals total the surviving shards' index work;
-	// MergedCandidates totals the sizes of the merged candidate sets.
+	// CandidatesRanked totals the bags the inner engine re-ranked
+	// (the merged candidate set plus every labeled bag).
 	Probes           atomic.Int64
 	DistEvals        atomic.Int64
-	MergedCandidates atomic.Int64
+	CandidatesRanked atomic.Int64
 	// ScatterNs and MergeNs split a round's pre-re-rank wall time:
-	// the bounded parallel probe fan-out vs the distance merge.
+	// the parallel probe fan-out vs the distance merge.
 	ScatterNs atomic.Int64
 	MergeNs   atomic.Int64
-	// SeededRounds counts scattered rounds whose probes came from a
-	// ProbeSeeder (no positive feedback yet) rather than labels.
-	SeededRounds atomic.Int64
 }
 
-// Engine fans a query's positive-instance probes across shards,
-// merges the per-shard candidate sets by distance into a global
-// top-C, and re-ranks the union (plus every labeled bag) with the
-// unchanged exact engine. C ≥ len(db) provably reproduces the
-// unsharded exact ranking: the full budget goes to every shard, each
-// shard then returns its complete partition (real distances for
+// Engine is the pruned-ranking engine every indexed session runs. It
+// fans a query's positive-instance probes across shards, merges the
+// per-shard candidate sets by distance into a global top-C, and
+// re-ranks the union (plus every labeled bag) with the unchanged
+// exact engine; the pruned remainder keeps the §5.3 heuristic order.
+// An unsharded server is one shard: a single LocalProber over the
+// clip's own VSs and index. C ≥ len(db) provably reproduces the exact
+// ranking at every shard count: the full budget goes to every shard,
+// each shard then returns its complete slice (real distances for
 // probed bags, completion hits for the rest), the merged union is
-// the whole database, and the inner engine ranks all of it — the
-// same C=N contract retrieval.CandidateEngine pins, across shards.
-// Below that, each shard is asked only for its expected share of the
+// the whole database, and the inner engine ranks all of it. Below
+// that, each shard is asked only for its expected share of the
 // global top C plus slack (see perShardC), and the scatter runs
 // scout-and-carry: shard 0 probes first and its per-probe k-th
 // distances become initial pruning radii for every other shard,
@@ -188,31 +181,34 @@ type Stats struct {
 // times out or fails is dropped from the round: partial results with
 // counters, never a failed query (a lost scout costs only the
 // pruning). Only when every shard is lost does the engine fall back
-// to an exact full rank.
+// to an exact full rank. Two failures are the round's own, not a
+// shard's, and fail it: an index of another catalog generation
+// (retrieval.ErrStaleIndex, which live rounds retry) and the end of
+// the round's context.
 type Engine struct {
-	// Inner is the exact ranker re-ranking the merged union.
+	// Inner is the exact ranker re-ranking the merged union. When it
+	// implements retrieval.ProbeSeeder, it supplies the probes of
+	// rounds with no positive feedback (e.g. a predicate query's
+	// best-scoring instances), so the scatter path covers round 0
+	// too. C ≥ len(db) identity is unaffected: a seeded full-budget
+	// scatter still reassembles every shard through completion hits.
 	Inner retrieval.Engine
 	// Probers answer per-shard probes; Probers[i] is shard i.
 	Probers []Prober
-	// C caps the merged global candidate set (same contract as
-	// retrieval.CandidateEngine.C; <= 0 disables the scatter path).
+	// C caps the merged global candidate set handed to Inner; <= 0
+	// disables the scatter path.
 	C int
 	// Timeout bounds each shard's probe (0 = only the round context).
 	Timeout time.Duration
-	// Workers bounds concurrent shard probes (0 = all shards at once).
-	Workers int
-	// Seeder, when non-nil, supplies probes for rounds with no
-	// positive feedback (e.g. a predicate query's best-scoring
-	// instances), so the scatter path covers round 0 too. Left nil,
-	// Inner itself is consulted when it implements
-	// retrieval.ProbeSeeder. C ≥ len(db) identity is unaffected: a
-	// seeded full-budget scatter still reassembles every partition
-	// through completion hits.
-	Seeder retrieval.ProbeSeeder
-	// Stats, when non-nil, accumulates scatter counters.
+	// Stats, when non-nil, accumulates the round counters.
 	Stats *Stats
-	// Order is the stored heuristic order scattered rounds filter for
-	// their remainder (retrieval.CandidateEngine.Order's contract).
+	// Order, when non-nil, returns the stored HeuristicOrder of the
+	// database Rank receives, which pruned rounds filter for their
+	// remainder (see retrieval.RerankUnionOrder). Only rounds that
+	// leave a remainder call it, so its owner may compute the order on
+	// first call; an order of the wrong length fails the round with
+	// retrieval.ErrStaleIndex. Nil computes the order in every such
+	// round.
 	Order func() []int
 	// Fault, when non-nil, is consulted per (shard, round): a
 	// positive stall delays that shard's probe, a non-nil error fails
@@ -238,7 +234,7 @@ func (e *Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 }
 
 type shardAnswer struct {
-	hits  []Hit
+	hits  []index.BagHit
 	kth   []float64 // per-probe achieved k-th distances (scout bounds)
 	stats index.ProbeStats
 	err   error
@@ -253,16 +249,12 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 		return e.full(db, labels)
 	}
 	probes := PositiveProbes(db, labels)
+	seeded := false
 	if len(probes) == 0 {
 		// No feedback yet: let the query engine seed probes, if it can.
-		seeder := e.Seeder
-		if seeder == nil {
-			seeder, _ = e.Inner.(retrieval.ProbeSeeder)
-		}
-		if seeder != nil {
-			if probes = seeder.SeedProbes(db); len(probes) > 0 && e.Stats != nil {
-				e.Stats.SeededRounds.Add(1)
-			}
+		if seeder, ok := e.Inner.(retrieval.ProbeSeeder); ok {
+			probes = seeder.SeedProbes(db)
+			seeded = len(probes) > 0
 		}
 	}
 	if len(probes) == 0 {
@@ -279,9 +271,9 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 	// tight — initial pruning radius for every other shard: the
 	// carried wave's searches skip the loose-tau descent that
 	// dominates an unbounded probe and visit only the true
-	// neighborhood ball. The carried shards then fan out under the
-	// worker bound, each probe behind its own deadline. A lost scout
-	// only costs the optimization: the carried wave runs unbounded.
+	// neighborhood ball. The carried shards then all probe at once,
+	// each behind its own deadline. A lost scout only costs the
+	// optimization: the carried wave runs unbounded.
 	answers := make([]shardAnswer, len(e.Probers))
 	start := time.Now()
 	answers[0] = e.probeShard(ctx, 0, seq, probes, cs, nil)
@@ -289,60 +281,40 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 	if answers[0].err == nil {
 		bounds = answers[0].kth
 	}
-	workers := e.Workers
-	if workers <= 0 || workers > len(e.Probers) {
-		workers = len(e.Probers)
-	}
-	sem := make(chan struct{}, workers)
 	var wg sync.WaitGroup
 	for i := 1; i < len(e.Probers); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			answers[i] = e.probeShard(ctx, i, seq, probes, cs, bounds)
 		}(i)
 	}
 	wg.Wait()
 	scatter := time.Since(start)
-
-	// Gather: keep each bag's best distance over shards, order by
-	// (distance, database position) — deterministic whatever the
-	// goroutine schedule, since each VS lives on exactly one shard —
-	// and cut to the global top C.
-	start = time.Now()
-	pos := make(map[int]int, len(db))
-	for p, vs := range db {
-		pos[vs.Index] = p
+	if err := ctx.Err(); err != nil {
+		// The round itself ended: a full rank would outlive it.
+		return nil, fmt.Errorf("shard: scatter: %w", err)
 	}
-	best := make(map[int]float64, 2*cs)
+
+	// Gather: order every surviving hit by (distance, database
+	// position) and keep the first C distinct positions, so each bag
+	// counts at its best distance over shards. Deterministic whatever
+	// the goroutine schedule.
+	start = time.Now()
+	var hits []index.BagHit
 	failed := 0
 	var pstats index.ProbeStats
 	for _, a := range answers {
+		if errors.Is(a.err, index.ErrStale) {
+			return nil, fmt.Errorf("%w: %w", retrieval.ErrStaleIndex, a.err)
+		}
 		if a.err != nil {
 			failed++
 			continue
 		}
 		pstats.Probes += a.stats.Probes
 		pstats.DistEvals += a.stats.DistEvals
-		for _, h := range a.hits {
-			p, ok := pos[h.VS]
-			if !ok {
-				// A worker whose catalog view ran ahead of (or behind)
-				// this database may answer with bags it no longer
-				// holds; they cannot be ranked here and are dropped —
-				// degradation, not corruption.
-				continue
-			}
-			d := h.Dist
-			if d < 0 {
-				d = math.Inf(1)
-			}
-			if cur, ok := best[p]; !ok || d < cur {
-				best[p] = d
-			}
-		}
+		hits = append(hits, a.hits...)
 	}
 	if failed == len(e.Probers) {
 		// Every shard lost: degrade to the exact full rank rather
@@ -352,35 +324,49 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 		}
 		return e.full(db, labels)
 	}
-	order := make([]int, 0, len(best))
-	for p := range best {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := best[order[a]], best[order[b]]
-		if da != db {
-			return da < db
+	slices.SortFunc(hits, func(a, b index.BagHit) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a.Pos, b.Pos)
 	})
-	if e.C < len(order) {
-		order = order[:e.C]
+	taken := make([]bool, len(db))
+	cands := make([]int, 0, min(e.C, len(hits)))
+	for _, h := range hits {
+		if len(cands) == e.C {
+			break
+		}
+		// A position outside db (a prober over another database) is
+		// dropped — degradation, not corruption.
+		if h.Pos < 0 || h.Pos >= len(db) || taken[h.Pos] {
+			continue
+		}
+		taken[h.Pos] = true
+		cands = append(cands, h.Pos)
 	}
 	merge := time.Since(start)
 
 	if e.Stats != nil {
-		e.Stats.ScatterRounds.Add(1)
+		e.Stats.PrunedRounds.Add(1)
+		if seeded {
+			e.Stats.SeededRounds.Add(1)
+		}
 		if failed > 0 {
 			e.Stats.PartialRounds.Add(1)
 		}
 		e.Stats.Probes.Add(int64(pstats.Probes))
 		e.Stats.DistEvals.Add(int64(pstats.DistEvals))
-		e.Stats.MergedCandidates.Add(int64(len(order)))
 		e.Stats.ScatterNs.Add(int64(scatter))
 		e.Stats.MergeNs.Add(int64(merge))
 	}
-	out, _, err := retrieval.RerankUnionOrder(e.Inner, db, labels, order, e.Order)
-	return out, err
+	out, ranked, err := retrieval.RerankUnionOrder(e.Inner, db, labels, cands, e.Order)
+	if err != nil {
+		return nil, err
+	}
+	if e.Stats != nil {
+		e.Stats.CandidatesRanked.Add(int64(ranked))
+	}
+	return out, nil
 }
 
 // perShardC is the candidate budget requested from each shard. When
@@ -466,12 +452,15 @@ func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [
 	return shardAnswer{hits: hits, stats: stats}
 }
 
-// lost counts a lost shard probe and passes the error through.
+// lost counts a lost shard probe and passes the error through. A
+// stale index is not a lost shard: it fails the whole round.
 func (e *Engine) lost(err error) error {
 	if e.Stats != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
+		switch {
+		case errors.Is(err, index.ErrStale):
+		case errors.Is(err, context.DeadlineExceeded):
 			e.Stats.ShardTimeouts.Add(1)
-		} else {
+		default:
 			e.Stats.ShardErrors.Add(1)
 		}
 	}

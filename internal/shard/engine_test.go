@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
@@ -50,7 +51,7 @@ func buildProbers(t *testing.T, db []window.VS, s int, kind index.Kind, opt inde
 		if err != nil {
 			t.Fatal(err)
 		}
-		probers[i] = LocalProber{VSs: p.VSs, Index: bi}
+		probers[i] = LocalProber{VSs: p.VSs, Pos: p.Pos, Index: bi}
 	}
 	return probers
 }
@@ -99,7 +100,8 @@ func TestShardedFullCIdentity(t *testing.T) {
 }
 
 // TestShardedScatterPathUsed pins that C=N rounds with positive
-// labels actually scatter (ScatterRounds, not FullRounds).
+// labels actually scatter (PrunedRounds, not FullRounds) and re-rank
+// the whole reassembled database.
 func TestShardedScatterPathUsed(t *testing.T) {
 	db := shardSynthDB(2, 56)
 	probers := buildProbers(t, db, 3, index.KindVPTree, index.Options{})
@@ -108,11 +110,11 @@ func TestShardedScatterPathUsed(t *testing.T) {
 	if _, err := eng.Rank(db, shardLabels(db, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if st.ScatterRounds.Load() != 1 || st.FullRounds.Load() != 0 {
-		t.Fatalf("scatter=%d full=%d, want 1/0", st.ScatterRounds.Load(), st.FullRounds.Load())
+	if st.PrunedRounds.Load() != 1 || st.FullRounds.Load() != 0 {
+		t.Fatalf("pruned=%d full=%d, want 1/0", st.PrunedRounds.Load(), st.FullRounds.Load())
 	}
-	if st.MergedCandidates.Load() != int64(len(db)) {
-		t.Fatalf("C=N merged %d candidates, want %d", st.MergedCandidates.Load(), len(db))
+	if st.CandidatesRanked.Load() != int64(len(db)) {
+		t.Fatalf("C=N re-ranked %d candidates, want %d", st.CandidatesRanked.Load(), len(db))
 	}
 	// Round 0 (no positives) must delegate to the inner engine.
 	if _, err := eng.Rank(db, map[int]mil.Label{}); err != nil {
@@ -285,7 +287,7 @@ func TestShardedDeterminism(t *testing.T) {
 	db := shardSynthDB(7, 63)
 	labels := shardLabels(db, 3, 2)
 	probers := buildProbers(t, db, 5, index.KindIVF, index.Options{})
-	eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: probers, C: 16, Workers: 2}
+	eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: probers, C: 16}
 	first, err := eng.Rank(db, labels)
 	if err != nil {
 		t.Fatal(err)
@@ -324,40 +326,65 @@ func TestPerShardBudget(t *testing.T) {
 	}
 }
 
-// TestProbeLocalCompletion: a budget covering the partition returns
+// TestProbeLocalCompletion: a budget covering the slice returns
 // every bag exactly once, probed hits first with real distances,
-// completion hits marked with the negative sentinel.
+// completion hits with +Inf — as database positions, mapped through
+// a partition's Pos and the identity for a whole database.
 func TestProbeLocalCompletion(t *testing.T) {
 	db := shardSynthDB(9, 30)
-	bi, err := index.Build(db, index.KindVPTree, index.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	probes := PositiveProbes(db, shardLabels(db, 2, 0))
-	hits, _, err := ProbeLocal(db, bi, probes, len(db))
+	whole, err := index.Build(db, index.KindVPTree, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != len(db) {
-		t.Fatalf("full-budget probe returned %d of %d bags", len(hits), len(db))
-	}
-	seen := map[int]bool{}
-	for _, h := range hits {
-		if seen[h.VS] {
-			t.Fatalf("VS %d returned twice", h.VS)
+	for _, part := range append([]Part{{VSs: db}}, PartitionVS(NewRing(3), "clip", db)...) {
+		bi := whole
+		if part.Pos != nil {
+			if bi, err = index.Build(part.VSs, index.KindVPTree, index.Options{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-		seen[h.VS] = true
+		hits, _, err := LocalProber{VSs: part.VSs, Pos: part.Pos, Index: bi}.Probe(context.Background(), probes, len(part.VSs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) != len(part.VSs) {
+			t.Fatalf("full-budget probe returned %d of %d bags", len(hits), len(part.VSs))
+		}
+		owned := map[int]bool{}
+		for _, vs := range part.VSs {
+			owned[vs.Index] = true
+		}
+		seen := map[int]bool{}
+		completed := false
+		for _, h := range hits {
+			if seen[h.Pos] {
+				t.Fatalf("position %d returned twice", h.Pos)
+			}
+			seen[h.Pos] = true
+			if !owned[db[h.Pos].Index] {
+				t.Fatalf("position %d (VS %d) is not in the probed slice", h.Pos, db[h.Pos].Index)
+			}
+			if math.IsInf(h.Dist, 1) {
+				completed = true
+			} else if completed {
+				t.Fatal("a probed hit follows a completion hit")
+			}
+		}
 	}
 	// Mismatched index is rejected, not silently misaligned.
-	if _, _, err := ProbeLocal(db[:10], bi, probes, 5); err == nil {
+	if _, _, err := (LocalProber{VSs: db[:10], Index: whole}).Probe(context.Background(), probes, 5); err == nil {
 		t.Fatal("stale index accepted")
 	}
 }
 
 // TestProbeLocalStaleGeneration: an index updated to the next
 // generation at steady retention covers as many bags as the superseded
-// partition; probing it for that partition fails, and inside a scatter
-// the failure is a counted shard error, never a misaligned answer.
+// partition; probing it for that partition fails with index.ErrStale,
+// and inside a scatter the failure fails the round with
+// retrieval.ErrStaleIndex — at one shard and alongside a healthy one —
+// instead of counting as a lost shard and degrading to a full rank or
+// a partial merge.
 func TestProbeLocalStaleGeneration(t *testing.T) {
 	db := shardSynthDB(9, 40)
 	old, cur := db[:30], db[10:]
@@ -370,20 +397,26 @@ func TestProbeLocalStaleGeneration(t *testing.T) {
 	}
 	labels := shardLabels(old, 3, 1)
 	probes := PositiveProbes(old, labels)
-	if _, _, err := ProbeLocal(old, bi, probes, 5); !errors.Is(err, index.ErrStale) {
+	ctx := context.Background()
+	if _, _, err := (LocalProber{VSs: old, Index: bi}).Probe(ctx, probes, 5); !errors.Is(err, index.ErrStale) {
 		t.Fatalf("superseded partition: err %v, want index.ErrStale", err)
 	}
-	if _, _, err := ProbeLocal(cur, bi, probes, 5); err != nil {
+	if _, _, err := (LocalProber{VSs: cur, Index: bi}).Probe(ctx, probes, 5); err != nil {
 		t.Fatalf("current partition: %v", err)
 	}
-	stats := &Stats{}
-	eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: []Prober{LocalProber{VSs: old, Index: bi}}, C: 5, Stats: stats}
-	if _, err := eng.Rank(old, labels); err != nil {
-		t.Fatal(err)
-	}
-	if stats.ShardErrors.Load() != 1 || stats.AllFailedRounds.Load() != 1 {
-		t.Fatalf("stale shard: %d shard errors, %d all-failed rounds; want 1 and 1",
-			stats.ShardErrors.Load(), stats.AllFailedRounds.Load())
+	stale := LocalProber{VSs: old, Index: bi}
+	for _, probers := range [][]Prober{{stale}, append([]Prober{stale}, buildProbers(t, old, 2, index.KindIVF, index.Options{})[1:]...)} {
+		stats := &Stats{}
+		eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: probers, C: 5, Stats: stats}
+		if _, err := eng.Rank(old, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("S=%d: stale shard: err %v, want ErrStaleIndex", len(probers), err)
+		}
+		if stats.ShardErrors.Load() != 0 || stats.AllFailedRounds.Load() != 0 || stats.FullRounds.Load() != 0 ||
+			stats.PartialRounds.Load() != 0 || stats.PrunedRounds.Load() != 0 {
+			t.Fatalf("S=%d: stale shard counted: errors=%d all_failed=%d full=%d partial=%d pruned=%d", len(probers),
+				stats.ShardErrors.Load(), stats.AllFailedRounds.Load(), stats.FullRounds.Load(),
+				stats.PartialRounds.Load(), stats.PrunedRounds.Load())
+		}
 	}
 }
 
@@ -424,9 +457,9 @@ func TestShardedSeededIdentity(t *testing.T) {
 					t.Fatalf("kind=%s S=%d %s: seeded sharded C=N ranking diverges\ngot  %v\nwant %v",
 						kind, s, inner.Name(), got, want)
 				}
-				if st.ScatterRounds.Load() != 1 || st.SeededRounds.Load() != 1 || st.FullRounds.Load() != 0 {
-					t.Fatalf("kind=%s S=%d %s: stats scatter=%d seeded=%d full=%d, want 1/1/0",
-						kind, s, inner.Name(), st.ScatterRounds.Load(), st.SeededRounds.Load(), st.FullRounds.Load())
+				if st.PrunedRounds.Load() != 1 || st.SeededRounds.Load() != 1 || st.FullRounds.Load() != 0 {
+					t.Fatalf("kind=%s S=%d %s: stats pruned=%d seeded=%d full=%d, want 1/1/0",
+						kind, s, inner.Name(), st.PrunedRounds.Load(), st.SeededRounds.Load(), st.FullRounds.Load())
 				}
 			}
 		}
@@ -434,42 +467,112 @@ func TestShardedSeededIdentity(t *testing.T) {
 }
 
 // TestShardedStoredOrder: a scattered round that filters a stored
-// heuristic order ranks exactly as one that computes the order. The
-// order is read only when the merged union leaves a remainder — never
-// at C = N with every shard answering — and an order of the wrong
-// length fails the round with ErrStaleIndex.
+// heuristic order ranks exactly as one that computes the order, at one
+// shard and at three. The order is read only when the merged union
+// leaves a remainder — never at C = N with every shard answering, nor
+// in round 0 without probes — and an order of the wrong length fails
+// the round with ErrStaleIndex.
 func TestShardedStoredOrder(t *testing.T) {
 	db := shardSynthDB(2, 90)
 	labels := shardLabels(db, 3, 3)
 	order := retrieval.HeuristicOrder(db)
 	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	for _, kind := range index.Kinds() {
-		probers := buildProbers(t, db, 3, kind, index.Options{})
-		for _, c := range []int{10, len(db)} {
-			reads := 0
-			stored := &Engine{Inner: inner, Probers: probers, C: c, Order: func() []int { reads++; return order }}
-			got, err := stored.Rank(db, labels)
-			if err != nil {
-				t.Fatal(err)
+		for _, s := range []int{1, 3} {
+			probers := buildProbers(t, db, s, kind, index.Options{})
+			for _, tc := range []struct {
+				labels map[int]mil.Label
+				c      int
+				reads  int
+			}{
+				{labels, 10, 1},
+				{labels, len(db), 0},
+				{map[int]mil.Label{}, 10, 0},
+			} {
+				reads := 0
+				stored := &Engine{Inner: inner, Probers: probers, C: tc.c, Order: func() []int { reads++; return order }}
+				got, err := stored.Rank(db, tc.labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := (&Engine{Inner: inner, Probers: probers, C: tc.c}).Rank(db, tc.labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s S=%d C=%d: stored-order ranking diverges from the computed one", kind, s, tc.c)
+				}
+				if reads != tc.reads {
+					t.Fatalf("%s S=%d C=%d labels=%d: stored order read %d times, want %d", kind, s, tc.c, len(tc.labels), reads, tc.reads)
+				}
 			}
-			want, err := (&Engine{Inner: inner, Probers: probers, C: c}).Rank(db, labels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s C=%d: stored-order ranking diverges from the computed one", kind, c)
-			}
-			wantReads := 0
-			if c < len(db) {
-				wantReads = 1
-			}
-			if reads != wantReads {
-				t.Fatalf("%s C=%d: stored order read %d times, want %d", kind, c, reads, wantReads)
+			stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
+			if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
+				t.Fatalf("%s S=%d: order of %d bags for %d: got %v, want ErrStaleIndex", kind, s, len(order)-1, len(db), err)
 			}
 		}
-		stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
-		if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
-			t.Fatalf("%s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, len(order)-1, len(db), err)
+	}
+}
+
+// TestShardedSeededRoundCounting: a seeded round counts as seeded
+// only together with its pruned (scattered) round, so seeded rounds
+// stay a subset of pruned ones. When every shard is lost the round
+// falls back to a full rank and counts as full, not as seeded.
+func TestShardedSeededRoundCounting(t *testing.T) {
+	db := shardSynthDB(13, 63)
+	probers := buildProbers(t, db, 3, index.KindVPTree, index.Options{})
+	inner := seedingInner{Engine: retrieval.RocchioEngine{}, probes: [][]float64{db[0].TSs[0].Flat()}}
+	st := &Stats{}
+	eng := &Engine{
+		Inner: inner, Probers: probers, C: 16, Stats: st,
+		Fault: func(int, uint64) (time.Duration, error) { return 0, errors.New("total outage") },
+	}
+	if _, err := eng.Rank(db, map[int]mil.Label{}); err != nil {
+		t.Fatal(err)
+	}
+	if st.SeededRounds.Load() != 0 || st.PrunedRounds.Load() != 0 || st.FullRounds.Load() != 1 {
+		t.Fatalf("all shards lost: seeded=%d pruned=%d full=%d, want 0/0/1",
+			st.SeededRounds.Load(), st.PrunedRounds.Load(), st.FullRounds.Load())
+	}
+	eng.Fault = nil
+	if _, err := eng.Rank(db, map[int]mil.Label{}); err != nil {
+		t.Fatal(err)
+	}
+	if st.SeededRounds.Load() != 1 || st.PrunedRounds.Load() != 1 || st.FullRounds.Load() != 1 {
+		t.Fatalf("healthy seeded round: seeded=%d pruned=%d full=%d, want 1/1/1",
+			st.SeededRounds.Load(), st.PrunedRounds.Load(), st.FullRounds.Load())
+	}
+}
+
+// TestShardedRoundContextEnded: a round whose own context was
+// cancelled or expired returns that error instead of falling back to
+// a full rank of the database, at one shard and at three.
+func TestShardedRoundContextEnded(t *testing.T) {
+	db := shardSynthDB(13, 49)
+	labels := shardLabels(db, 2, 2)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	for _, s := range []int{1, 3} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		for _, tc := range []struct {
+			ctx  context.Context
+			want error
+		}{
+			{cancelled, context.Canceled},
+			{expired, context.DeadlineExceeded},
+		} {
+			st := &Stats{}
+			eng := &Engine{Inner: retrieval.MILEngine{Opt: mil.DefaultOptions()}, Probers: probers, C: 16, Stats: st}
+			got, err := eng.RankCtx(tc.ctx, db, labels)
+			if !errors.Is(err, tc.want) || got != nil {
+				t.Fatalf("S=%d: ended round returned %d positions and %v, want %v", s, len(got), err, tc.want)
+			}
+			if st.FullRounds.Load() != 0 || st.AllFailedRounds.Load() != 0 || st.PrunedRounds.Load() != 0 {
+				t.Fatalf("S=%d: ended round counted full=%d all_failed=%d pruned=%d", s,
+					st.FullRounds.Load(), st.AllFailedRounds.Load(), st.PrunedRounds.Load())
+			}
 		}
 	}
 }

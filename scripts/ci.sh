@@ -12,7 +12,8 @@
 # schedules across ingest, persistence and the query service), fuzz
 # smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
 # k-NN, the shared-threshold multi-probe candidate pass and the
-# stored-heuristic-order re-rank tail, a
+# stored-heuristic-order re-rank tail (every gated -run alternative
+# and fuzz target must name an existing test, or the run fails), a
 # statement-coverage floor over the internal packages, a
 # one-iteration smoke of the ingest benchmarks, an
 # incremental-maintenance smoke (20 whole-bag deltas, all absorbed
@@ -26,8 +27,9 @@
 # clean drain, a predicate serving gate: the composed
 # seq(stop∧region, go∧east∧region) query POSTed straight at
 # /v1/query must put every staged incident in the top-10 and return
-# byte-identical rankings on the exact path, through the candidate
-# engine at C >= N, and scatter–gathered across 3 in-process shards,
+# byte-identical rankings on the exact path, through the unsharded
+# (one-shard) pruned engine at C >= N, and scatter–gathered across 3
+# in-process shards,
 # a sharded-serving gate (scatter–gather at C=N permutation-identical
 # to unsharded for every engine × index kind × shard count, plus
 # fault-injected shard degradation under -race), a cluster smoke:
@@ -47,6 +49,37 @@ cd "$(dirname "$0")/.."
 # refactors don't flake, while a test-free subsystem cannot land
 # unnoticed.
 COVERAGE_FLOOR=88.5
+
+# require_run PATTERN PKG...: every |-alternative of a gated -run
+# pattern must name at least one test in the leg's packages. `go test
+# -run` passes with "no tests to run" when a pattern matches nothing,
+# so a renamed or moved test would otherwise drop out of its gate
+# silently.
+require_run() {
+    local pattern=$1 listed alt
+    shift
+    listed=$(go test -list '.*' "$@" | awk '!/^(ok|\?|FAIL)[ \t]/')
+    IFS='|' read -ra alts <<<"$pattern"
+    for alt in "${alts[@]}"; do
+        grep -qE -- "$alt" <<<"$listed" || {
+            echo "ci: -run alternative '$alt' matches no test in $*" >&2
+            exit 1
+        }
+    done
+}
+
+# require_fuzz TARGET PKG: `go test -fuzz` of a target that does not
+# exist also exits 0, so each fuzz-smoke target must be listed first.
+# (The listing is captured before grep reads it: grep -q exiting early
+# would break the pipe under pipefail.)
+require_fuzz() {
+    local listed
+    listed=$(go test -list "^$1\$" "$2")
+    grep -qx -- "$1" <<<"$listed" || {
+        echo "ci: fuzz target $1 does not exist in $2" >&2
+        exit 1
+    }
+}
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -90,21 +123,28 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # (FuzzRerankUnionOrder's seed corpus), the candidate and sharded
 # engines must rank the same with and without a stored order, only
 # pruned rounds may compute it, and the server must reuse it by VS
-# backing identity, never by length.
-go test -race -count=1 -run 'TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder' \
-    ./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/
+# backing identity, never by length. The TestCandidate tests check the
+# pruned-ranking contract on the unsharded (one-shard) engine.
+index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder'
+index_pkgs=(./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/)
+require_run "$index_smoke" "${index_pkgs[@]}"
+go test -race -count=1 -run "$index_smoke" "${index_pkgs[@]}"
 
 echo "== chaos conformance (seeded fault schedules, -race) =="
+require_run 'TestChaos' ./internal/testkit/
 go test -race -count=1 -run 'TestChaos' ./internal/testkit/
 
 echo "== sharded serving (C=N identity gate + shard chaos, -race) =="
 # The merge contract: scatter–gather at C=N must be permutation-
 # identical to the unsharded ranking for every engine × index kind ×
 # shard count, and fault-injected shards must degrade to partial
-# results with counters instead of failing queries.
-go test -race -count=1 \
-    -run 'TestSharded|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard' \
-    ./internal/shard/ ./internal/server/ ./internal/faults/
+# results with counters instead of failing queries. A stale index or
+# an ended round context fails the round instead, and seeded rounds
+# count only with the pruned round they scattered.
+sharded_legs='TestSharded|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard'
+sharded_pkgs=(./internal/shard/ ./internal/server/ ./internal/faults/)
+require_run "$sharded_legs" "${sharded_pkgs[@]}"
+go test -race -count=1 -run "$sharded_legs" "${sharded_pkgs[@]}"
 
 echo "== retrieval benchmark gate (pinned easy suite, -race) =="
 # The graded incident-retrieval benchmark on its pinned suite: eight
@@ -141,12 +181,12 @@ jq -e 'all(.categories[]; .min_recall.exact >= 0.9 and .min_recall.candidate >= 
 rm -rf "$rbdir"
 
 echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail; 5s each) =="
-go test -run xxx -fuzz FuzzDBDecode -fuzztime 5s ./internal/videodb/
-go test -run xxx -fuzz FuzzPredicateDecode -fuzztime 5s ./internal/predicate/
-go test -run xxx -fuzz FuzzQueryRequest -fuzztime 5s ./internal/server/
-go test -run xxx -fuzz FuzzKNNExact -fuzztime 5s ./internal/index/
-go test -run xxx -fuzz FuzzCandidatesExact -fuzztime 5s ./internal/index/
-go test -run xxx -fuzz FuzzRerankUnionOrder -fuzztime 5s ./internal/retrieval/
+for target in FuzzDBDecode:./internal/videodb/ FuzzPredicateDecode:./internal/predicate/ \
+    FuzzQueryRequest:./internal/server/ FuzzKNNExact:./internal/index/ \
+    FuzzCandidatesExact:./internal/index/ FuzzRerankUnionOrder:./internal/retrieval/; do
+    require_fuzz "${target%%:*}" "${target#*:}"
+    go test -run xxx -fuzz "${target%%:*}" -fuzztime 5s "${target#*:}"
+done
 
 echo "== coverage floor (internal packages, >= ${COVERAGE_FLOOR}%) =="
 covdir=$(mktemp -d)
@@ -214,7 +254,8 @@ done
 # within 5s) — POSTed straight at /v1/query: the staged incidents
 # (VSs 0–5 of the demo catalog) must all sit in the top-10, and the
 # ranking must be byte-identical when the same session is routed
-# through the candidate engine at C >= N (predicate-seeded probing).
+# through the unsharded pruned engine at C >= N (predicate-seeded
+# probing).
 pred_query='"predicate":{"op":"seq","a":{"op":"and","args":[{"op":"stop"},{"op":"region","rect":[0.25,0.25,0.75,0.75]}]},"b":{"op":"and","args":[{"op":"go"},{"op":"direction","heading":0},{"op":"region","rect":[0.25,0.25,0.75,0.75]}]},"within":5}'
 curl -sf -H 'Content-Type: application/json' -d "{\"clip\":\"synth\",\"topk\":10,$pred_query}" \
     "$url/v1/query" >"$smokedir/pred-exact.json"
@@ -280,7 +321,8 @@ echo "== predicate smoke (in-process sharded serving identity) =="
 # Third serving path for the same composed query: 3 in-process shards
 # scatter predicate-seeded probes and the coordinator reassembles the
 # full catalog at C = N — the ranking must match the exact path byte
-# for byte, and the scatter must be accounted as seeded rounds.
+# for byte, and the scatter must be accounted as seeded rounds (in the
+# index block, where every shard count keeps its round counters).
 "$smokedir/serve" -demo -addr 127.0.0.1:0 -quant scalar -local-shards 3 \
     -index vptree -candidates 64 >"$smokedir/serve-shard.log" 2>&1 &
 serve_pid=$!
@@ -301,7 +343,7 @@ curl -sf -H 'Content-Type: application/json' -d "{\"clip\":\"synth\",\"topk\":10
     exit 1
 }
 curl -sf "$shard_url/v1/stats" >"$smokedir/pred-shard-stats.json"
-jq -e '.shard.seeded_rounds >= 1' "$smokedir/pred-shard-stats.json" >/dev/null || {
+jq -e '.index.seeded_rounds >= 1' "$smokedir/pred-shard-stats.json" >/dev/null || {
     echo "sharded predicate round was not accounted as a seeded scatter" >&2
     cat "$smokedir/pred-shard-stats.json" >&2
     exit 1
@@ -353,7 +395,10 @@ grep -q '"dropped_rounds": 0' "$smokedir/smoke-cluster.json" || {
     cat "$smokedir/coord.log" >&2
     exit 1
 }
-grep -q '"scatter_rounds"' "$smokedir/smoke-cluster.json" || {
+# The coordinator's report must carry its scatter telemetry: pruned
+# rounds in the index block and a coordinator shard block.
+jq -e '.report.server_stats.index.pruned_rounds >= 1 and .report.server_stats.shard.mode == "coordinator"' \
+    "$smokedir/smoke-cluster.json" >/dev/null || {
     echo "cluster smoke report lacks scatter telemetry" >&2
     cat "$smokedir/smoke-cluster.json" >&2
     exit 1
