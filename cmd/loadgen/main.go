@@ -3,12 +3,12 @@
 // a query, judges the returned top-k against the clip's incident
 // ground truth, posts feedback, and repeats — the paper's user study
 // as a load test. The run's throughput and client-side latency
-// percentiles are written as JSON (BENCH_3.json by convention).
+// percentiles are written as JSON, to stdout unless -o names a file.
 //
 // Usage:
 //
 //	loadgen -url http://127.0.0.1:8080 -demo
-//	loadgen -url http://127.0.0.1:8080 -db db.gob -clip tunnel -sessions 32 -o BENCH_3.json
+//	loadgen -url http://127.0.0.1:8080 -db db.gob -clip tunnel -sessions 32 -o report.json
 //	loadgen -url http://coordinator -demo -coordinator -shards http://w0,http://w1
 //	loadgen -url http://127.0.0.1:8080 -live -duration 20s
 //	loadgen -url http://127.0.0.1:8080 -demo -predicate demo -topk 10
@@ -35,8 +35,8 @@ import (
 	"milvideo/internal/videodb"
 )
 
-// output is the BENCH_3.json shape: run metadata around the
-// generator's report.
+// output is the JSON loadgen writes (the shape of the committed
+// BENCH_3.json): run metadata around the generator's report.
 type output struct {
 	Generated  string `json:"generated"`
 	GoVersion  string `json:"go_version"`
@@ -79,7 +79,7 @@ func main() {
 	duration := flag.Duration("duration", 20*time.Second, "live run length")
 	coordinator := flag.Bool("coordinator", false, "target is a cluster coordinator: print its per-shard scatter breakdown after the run")
 	shards := flag.String("shards", "", "comma-separated shard-worker URLs to snapshot per-shard stats from after the run")
-	out := flag.String("o", "BENCH_3.json", "output path ('-' for stdout)")
+	out := flag.String("o", "-", "output path ('-' for stdout)")
 	flag.Parse()
 
 	var shardURLs []string

@@ -111,18 +111,6 @@ func IntersectionClip() (*core.Clip, error) {
 	})
 }
 
-// WarmClips builds both default processed clips with the streaming
-// pipeline, the two builds in flight concurrently, so a following
-// sweep or benchmark run starts from a warm clip cache. Subsequent
-// TunnelClip/IntersectionClip calls hit the memoized results.
-func WarmClips() error {
-	builds := []func() (*core.Clip, error){TunnelClip, IntersectionClip}
-	return runConcurrent(len(builds), func(i int) error {
-		_, err := builds[i]()
-		return err
-	})
-}
-
 // sweepWorkers bounds runConcurrent's pool; 0 sizes it by GOMAXPROCS.
 // Determinism tests pin it to compare pool sizes.
 var sweepWorkers = 0

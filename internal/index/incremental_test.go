@@ -490,6 +490,37 @@ func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestWholeBagDeltasApplyIncrementally is the incremental-maintenance
+// gate: at default Options, a built index over a 480-bag catalog
+// absorbs 20 deltas that each remove the oldest bag and add an unseen
+// one, for every index kind, and every delta must take the
+// incremental path — 20 applies, no rebuild.
+func TestWholeBagDeltasApplyIncrementally(t *testing.T) {
+	const bags, deltas = 480, 20
+	catalog := synthVSsAt(90, 0, bags)
+	fresh := synthVSsAt(91, 1_000_000, deltas)
+	for _, kind := range Kinds() {
+		bi, err := Build(catalog, kind, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		db := append([]window.VS(nil), catalog...)
+		for op, vs := range fresh {
+			db = append(db[1:], vs)
+			res, err := bi.Update(db)
+			if err != nil {
+				t.Fatalf("%s delta %d: %v", kind, op, err)
+			}
+			if res.Rebuilt || res.Inserted == 0 || res.Deleted == 0 {
+				t.Fatalf("%s delta %d: not applied as a delta: %+v", kind, op, res)
+			}
+		}
+		if m := bi.Maintenance(); m.Applies != deltas || m.Rebuilds != 0 {
+			t.Fatalf("%s: applies %d, rebuilds %d; want %d, 0", kind, m.Applies, m.Rebuilds, deltas)
+		}
+	}
+}
+
 // TestBagIndexUpdateRebuildThreshold: churn past RebuildFraction
 // triggers a compacting rebuild; the rebuilt index keeps answering
 // like a fresh one and the tombstones are gone.

@@ -174,3 +174,47 @@ func TestPrunedRankingGolden(t *testing.T) {
 		t.Logf("recomputed hashes:\n%s", fresh)
 	}
 }
+
+// TestPrunedRoundWork pins the probe work behind pruned rankings.
+// TestPrunedRankingGolden pins what the rounds return, but a lost
+// shared threshold or scout bound would multiply distance evaluations
+// without moving any ranking. Per configuration, one judged
+// five-round session (as in prunedRankingHashes) runs on a fresh
+// server over ScaledDemoRecord(1, 100) behind VP-tree+PQ at S ∈ {1, 3}
+// × C ∈ {150, 1200}, and the server's index counters must equal the
+// pinned ones exactly. A deliberate change to the probe work re-pins
+// them; the failure message prints the recomputed counts.
+func TestPrunedRoundWork(t *testing.T) {
+	type work struct{ Probes, DistEvals, CandidatesRanked int64 }
+	want := map[string]work{
+		"S=1/C=150":  {Probes: 173, DistEvals: 56_338, CandidatesRanked: 656},
+		"S=1/C=1200": {Probes: 173, DistEvals: 414_812, CandidatesRanked: 4_812},
+		"S=3/C=150":  {Probes: 519, DistEvals: 82_427, CandidatesRanked: 628},
+		"S=3/C=1200": {Probes: 519, DistEvals: 372_497, CandidatesRanked: 4_812},
+	}
+	rec, err := ScaledDemoRecord(1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	judge, err := JudgeFromRecord(rec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		for _, c := range []int{150, 1200} {
+			key := fmt.Sprintf("S=%d/C=%d", shards, c)
+			_, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: "pq", Shards: shards})
+			sessionRankingHashes(t, client, judge, key, QueryRequest{
+				Clip: rec.Name, Index: string(index.KindVPTree), Candidates: c,
+			})
+			st, err := client.Stats(context.Background())
+			if err != nil {
+				t.Fatalf("%s: stats: %v", key, err)
+			}
+			got := work{st.Index.Probes, st.Index.DistEvals, st.Index.CandidatesRanked}
+			if got != want[key] {
+				t.Errorf("%s: work %+v, pinned %+v", key, got, want[key])
+			}
+		}
+	}
+}

@@ -185,18 +185,3 @@ func ScaledDemoRecord(seed int64, scale int) (*videodb.ClipRecord, error) {
 	}
 	return SynthRecord(seed, 6*scale, 6*scale, 36*scale)
 }
-
-// DemoDB wraps the default demo record in a single-clip catalog — the
-// database cmd/serve runs in -demo mode and the one the CI smoke test
-// loads against.
-func DemoDB(seed int64) (*videodb.DB, error) {
-	rec, err := ScaledDemoRecord(seed, 1)
-	if err != nil {
-		return nil, err
-	}
-	db := videodb.New()
-	if err := db.Add(rec); err != nil {
-		return nil, err
-	}
-	return db, nil
-}

@@ -296,20 +296,30 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 		return nil, fmt.Errorf("shard: scatter: %w", err)
 	}
 
-	// Gather: order every surviving hit by (distance, database
-	// position) and keep the first C distinct positions, so each bag
-	// counts at its best distance over shards. Deterministic whatever
-	// the goroutine schedule.
+	// Gather. The round is live, so a failed answer is a lost shard
+	// (a deadline here is the shard's own Timeout), except a stale
+	// index, which fails the round uncounted. Then order every
+	// surviving hit by (distance, database position) and keep the
+	// first C distinct positions, so each bag counts at its best
+	// distance over shards. Deterministic whatever the goroutine
+	// schedule.
 	start = time.Now()
+	if i := slices.IndexFunc(answers, func(a shardAnswer) bool { return errors.Is(a.err, index.ErrStale) }); i >= 0 {
+		return nil, fmt.Errorf("%w: %w", retrieval.ErrStaleIndex, answers[i].err)
+	}
 	var hits []index.BagHit
 	failed := 0
 	var pstats index.ProbeStats
 	for _, a := range answers {
-		if errors.Is(a.err, index.ErrStale) {
-			return nil, fmt.Errorf("%w: %w", retrieval.ErrStaleIndex, a.err)
-		}
 		if a.err != nil {
 			failed++
+			if e.Stats != nil {
+				if errors.Is(a.err, context.DeadlineExceeded) {
+					e.Stats.ShardTimeouts.Add(1)
+				} else {
+					e.Stats.ShardErrors.Add(1)
+				}
+			}
 			continue
 		}
 		pstats.Probes += a.stats.Probes
@@ -403,9 +413,11 @@ func (e *Engine) perShardC(n int) int {
 }
 
 // probeShard runs one shard's probe behind its deadline and the
-// chaos hook, classifying any loss into the timeout/error counters.
-// bounds, when non-nil, are the scout's carried pruning radii; they
-// reach the shard only through the BoundedProber fast path.
+// chaos hook. A failed answer carries its error uncounted: only the
+// gather, once it knows the round itself is still live, can tell a
+// lost shard from the end of the round. bounds, when non-nil, are
+// the scout's carried pruning radii; they reach the shard only
+// through the BoundedProber fast path.
 func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [][]float64, c int, bounds []float64) shardAnswer {
 	sctx := ctx
 	cancel := func() {}
@@ -424,7 +436,7 @@ func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [
 			case <-t.C:
 			case <-sctx.Done():
 				t.Stop()
-				return shardAnswer{err: e.lost(sctx.Err())}
+				return shardAnswer{err: sctx.Err()}
 			}
 			t.Stop()
 		}
@@ -432,7 +444,7 @@ func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [
 			if e.Stats != nil {
 				e.Stats.InjectedFailures.Add(1)
 			}
-			return shardAnswer{err: e.lost(ferr)}
+			return shardAnswer{err: ferr}
 		}
 	}
 	if bp, ok := e.Probers[shard].(BoundedProber); ok {
@@ -441,30 +453,15 @@ func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [
 		}
 		hits, kth, stats, err := bp.ProbeBounded(sctx, probes, c, bounds)
 		if err != nil {
-			return shardAnswer{err: e.lost(err)}
+			return shardAnswer{err: err}
 		}
 		return shardAnswer{hits: hits, kth: kth, stats: stats}
 	}
 	hits, stats, err := e.Probers[shard].Probe(sctx, probes, c)
 	if err != nil {
-		return shardAnswer{err: e.lost(err)}
+		return shardAnswer{err: err}
 	}
 	return shardAnswer{hits: hits, stats: stats}
-}
-
-// lost counts a lost shard probe and passes the error through. A
-// stale index is not a lost shard: it fails the whole round.
-func (e *Engine) lost(err error) error {
-	if e.Stats != nil {
-		switch {
-		case errors.Is(err, index.ErrStale):
-		case errors.Is(err, context.DeadlineExceeded):
-			e.Stats.ShardTimeouts.Add(1)
-		default:
-			e.Stats.ShardErrors.Add(1)
-		}
-	}
-	return err
 }
 
 // full delegates to the wrapped engine, counting the round.

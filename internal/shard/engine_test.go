@@ -546,7 +546,8 @@ func TestShardedSeededRoundCounting(t *testing.T) {
 
 // TestShardedRoundContextEnded: a round whose own context was
 // cancelled or expired returns that error instead of falling back to
-// a full rank of the database, at one shard and at three.
+// a full rank of the database, at one shard and at three, and counts
+// no shard as lost: the shards did not fail, the round ended.
 func TestShardedRoundContextEnded(t *testing.T) {
 	db := shardSynthDB(13, 49)
 	labels := shardLabels(db, 2, 2)
@@ -572,6 +573,10 @@ func TestShardedRoundContextEnded(t *testing.T) {
 			if st.FullRounds.Load() != 0 || st.AllFailedRounds.Load() != 0 || st.PrunedRounds.Load() != 0 {
 				t.Fatalf("S=%d: ended round counted full=%d all_failed=%d pruned=%d", s,
 					st.FullRounds.Load(), st.AllFailedRounds.Load(), st.PrunedRounds.Load())
+			}
+			if st.ShardErrors.Load() != 0 || st.ShardTimeouts.Load() != 0 {
+				t.Fatalf("S=%d: ended round (%v) counted shard_errors=%d shard_timeouts=%d, want 0/0", s,
+					tc.want, st.ShardErrors.Load(), st.ShardTimeouts.Load())
 			}
 		}
 	}

@@ -16,9 +16,10 @@
 # and fuzz target must name an existing test, or the run fails), a
 # statement-coverage floor over the internal packages, a
 # one-iteration smoke of the ingest benchmarks, an
-# incremental-maintenance smoke (20 whole-bag deltas, all absorbed
-# without a rebuild), a live server smoke: cmd/serve (quantized
-# probing) on an ephemeral port driven by cmd/loadgen sessions —
+# incremental-maintenance gate (an internal/index test: 20 whole-bag
+# deltas per index kind, all absorbed without a rebuild), a live
+# server smoke: cmd/serve (quantized probing) on an ephemeral port
+# driven by cmd/loadgen sessions —
 # exact, routed through the IVF candidate index, seeded from the
 # canned predicate mix (round-0 recall@10 >= 0.9 against the staged
 # incidents, never losing ground under MIL feedback), and under
@@ -112,10 +113,13 @@ echo "== benchmark module (perfbench: vet + self-tests, offline) =="
 echo "== race (internal: server, streaming/ingest, videodb, pools, sweeps) =="
 go test -race ./internal/...
 
-echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings; exact k-best and multi-probe; stored heuristic order) =="
+echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings and probe work; exact k-best and multi-probe; stored heuristic order) =="
 # Besides the recall gates: pruned (C<N) session rankings must match
-# their pinned hashes, the heap-free k-best search must equal brute
-# force, the shared-threshold multi-probe pass must equal independent
+# their pinned hashes, the probe work behind them (probes, distance
+# evaluations and re-ranked candidates of VP-tree+PQ sessions at
+# S ∈ {1, 3} × C ∈ {150, 1200}) must match its pinned counts exactly,
+# the heap-free k-best search must equal brute force, the
+# shared-threshold multi-probe pass must equal independent
 # per-probe searches (FuzzCandidatesExact's seed corpus) while
 # spending fewer VP-tree evaluations, and one probe scratch must serve
 # indexes of any bag count. The stored heuristic order: the filtered
@@ -125,7 +129,7 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # pruned rounds may compute it, and the server must reuse it by VS
 # backing identity, never by length. The TestCandidate tests check the
 # pruned-ranking contract on the unsharded (one-shard) engine.
-index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder'
+index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder'
 index_pkgs=(./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/)
 require_run "$index_smoke" "${index_pkgs[@]}"
 go test -race -count=1 -run "$index_smoke" "${index_pkgs[@]}"
@@ -139,8 +143,9 @@ echo "== sharded serving (C=N identity gate + shard chaos, -race) =="
 # identical to the unsharded ranking for every engine × index kind ×
 # shard count, and fault-injected shards must degrade to partial
 # results with counters instead of failing queries. A stale index or
-# an ended round context fails the round instead, and seeded rounds
-# count only with the pruned round they scattered.
+# an ended round context fails the round instead, counting no lost
+# shard, and seeded rounds count only with the pruned round they
+# scattered.
 sharded_legs='TestSharded|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard'
 sharded_pkgs=(./internal/shard/ ./internal/server/ ./internal/faults/)
 require_run "$sharded_legs" "${sharded_pkgs[@]}"
@@ -203,22 +208,12 @@ echo "== bench smoke (ingest) =="
 go test -run xxx -bench Ingest -benchtime 1x .
 
 echo "== bench smoke (incremental index maintenance) =="
-# The maintenance benchmark drives a built index through 20 whole-bag
-# deltas; every one must take the incremental path (applies == 20,
-# zero rebuilds) for both index kinds.
-maintdir=$(mktemp -d)
-go run ./cmd/bench -maint -o "$maintdir/maint.json" >/dev/null
-[ "$(grep -c '"applies": 20' "$maintdir/maint.json")" -eq 2 ] || {
-    echo "maintenance smoke: incremental path not exercised" >&2
-    cat "$maintdir/maint.json" >&2
-    exit 1
-}
-[ "$(grep -c '"rebuilds": 0' "$maintdir/maint.json")" -eq 2 ] || {
-    echo "maintenance smoke: unexpected rebuilds" >&2
-    cat "$maintdir/maint.json" >&2
-    exit 1
-}
-rm -rf "$maintdir"
+# A built index (480 bags, default options) is driven through 20
+# whole-bag deltas; every one must take the incremental path (applies
+# == 20, zero rebuilds) for both index kinds.
+maint_test='^TestWholeBagDeltasApplyIncrementally$'
+require_run "$maint_test" ./internal/index/
+go test -count=1 -run "$maint_test" ./internal/index/
 
 echo "== server smoke (serve + loadgen) =="
 smokedir=$(mktemp -d)
