@@ -218,8 +218,13 @@ func run(url, dbPath string, demo bool, demoSeed int64, demoScale int, clip, eng
 		fmt.Println(out)
 	}
 
+	attempted := sessions * rounds
+	if live {
+		// A live run is bounded by -duration, not by -rounds.
+		attempted = rep.RoundsServed + rep.DroppedRounds
+	}
 	fmt.Fprintf(os.Stderr, "loadgen: %d/%d rounds served in %.2fs (%.1f rounds/s), final accuracy %.1f%%\n",
-		rep.RoundsServed, sessions*rounds, rep.DurationSec, rep.RoundsPerSec, rep.FinalAccuracyMean*100)
+		rep.RoundsServed, attempted, rep.DurationSec, rep.RoundsPerSec, rep.FinalAccuracyMean*100)
 	if len(rep.RoundRecall) > 0 {
 		parts := make([]string, len(rep.RoundRecall))
 		for r, v := range rep.RoundRecall {

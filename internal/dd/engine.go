@@ -26,6 +26,11 @@ func (Engine) Name() string { return "EM-DD" }
 
 // Rank implements retrieval.Engine.
 func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
+	return e.RankOrder(db, labels, nil)
+}
+
+// RankOrder implements retrieval.OrderRanker.
+func (e Engine) RankOrder(db []window.VS, labels map[int]mil.Label, stored func() []int) ([]int, error) {
 	bags := make([]mil.Bag, len(db))
 	for i, vs := range db {
 		b := mil.Bag{ID: vs.Index, Label: labels[vs.Index]}
@@ -36,7 +41,7 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	}
 	concept, err := Train(bags, e.Opt)
 	if errors.Is(err, ErrNoPositiveBags) {
-		return retrieval.HeuristicOrder(db), nil
+		return retrieval.FallbackOrder(db, stored)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("dd: %w", err)

@@ -15,7 +15,8 @@ var stalenessBounds = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 100
 // histogram is a fixed-bucket latency histogram with an exact
 // maximum. The daemon cannot reuse the server package's histogram —
 // the import points the other way — so it keeps its own, with the
-// same bucket-interpolated percentile estimate.
+// same percentile estimate: the upper bound of the bucket holding
+// the quantile, clamped to the observed maximum.
 type histogram struct {
 	mu     sync.Mutex
 	counts []uint64 // len(stalenessBounds)+1; last is overflow
@@ -43,7 +44,8 @@ func (h *histogram) observe(d time.Duration) {
 }
 
 // quantileLocked returns the upper bound of the bucket holding the
-// q-quantile observation (the overflow bucket reports the exact max).
+// q-quantile observation, or the exact max when that is lower (always
+// in the overflow bucket). Both bound the true quantile from above.
 func (h *histogram) quantileLocked(q float64) float64 {
 	if h.total == 0 {
 		return 0
@@ -57,7 +59,7 @@ func (h *histogram) quantileLocked(q float64) float64 {
 		seen += c
 		if rank < seen {
 			if i < len(stalenessBounds) {
-				return stalenessBounds[i]
+				return min(stalenessBounds[i], h.maxMs)
 			}
 			return h.maxMs
 		}
@@ -80,7 +82,8 @@ func (h *histogram) summary() StalenessSummary {
 // StalenessSummary reports the queryable-staleness distribution:
 // for each committed segment, the time from source arrival to the
 // moment its windows were applied to the live index. Percentiles are
-// bucket upper bounds (conservative).
+// bucket upper bounds clamped to MaxMs: never below the true quantile
+// (conservative) and never above the observed maximum.
 type StalenessSummary struct {
 	Count uint64  `json:"count"`
 	P50Ms float64 `json:"p50_ms"`

@@ -11,8 +11,10 @@ import (
 	"slices"
 	"testing"
 
+	"milvideo/internal/dd"
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
+	"milvideo/internal/misvm"
 	"milvideo/internal/retrieval"
 	"milvideo/internal/rf"
 	"milvideo/internal/shard"
@@ -311,13 +313,19 @@ func TestCandidateSeededPrunes(t *testing.T) {
 
 // TestCandidateStoredOrder: a pruned round that filters a stored
 // heuristic order ranks exactly as one that computes the order, for
-// every engine and both index kinds. Only rounds that leave a
-// remainder read the order — round 0 without probes and C = N do not
-// — and an order of the wrong length fails the round with
+// every engine and both index kinds. Rounds that leave a remainder
+// read the order, and so does round 0 without probes when the engine
+// falls back to it (an OrderRanker: MIL and Rocchio, not Weighted-RF,
+// whose no-feedback ranking is its own weighted score); C = N rounds
+// with probes do not. Round 0 returns a copy, so a caller writing
+// into it leaves the next round 0 unchanged, and an order of the
+// wrong length fails pruned rounds and round 0 alike with
 // ErrStaleIndex.
 func TestCandidateStoredOrder(t *testing.T) {
 	db := candSynthDB(9, 80)
 	order := retrieval.HeuristicOrder(db)
+	want0 := slices.Clone(order)
+	roundZeroReads := map[string]int{"MIL-OCSVM": 1, "Rocchio": 1}
 	for _, kind := range index.Kinds() {
 		bi, err := index.Build(db, kind, index.Options{})
 		if err != nil {
@@ -331,7 +339,7 @@ func TestCandidateStoredOrder(t *testing.T) {
 			}{
 				{candLabels(db, 3, 3), 12, 1},
 				{candLabels(db, 3, 3), len(db), 0},
-				{map[int]mil.Label{}, 12, 0},
+				{map[int]mil.Label{}, 12, roundZeroReads[eng.Name()]},
 			} {
 				reads := 0
 				stored := wholeDB(eng, db, bi, tc.c, nil)
@@ -351,12 +359,72 @@ func TestCandidateStoredOrder(t *testing.T) {
 					t.Fatalf("%s %s C=%d labels=%d: stored order read %d times, want %d",
 						kind, eng.Name(), tc.c, len(tc.labels), reads, tc.reads)
 				}
+				if len(tc.labels) == 0 {
+					slices.Reverse(got)
+					again, err := stored.Rank(db, tc.labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(again, want) || !slices.Equal(order, want0) {
+						t.Fatalf("%s %s: writing into a round-0 ranking changed the next round 0", kind, eng.Name())
+					}
+				}
 			}
 			stale := wholeDB(eng, db, bi, 12, nil)
 			stale.Order = func() []int { return order[:len(order)-1] }
 			if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, retrieval.ErrStaleIndex) {
 				t.Fatalf("%s %s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
 			}
+			switch _, err := stale.Rank(db, map[int]mil.Label{}); {
+			case roundZeroReads[eng.Name()] == 0 && err != nil:
+				t.Fatalf("%s %s round 0 never reads the order, yet failed: %v", kind, eng.Name(), err)
+			case roundZeroReads[eng.Name()] > 0 && !errors.Is(err, retrieval.ErrStaleIndex):
+				t.Fatalf("%s %s round 0: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
+			}
+		}
+	}
+}
+
+// TestOrderRankerFallback: every registry engine whose no-feedback
+// ranking is the §5.3 order ranks the same through a stored order as
+// through Rank, and reads the order exactly when it falls back: in
+// round 0, and for MI-SVM also while no negative label exists. A
+// stored order of the wrong length fails round 0 with ErrStaleIndex.
+func TestOrderRankerFallback(t *testing.T) {
+	db := candSynthDB(5, 40)
+	order := retrieval.HeuristicOrder(db)
+	labelSets := []map[int]mil.Label{{}, candLabels(db, 3, 0), candLabels(db, 3, 3)}
+	for _, tc := range []struct {
+		eng interface {
+			retrieval.Engine
+			retrieval.OrderRanker
+		}
+		reads []int // per label set
+	}{
+		{retrieval.MILEngine{Opt: mil.DefaultOptions()}, []int{1, 0, 0}},
+		{retrieval.RocchioEngine{}, []int{1, 0, 0}},
+		{dd.Engine{}, []int{1, 0, 0}},
+		{misvm.Engine{Opt: misvm.Options{C: 2}}, []int{1, 1, 0}},
+	} {
+		for li, labels := range labelSets {
+			want, err := tc.eng.Rank(db, labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := 0
+			got, err := tc.eng.RankOrder(db, labels, func() []int { reads++; return order })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s labels %d: stored-order ranking diverges from Rank", tc.eng.Name(), li)
+			}
+			if reads != tc.reads[li] {
+				t.Fatalf("%s labels %d: stored order read %d times, want %d", tc.eng.Name(), li, reads, tc.reads[li])
+			}
+		}
+		if _, err := tc.eng.RankOrder(db, labelSets[0], func() []int { return order[1:] }); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("%s round 0: order of %d bags for %d: got %v, want ErrStaleIndex", tc.eng.Name(), len(order)-1, len(db), err)
 		}
 	}
 }

@@ -20,14 +20,16 @@ func RerankUnion(inner Engine, db []window.VS, labels map[int]mil.Label, candPos
 // RerankUnionOrder is RerankUnion over a stored heuristic order, the
 // tail of the pruned-ranking engine (shard.Engine), which reduces its
 // probe phase to "which positions get the exact treatment" and defers
-// here. stored, when non-nil, returns HeuristicOrder(db), and the
+// here. stored, when non-nil, returns HeuristicOrder(db) — the same
+// stored order an OrderRanker's no-feedback fallback copies — and the
 // remainder is that order with the re-ranked union skipped. The
 // catalog-wide order restricted to the remainder is exactly the
 // remainder's own heuristic ranking, so the result equals
 // RerankUnion's. stored is called only when a remainder exists,
-// before inner runs; an order of another length was computed over
-// another database and fails the round with ErrStaleIndex. A nil
-// stored computes the order here.
+// before inner runs, and only read; an order of another length was
+// computed over another database and fails the round with
+// ErrStaleIndex, the one check every stored-order reader shares. A
+// nil stored computes the order here.
 func RerankUnionOrder(inner Engine, db []window.VS, labels map[int]mil.Label, candPos []int, stored func() []int) ([]int, int, error) {
 	if inner == nil {
 		return nil, 0, ErrNilEngine
@@ -57,15 +59,11 @@ func RerankUnionOrder(inner Engine, db []window.VS, labels map[int]mil.Label, ca
 	// The pruned remainder keeps the §5.3 heuristic ordering — the
 	// same ordering every engine falls back to before feedback exists.
 	var order []int
-	switch {
-	case len(sub) == len(db):
-		// Nothing was pruned: no remainder to order.
-	case stored == nil:
-		order = HeuristicOrder(db)
-	default:
-		if order = stored(); len(order) != len(db) {
-			return nil, 0, fmt.Errorf("%w: stored heuristic order covers %d bags, database has %d",
-				ErrStaleIndex, len(order), len(db))
+	if len(sub) < len(db) {
+		// Something was pruned: the remainder needs the order.
+		var err error
+		if order, err = storedOrder(db, stored); err != nil {
+			return nil, 0, err
 		}
 	}
 	subRank, err := inner.Rank(sub, labels)

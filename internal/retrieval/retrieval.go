@@ -216,6 +216,19 @@ type ProbeSeeder interface {
 	SeedProbes(db []window.VS) [][]float64
 }
 
+// OrderRanker is implemented by engines whose ranking without usable
+// positive feedback is HeuristicOrder(db). RankOrder ranks exactly
+// like Rank, but takes that fallback from stored when stored is
+// non-nil: a stored HeuristicOrder of db, which the pruned-ranking
+// engine keeps once per catalog (shard.Engine.Order), so round 0
+// copies the order instead of re-scoring and re-sorting every bag.
+// stored is called only when the engine falls back, and an order of
+// the wrong length fails the round with ErrStaleIndex (see
+// FallbackOrder). Rank is RankOrder with a nil stored.
+type OrderRanker interface {
+	RankOrder(db []window.VS, labels map[int]mil.Label, stored func() []int) ([]int, error)
+}
+
 // HeuristicScore computes the §5.3 initial-query score of a VS: the
 // squared sum of the feature vector at each sampling point, maximized
 // over points and over the contained TSs. Empty VSs score −Inf.
@@ -263,13 +276,46 @@ func rankByScore(scores []float64) []int {
 // HeuristicOrder is the §5.3 initial-query ranking of db: positions
 // by HeuristicScore descending (never NaN: a NaN point score never
 // beats the running max), ties by ascending position. It depends only
-// on the catalog, so servers store it for RerankUnionOrder.
+// on the catalog, so servers store it for OrderRanker fallbacks and
+// RerankUnionOrder.
 func HeuristicOrder(db []window.VS) []int {
 	scores := make([]float64, len(db))
 	for i, vs := range db {
 		scores[i] = HeuristicScore(vs)
 	}
 	return rankByScore(scores)
+}
+
+// storedOrder returns HeuristicOrder(db): stored's order when stored
+// is non-nil, else computed. An order of another length was computed
+// over another database and fails with ErrStaleIndex. A stored order
+// is returned as is, so callers only read it.
+func storedOrder(db []window.VS, stored func() []int) ([]int, error) {
+	if stored == nil {
+		return HeuristicOrder(db), nil
+	}
+	order := stored()
+	if len(order) != len(db) {
+		return nil, fmt.Errorf("%w: stored heuristic order covers %d bags, database has %d",
+			ErrStaleIndex, len(order), len(db))
+	}
+	return order, nil
+}
+
+// FallbackOrder is the ranking an OrderRanker returns without usable
+// positive feedback: HeuristicOrder(db), copied from stored when
+// stored is non-nil, so the caller owns the slice and cannot write
+// into the stored order. A stored order of the wrong length fails
+// with ErrStaleIndex.
+func FallbackOrder(db []window.VS, stored func() []int) ([]int, error) {
+	if stored == nil {
+		return HeuristicOrder(db), nil
+	}
+	order, err := storedOrder(db, stored)
+	if err != nil {
+		return nil, err
+	}
+	return slices.Clone(order), nil
 }
 
 // MILCache is an empty placeholder kept so that code written against
@@ -311,6 +357,11 @@ func (e MILEngine) Name() string { return "MIL-OCSVM" }
 
 // Rank implements Engine.
 func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
+	return e.RankOrder(db, labels, nil)
+}
+
+// RankOrder implements OrderRanker.
+func (e MILEngine) RankOrder(db []window.VS, labels map[int]mil.Label, stored func() []int) ([]int, error) {
 	ratio := e.TopTSRatio
 	if ratio == 0 {
 		ratio = 0.5
@@ -325,11 +376,11 @@ func (e MILEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error)
 		}
 	}
 	if len(training) == 0 {
-		return HeuristicOrder(db), nil
+		return FallbackOrder(db, stored)
 	}
 	learner, err := mil.Train(training, e.Opt)
 	if errors.Is(err, mil.ErrNoPositiveBags) {
-		return HeuristicOrder(db), nil
+		return FallbackOrder(db, stored)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: %s: %w", e.Name(), err)
@@ -454,9 +505,14 @@ func (RocchioEngine) Name() string { return "Rocchio" }
 
 // Rank implements Engine.
 func (e RocchioEngine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
+	return e.RankOrder(db, labels, nil)
+}
+
+// RankOrder implements OrderRanker.
+func (e RocchioEngine) RankOrder(db []window.VS, labels map[int]mil.Label, stored func() []int) ([]int, error) {
 	rel := relevantPointVectors(db, labels)
 	if len(rel) == 0 {
-		return HeuristicOrder(db), nil
+		return FallbackOrder(db, stored)
 	}
 	var irr [][]float64
 	for _, vs := range db {

@@ -150,7 +150,8 @@ type LatencySummary struct {
 
 // Summary computes the histogram's exported view. Percentiles are
 // upper-bound estimates: the bound of the bucket containing the
-// quantile (the max observed value for the overflow bucket).
+// quantile, or the max observed value when that is lower (always for
+// the overflow bucket), so no percentile exceeds MaxMs.
 func (h *LatencyHistogram) Summary() LatencySummary {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -180,7 +181,7 @@ func (h *LatencyHistogram) Summary() LatencySummary {
 			cum += c
 			if cum >= target {
 				if i < len(latencyBuckets) {
-					return ms(latencyBuckets[i])
+					return ms(min(latencyBuckets[i], h.max))
 				}
 				return ms(h.max)
 			}

@@ -10,6 +10,7 @@ import (
 	"milvideo/internal/index"
 	"milvideo/internal/mil"
 	"milvideo/internal/shard"
+	"milvideo/internal/window"
 )
 
 // orderComputed reports whether the server's memo holds a computed
@@ -41,10 +42,13 @@ func judgedFeedback(t *testing.T, client *Client, judge Judge, resp *RoundRespon
 	return next, labels
 }
 
-// TestHeuristicOrderOnlyPrunedRounds: exact sessions, C ≥ N sessions
-// and rounds without probes never compute the stored heuristic order;
-// the first pruned round does. Unsharded and in-process sharded
-// serving alike.
+// TestHeuristicOrderOnlyPrunedRounds: only indexed sessions that read
+// the stored heuristic order compute it. Exact sessions never do. An
+// indexed MIL session computes it in round 0, whose no-feedback
+// fallback copies it, at C = N as at C < N. A session seeded by
+// example ranks round 0 with its seed engine and leaves it
+// uncomputed. One fresh server per row, unsharded and in-process
+// sharded serving alike.
 func TestHeuristicOrderOnlyPrunedRounds(t *testing.T) {
 	rec, err := ScaledDemoRecord(1, 2)
 	if err != nil {
@@ -55,28 +59,32 @@ func TestHeuristicOrderOnlyPrunedRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := len(rec.VSs)
+	example := rec.VSs[slices.IndexFunc(rec.VSs, func(vs window.VS) bool { return len(vs.TSs) > 0 })].Index
 	for _, shards := range []int{1, 2} {
-		srv, client := newTestServer(t, Config{DB: testCatalog(t, rec), Shards: shards})
 		for _, tc := range []struct {
-			req    QueryRequest
-			pruned bool
+			req      QueryRequest
+			computed bool
 		}{
 			{QueryRequest{Clip: rec.Name, Index: "exact"}, false},
-			{QueryRequest{Clip: rec.Name, Index: "vptree", Candidates: n}, false},
+			{QueryRequest{Clip: rec.Name, Index: "vptree", Candidates: n}, true},
 			{QueryRequest{Clip: rec.Name, Index: "vptree", Candidates: n / 4}, true},
+			{QueryRequest{Clip: rec.Name, Index: "vptree", Candidates: n / 4, ExampleVS: &example}, false},
 		} {
-			key := fmt.Sprintf("S=%d %s C=%d", shards, tc.req.Index, tc.req.Candidates)
+			srv, client := newTestServer(t, Config{DB: testCatalog(t, rec), Shards: shards})
+			key := fmt.Sprintf("S=%d %s C=%d example=%v", shards, tc.req.Index, tc.req.Candidates, tc.req.ExampleVS != nil)
 			tc.req.TopK = 10
 			resp, err := client.Query(context.Background(), tc.req)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			if orderComputed(srv, rec.Name) {
-				t.Fatalf("%s: round 0 has no probes, yet the order was computed", key)
+			if got := orderComputed(srv, rec.Name); got != tc.computed {
+				t.Fatalf("%s: order computed %v after round 0, want %v", key, got, tc.computed)
 			}
-			judgedFeedback(t, client, judge, resp)
-			if got := orderComputed(srv, rec.Name); got != tc.pruned {
-				t.Fatalf("%s: order computed %v after a feedback round, want %v", key, got, tc.pruned)
+			if tc.req.Index == "exact" {
+				judgedFeedback(t, client, judge, resp)
+				if orderComputed(srv, rec.Name) {
+					t.Fatalf("%s: an exact feedback round computed the order", key)
+				}
 			}
 		}
 	}

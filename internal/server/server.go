@@ -642,7 +642,9 @@ func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (index.Kind, i
 // the cluster's shard workers over HTTP, or to in-process probers:
 // one per ring partition when sharding in process, else one over the
 // whole clip (S = 1). The engine reads the clip's stored heuristic
-// order from the memo, which computes it on the first pruned round.
+// order from the memo, which computes it on the first round that
+// needs it: round 0 when base falls back to the §5.3 order
+// (retrieval.OrderRanker), else the first pruned round.
 // kind == "" returns base unchanged (exact ranking). Live sessions
 // call it again every round with that round's snapshot.
 func (s *Server) engineFor(base retrieval.Engine, rec *videodb.ClipRecord, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {

@@ -19,15 +19,15 @@ import (
 )
 
 // clipMemo memoizes what serving derives from each clip's VS database:
-// its §5.3 heuristic order, which pruned rounds filter for their
-// remainder, and the slices its in-process probers cover — the
-// consistent-hash partition when sharding in process (stable part
-// slices keep the per-shard index cache's backing-identity test
-// absorbing generation bumps as deltas), else the whole clip as one
-// part. An entry is reused only while the clip's VS backing array is
-// the one it was computed over (videodb.SharesBacking), never by
-// length: a live commit can evict and append as many windows as it
-// drops.
+// its §5.3 heuristic order, which round 0 copies and pruned rounds
+// filter for their remainder, and the slices its in-process probers
+// cover — the consistent-hash partition when sharding in process
+// (stable part slices keep the per-shard index cache's
+// backing-identity test absorbing generation bumps as deltas), else
+// the whole clip as one part. An entry is reused only while the
+// clip's VS backing array is the one it was computed over
+// (videodb.SharesBacking), never by length: a live commit can evict
+// and append as many windows as it drops.
 type clipMemo struct {
 	mu      sync.Mutex
 	ring    *shard.Ring // nil unless sharding in process
@@ -40,7 +40,10 @@ type clipMemoEntry struct {
 	// as one part with identity positions (Pos nil).
 	parts []shard.Part
 	// order is HeuristicOrder(vss), computed under mu by the first
-	// pruned round that needs it.
+	// round that reads it: round 0 of an indexed session whose engine
+	// falls back to the §5.3 order (retrieval.OrderRanker), or a
+	// pruned round that leaves a remainder. Readers never write into
+	// it; the fallback returns a copy.
 	mu    sync.Mutex
 	order []int
 }

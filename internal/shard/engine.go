@@ -203,12 +203,15 @@ type Engine struct {
 	// Stats, when non-nil, accumulates the round counters.
 	Stats *Stats
 	// Order, when non-nil, returns the stored HeuristicOrder of the
-	// database Rank receives, which pruned rounds filter for their
-	// remainder (see retrieval.RerankUnionOrder). Only rounds that
-	// leave a remainder call it, so its owner may compute the order on
-	// first call; an order of the wrong length fails the round with
-	// retrieval.ErrStaleIndex. Nil computes the order in every such
-	// round.
+	// database Rank receives. Pruned rounds filter it for their
+	// remainder (see retrieval.RerankUnionOrder), and full rounds hand
+	// it to an Inner that implements retrieval.OrderRanker, whose
+	// no-feedback fallback (round 0 without probes) then copies it
+	// instead of re-sorting the catalog. Only rounds that leave a
+	// remainder or fall back call it, so its owner may compute the
+	// order on first call; an order of the wrong length fails the
+	// round with retrieval.ErrStaleIndex. Nil computes the order in
+	// every such round.
 	Order func() []int
 	// Fault, when non-nil, is consulted per (shard, round): a
 	// positive stall delays that shard's probe, a non-nil error fails
@@ -464,10 +467,14 @@ func (e *Engine) probeShard(ctx context.Context, shard int, seq uint64, probes [
 	return shardAnswer{hits: hits, stats: stats}
 }
 
-// full delegates to the wrapped engine, counting the round.
+// full delegates to the wrapped engine, counting the round. An inner
+// retrieval.OrderRanker gets the stored order for its fallback.
 func (e *Engine) full(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 	if e.Stats != nil {
 		e.Stats.FullRounds.Add(1)
+	}
+	if or, ok := e.Inner.(retrieval.OrderRanker); ok {
+		return or.RankOrder(db, labels, e.Order)
 	}
 	return e.Inner.Rank(db, labels)
 }

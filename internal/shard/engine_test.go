@@ -468,14 +468,17 @@ func TestShardedSeededIdentity(t *testing.T) {
 
 // TestShardedStoredOrder: a scattered round that filters a stored
 // heuristic order ranks exactly as one that computes the order, at one
-// shard and at three. The order is read only when the merged union
-// leaves a remainder — never at C = N with every shard answering, nor
-// in round 0 without probes — and an order of the wrong length fails
-// the round with ErrStaleIndex.
+// shard and at three. The order is read when the merged union leaves
+// a remainder, never at C = N with every shard answering, and once in
+// round 0 without probes, whose MIL fallback copies it: a caller
+// writing into that ranking leaves the next round 0 unchanged. An
+// order of the wrong length fails pruned rounds and round 0 alike
+// with ErrStaleIndex.
 func TestShardedStoredOrder(t *testing.T) {
 	db := shardSynthDB(2, 90)
 	labels := shardLabels(db, 3, 3)
 	order := retrieval.HeuristicOrder(db)
+	want0 := append([]int(nil), order...)
 	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	for _, kind := range index.Kinds() {
 		for _, s := range []int{1, 3} {
@@ -487,7 +490,7 @@ func TestShardedStoredOrder(t *testing.T) {
 			}{
 				{labels, 10, 1},
 				{labels, len(db), 0},
-				{map[int]mil.Label{}, 10, 0},
+				{map[int]mil.Label{}, 10, 1},
 			} {
 				reads := 0
 				stored := &Engine{Inner: inner, Probers: probers, C: tc.c, Order: func() []int { reads++; return order }}
@@ -505,10 +508,25 @@ func TestShardedStoredOrder(t *testing.T) {
 				if reads != tc.reads {
 					t.Fatalf("%s S=%d C=%d labels=%d: stored order read %d times, want %d", kind, s, tc.c, len(tc.labels), reads, tc.reads)
 				}
+				if len(tc.labels) == 0 {
+					for i := range got {
+						got[i] = -1
+					}
+					again, err := stored.Rank(db, tc.labels)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(again, want) || !reflect.DeepEqual(order, want0) {
+						t.Fatalf("%s S=%d: writing into a round-0 ranking changed the next round 0", kind, s)
+					}
+				}
 			}
 			stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
 			if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
 				t.Fatalf("%s S=%d: order of %d bags for %d: got %v, want ErrStaleIndex", kind, s, len(order)-1, len(db), err)
+			}
+			if _, err := stale.Rank(db, map[int]mil.Label{}); !errors.Is(err, retrieval.ErrStaleIndex) {
+				t.Fatalf("%s S=%d round 0: order of %d bags for %d: got %v, want ErrStaleIndex", kind, s, len(order)-1, len(db), err)
 			}
 		}
 	}

@@ -15,7 +15,8 @@
 # stored-heuristic-order re-rank tail (every gated -run alternative
 # and fuzz target must name an existing test, or the run fails), a
 # statement-coverage floor over the internal packages, a
-# one-iteration smoke of the ingest benchmarks, an
+# one-iteration smoke of the ingest benchmarks and of the
+# stored-heuristic-order benchmarks (round 0, re-rank tail), an
 # incremental-maintenance gate (an internal/index test: 20 whole-bag
 # deltas per index kind, all absorbed without a rebuild), a live
 # server smoke: cmd/serve (quantized probing) on an ephemeral port
@@ -125,11 +126,15 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # indexes of any bag count. The stored heuristic order: the filtered
 # re-rank tail must equal re-scoring and re-sorting the remainder
 # (FuzzRerankUnionOrder's seed corpus), the candidate and sharded
-# engines must rank the same with and without a stored order, only
-# pruned rounds may compute it, and the server must reuse it by VS
-# backing identity, never by length. The TestCandidate tests check the
-# pruned-ranking contract on the unsharded (one-shard) engine.
-index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder'
+# engines must rank the same with and without a stored order, every
+# engine whose no-feedback ranking is the §5.3 order (MIL, Rocchio,
+# EM-DD, MI-SVM) must rank the same through it and copy it in round 0,
+# only indexed sessions may compute it (round 0 of an indexed MIL
+# session does; exact and example-seeded ones do not), and the server
+# must reuse it by VS backing identity, never by length. The
+# TestCandidate tests check the pruned-ranking contract on the
+# unsharded (one-shard) engine.
+index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder|TestOrderRanker'
 index_pkgs=(./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/)
 require_run "$index_smoke" "${index_pkgs[@]}"
 go test -race -count=1 -run "$index_smoke" "${index_pkgs[@]}"
@@ -206,6 +211,13 @@ awk -v got="$total" -v floor="$COVERAGE_FLOOR" 'BEGIN { exit !(got+0 >= floor+0)
 
 echo "== bench smoke (ingest) =="
 go test -run xxx -bench Ingest -benchtime 1x .
+
+echo "== bench smoke (stored heuristic order: round 0 and the re-rank tail) =="
+# One iteration of each stored-order microbenchmark at archive shape
+# (48,000 bags), stored against computed.
+order_benches='BenchmarkRoundZero|BenchmarkRerankUnion'
+require_run "$order_benches" ./internal/retrieval/
+go test -run '^$' -bench "$order_benches" -benchtime 1x ./internal/retrieval/
 
 echo "== bench smoke (incremental index maintenance) =="
 # A built index (480 bags, default options) is driven through 20
