@@ -9,7 +9,7 @@ import (
 )
 
 // segScratch bundles every working buffer one Segments call needs:
-// two ping-pong mask frames (subtraction, threshold and the four
+// two ping-pong mask frames (the thresholded subtraction and the four
 // morphology passes), the connected-components labeling scratch and
 // the SPCPE refinement scratch. Pooling the bundle makes steady-state
 // per-frame extraction allocate only the returned segment slice.
@@ -147,11 +147,10 @@ func (e *Extractor) Segments(img *frame.Gray) ([]Segment, error) {
 	defer segScratchPool.Put(sc)
 	sc.ensure(img.W, img.H)
 
-	// Subtract: |img − bg| thresholded into the first mask buffer.
-	if err := frame.AbsDiffInto(sc.maskB, img, e.bg); err != nil {
+	// Subtract: |img − bg| ≥ DiffThreshold into the first mask buffer.
+	if err := subtractInto(sc.maskA, img, e.bg, e.opt.DiffThreshold); err != nil {
 		return nil, err
 	}
-	sc.maskB.ThresholdInto(sc.maskA, e.opt.DiffThreshold)
 	mask := sc.maskA
 	if e.opt.Morphology {
 		// Close(Open(mask)): erode, dilate, dilate, erode, ping-ponging
