@@ -179,6 +179,11 @@ func (e Engine) Rank(db []window.VS, labels map[int]mil.Label) ([]int, error) {
 
 // RankOrder implements retrieval.OrderRanker.
 func (e Engine) RankOrder(db []window.VS, labels map[int]mil.Label, stored func() []int) ([]int, error) {
+	// Train needs a positive and a negative VS that hold a TS; without
+	// both, rank heuristically before building any bag.
+	if !retrieval.HasBag(db, labels, mil.Positive) || !retrieval.HasBag(db, labels, mil.Negative) {
+		return retrieval.FallbackOrder(db, stored)
+	}
 	bags := make([]mil.Bag, len(db))
 	for i, vs := range db {
 		b := mil.Bag{ID: vs.Index, Label: labels[vs.Index]}

@@ -389,10 +389,13 @@ func TestCandidateStoredOrder(t *testing.T) {
 // ranking is the §5.3 order ranks the same through a stored order as
 // through Rank, and reads the order exactly when it falls back: in
 // round 0, and for MI-SVM also while no negative label exists. A
-// stored order of the wrong length fails round 0 with ErrStaleIndex.
+// fallback allocates only its copy of the order: an engine must see
+// that it will fall back before it builds any bag. A stored order of
+// the wrong length fails round 0 with ErrStaleIndex.
 func TestOrderRankerFallback(t *testing.T) {
 	db := candSynthDB(5, 40)
 	order := retrieval.HeuristicOrder(db)
+	stored := func() []int { return order }
 	labelSets := []map[int]mil.Label{{}, candLabels(db, 3, 0), candLabels(db, 3, 3)}
 	for _, tc := range []struct {
 		eng interface {
@@ -422,9 +425,60 @@ func TestOrderRankerFallback(t *testing.T) {
 			if reads != tc.reads[li] {
 				t.Fatalf("%s labels %d: stored order read %d times, want %d", tc.eng.Name(), li, reads, tc.reads[li])
 			}
+			if reads == 0 {
+				continue
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := tc.eng.RankOrder(db, labels, stored); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Fatalf("%s labels %d: fallback made %.0f allocations, want 1 (the copy of the order)", tc.eng.Name(), li, allocs)
+			}
 		}
 		if _, err := tc.eng.RankOrder(db, labelSets[0], func() []int { return order[1:] }); !errors.Is(err, retrieval.ErrStaleIndex) {
 			t.Fatalf("%s round 0: order of %d bags for %d: got %v, want ErrStaleIndex", tc.eng.Name(), len(order)-1, len(db), err)
+		}
+	}
+}
+
+var roundZeroSink []int
+
+// BenchmarkRoundZero times round 0 (no labels) of every engine whose
+// no-feedback ranking is the §5.3 order, at archive shape (48,000
+// bags): "stored" copies a stored HeuristicOrder, as an indexed
+// session's round 0 does, and "computed" scores and sorts the catalog,
+// as Rank does.
+func BenchmarkRoundZero(b *testing.B) {
+	db := candSynthDB(1, 48000)
+	order := retrieval.HeuristicOrder(db)
+	labels := map[int]mil.Label{}
+	for _, eng := range []interface {
+		retrieval.Engine
+		retrieval.OrderRanker
+	}{
+		retrieval.MILEngine{Opt: mil.DefaultOptions()},
+		dd.Engine{},
+		misvm.Engine{Opt: misvm.Options{C: 2}},
+	} {
+		for _, bc := range []struct {
+			name   string
+			stored func() []int
+		}{
+			{"stored", func() []int { return order }},
+			{"computed", nil},
+		} {
+			b.Run(eng.Name()+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out, err := eng.RankOrder(db, labels, bc.stored)
+					if err != nil {
+						b.Fatal(err)
+					}
+					roundZeroSink = out
+				}
+			})
 		}
 	}
 }

@@ -228,34 +228,6 @@ func BenchmarkRerankUnion(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundZero times MILEngine's round 0 (no labels) at archive
-// shape, 48,000 bags: "stored" copies a stored HeuristicOrder, as an
-// indexed session's round 0 does, and "computed" scores and sorts the
-// catalog, as Rank does.
-func BenchmarkRoundZero(b *testing.B) {
-	db := candSynthDB(1, 48000)
-	order := HeuristicOrder(db)
-	eng := MILEngine{Opt: mil.DefaultOptions()}
-	for _, bc := range []struct {
-		name   string
-		stored func() []int
-	}{
-		{"stored", func() []int { return order }},
-		{"computed", nil},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := eng.RankOrder(db, map[int]mil.Label{}, bc.stored)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rerankSink = out
-			}
-		})
-	}
-}
-
 // candSynthDB builds a seeded synthetic VS database: mostly smooth
 // traffic, a few accident-like spikes, 1–3 TSs per bag.
 func candSynthDB(seed int64, n int) []window.VS {

@@ -318,6 +318,18 @@ func FallbackOrder(db []window.VS, stored func() []int) ([]int, error) {
 	return slices.Clone(order), nil
 }
 
+// HasBag reports whether some VS of db labelled l holds a TS, that is
+// whether a trainer would get a bag of that label. Engines check it
+// before building bags, so a round that will fall back builds none.
+func HasBag(db []window.VS, labels map[int]mil.Label, l mil.Label) bool {
+	for _, vs := range db {
+		if len(vs.TSs) > 0 && labels[vs.Index] == l {
+			return true
+		}
+	}
+	return false
+}
+
 // MILCache is an empty placeholder kept so that code written against
 // the removed cross-round distance cache still compiles: MILEngine
 // computes its distances directly every round. Its counters always
