@@ -289,23 +289,6 @@ func BenchmarkBackgroundModel(b *testing.B) {
 	}
 }
 
-// BenchmarkBackgroundModelRef measures the sort-per-pixel reference
-// implementation on the same input — the baseline the histogram path
-// is measured against (see DESIGN.md's Performance section).
-func BenchmarkBackgroundModelRef(b *testing.B) {
-	scene := benchScene(b)
-	clip, err := render.Video(scene, render.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := segment.LearnBackgroundRef(clip.Frames, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkKernelGram measures the symmetric parallel Gram matrix at
 // retrieval-database scale (200 instances of dimension 9).
 func BenchmarkKernelGram(b *testing.B) {
@@ -403,23 +386,6 @@ func BenchmarkWeightedRFRank(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.Rank(db, labels); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIngestSequentialClip measures the stage-by-stage reference
-// pipeline (segment all frames, then track, then window) on a
-// pre-rendered 300-frame clip — the baseline for the streaming path.
-func BenchmarkIngestSequentialClip(b *testing.B) {
-	scene := benchScene(b)
-	clip, err := render.Video(scene, render.DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.ProcessVideoSequential(clip, core.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -101,36 +101,10 @@ func ProcessScene(scene *sim.Scene, cfg Config) (*Clip, error) {
 // ProcessVideo runs segmentation, tracking, trajectory sampling and
 // window extraction over an arbitrary clip. Since PR 2 this is the
 // streaming pipeline (ProcessVideoStream); the output is
-// byte-identical to ProcessVideoSequential.
+// byte-identical to the stage-by-stage ProcessVideoSequential the
+// tests keep as its oracle.
 func ProcessVideo(v *frame.Video, cfg Config) (*Clip, error) {
 	return ProcessVideoStream(v, cfg)
-}
-
-// ProcessVideoSequential is the original stage-by-stage pipeline:
-// segmentation over the whole clip (track.Video's worker pool), then
-// tracking, then windowing, with no inter-stage overlap. It is kept as
-// the reference implementation the streaming path is verified against,
-// and as the baseline for the ingest benchmarks.
-func ProcessVideoSequential(v *frame.Video, cfg Config) (*Clip, error) {
-	if v == nil {
-		return nil, errors.New("core: nil video")
-	}
-	if cfg.Model == nil {
-		cfg.Model = event.AccidentModel{}
-	}
-	ex, err := segment.NewExtractor(v, cfg.Segment)
-	if err != nil {
-		return nil, fmt.Errorf("core: segmentation: %w", err)
-	}
-	tracks, err := track.Video(ex, v, cfg.Track)
-	if err != nil {
-		return nil, fmt.Errorf("core: tracking: %w", err)
-	}
-	vss, err := window.Extract(tracks, cfg.Model, v.Len(), cfg.Window)
-	if err != nil {
-		return nil, fmt.Errorf("core: windowing: %w", err)
-	}
-	return &Clip{Video: v, Tracks: tracks, VSs: vss, Config: cfg}, nil
 }
 
 // AccidentOracle returns the simulated user for accident queries. It

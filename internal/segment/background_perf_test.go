@@ -6,7 +6,46 @@ import (
 	"testing"
 
 	"milvideo/internal/frame"
+	"milvideo/internal/render"
+	"milvideo/internal/sim"
 )
+
+// LearnBackgroundRef is the straightforward single-threaded
+// sort-per-pixel reference implementation of LearnBackground: the
+// oracle of the histogram path (the two must agree exactly) and the
+// baseline of BenchmarkBackgroundModelRef.
+func LearnBackgroundRef(frames []*frame.Gray, sample int) (*frame.Gray, error) {
+	picked, bg, err := pickFrames(frames, sample)
+	if err != nil {
+		return nil, err
+	}
+	medianSortAll(picked, bg.Pix)
+	return bg, nil
+}
+
+// BenchmarkBackgroundModelRef measures LearnBackgroundRef over every
+// frame of the root package's 300-frame bench clip (the same scene
+// and options as BenchmarkBackgroundModel there): the baseline the
+// histogram path is measured against (see DESIGN.md's Performance
+// section).
+func BenchmarkBackgroundModelRef(b *testing.B) {
+	scene, err := sim.Tunnel(sim.TunnelConfig{
+		Frames: 300, Seed: 9, SpawnEvery: 80, WallCrash: 1, FPS: 25,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clip, err := render.Video(scene, render.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LearnBackgroundRef(clip.Frames, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // randFrames builds n seeded random frames of the given size.
 func randFrames(rng *rand.Rand, n, w, h int) []*frame.Gray {
