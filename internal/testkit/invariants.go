@@ -165,7 +165,9 @@ func CheckDBRoundTrip(db *videodb.DB) error {
 // VS database) into a comparable byte string: two byte-equal
 // signatures mean identical observations, confirmations, features and
 // windows. It is the byte-identity primitive behind the zero-rate
-// inertness tests.
+// inertness tests. Compare signatures made in one process only: gob
+// numbers types process-wide in first-use order, so the same clip
+// encodes differently after other types were encoded first.
 func Signature(tracks []*track.Track, vss []window.VS) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)

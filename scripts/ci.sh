@@ -11,12 +11,15 @@
 # C=N/4), the chaos conformance suite under -race (seeded fault
 # schedules across ingest, persistence and the query service), fuzz
 # smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
-# k-NN, the shared-threshold multi-probe candidate pass and the
-# stored-heuristic-order re-rank tail (every gated -run alternative
-# and fuzz target must name an existing test, or the run fails), a
-# statement-coverage floor over the internal packages, a
-# one-iteration smoke of the ingest benchmarks and of the
-# stored-heuristic-order benchmarks (round 0, re-rank tail), an
+# k-NN, the shared-threshold multi-probe candidate pass, the
+# stored-heuristic-order re-rank tail and the word-parallel
+# segmentation passes against their per-pixel oracles (every gated
+# -run alternative and fuzz target must name an existing test, or the
+# run fails), a statement-coverage floor over the internal packages, a
+# one-iteration smoke of the ingest benchmarks (streaming, batch and
+# the sequential reference in internal/core), of per-frame vehicle
+# extraction and of the stored-heuristic-order benchmarks (round 0,
+# re-rank tail), an
 # incremental-maintenance gate (an internal/index test: 20 whole-bag
 # deltas per index kind, all absorbed without a rebuild), a live
 # server smoke: cmd/serve (quantized probing) on an ephemeral port
@@ -190,10 +193,14 @@ jq -e 'all(.categories[]; .min_recall.exact >= 0.9 and .min_recall.candidate >= 
 }
 rm -rf "$rbdir"
 
-echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail; 5s each) =="
+echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail, word-parallel morphology; 5s each) =="
+# FuzzMorphology: ErodeInto, DilateInto and the fused subtraction must
+# equal the per-pixel loops they replaced on any size, pixel values
+# and dirty destination.
 for target in FuzzDBDecode:./internal/videodb/ FuzzPredicateDecode:./internal/predicate/ \
     FuzzQueryRequest:./internal/server/ FuzzKNNExact:./internal/index/ \
-    FuzzCandidatesExact:./internal/index/ FuzzRerankUnionOrder:./internal/retrieval/; do
+    FuzzCandidatesExact:./internal/index/ FuzzRerankUnionOrder:./internal/retrieval/ \
+    FuzzMorphology:./internal/segment/; do
     require_fuzz "${target%%:*}" "${target#*:}"
     go test -run xxx -fuzz "${target%%:*}" -fuzztime 5s "${target#*:}"
 done
@@ -209,8 +216,13 @@ awk -v got="$total" -v floor="$COVERAGE_FLOOR" 'BEGIN { exit !(got+0 >= floor+0)
     exit 1
 }
 
-echo "== bench smoke (ingest) =="
-go test -run xxx -bench Ingest -benchtime 1x .
+echo "== bench smoke (ingest, per-frame extraction) =="
+# The streaming and batch ingest benchmarks and per-frame vehicle
+# extraction live in the root package; the sequential reference
+# pipeline and its benchmark live in internal/core's tests.
+ingest_benches='BenchmarkIngestStreamClip|BenchmarkIngestBatchScenes|BenchmarkIngestSequentialClip|BenchmarkSegmentationPerFrame'
+require_run "$ingest_benches" . ./internal/core/
+go test -run xxx -bench "$ingest_benches" -benchtime 1x . ./internal/core/
 
 echo "== bench smoke (stored heuristic order: round 0 and the re-rank tail) =="
 # One iteration of each stored-order microbenchmark at archive shape
