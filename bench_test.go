@@ -26,7 +26,6 @@ import (
 	"milvideo/internal/sim"
 	"milvideo/internal/svm"
 	"milvideo/internal/trajectory"
-	"milvideo/internal/videodb"
 	"milvideo/internal/window"
 
 	"math/rand"
@@ -244,7 +243,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 	scene := benchScene(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.ProcessScene(scene, core.DefaultConfig()); err != nil {
+		if _, err := core.ProcessSceneStream(scene, core.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,7 +254,7 @@ func BenchmarkPipelineEndToEnd(b *testing.B) {
 // SPCPE refinement).
 func BenchmarkSegmentationPerFrame(b *testing.B) {
 	scene := benchScene(b)
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -404,31 +403,6 @@ func BenchmarkIngestStreamClip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.ProcessVideoStream(clip, core.DefaultConfig()); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIngestBatchScenes measures concurrent multi-clip ingest:
-// four short distinct-seed clips rendered, processed and stored into a
-// fresh catalog per op.
-func BenchmarkIngestBatchScenes(b *testing.B) {
-	jobs := make([]core.IngestJob, 4)
-	for i := range jobs {
-		s, err := sim.Tunnel(sim.TunnelConfig{
-			Frames: 100, Seed: int64(i + 1), SpawnEvery: 80, WallCrash: 1, FPS: 25,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs[i] = core.IngestJob{Name: s.Name + "-" + strconv.Itoa(i+1), Scene: s}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results := core.IngestScenes(videodb.New(), jobs, core.IngestOptions{Config: core.DefaultConfig()})
-		for _, r := range results {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
 		}
 	}
 }

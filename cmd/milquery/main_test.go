@@ -20,7 +20,7 @@ func testCatalog(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func run(scenario string, frames int, seed int64, name, out string) error {
 
 	fmt.Printf("simulated %q: %d frames, %d vehicles, %d incidents\n",
 		scene.Name, len(scene.Frames), scene.VehicleCount(), len(scene.Incidents))
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		return err
 	}

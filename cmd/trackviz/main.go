@@ -56,7 +56,7 @@ func run(out io.Writer, scenario string, frames int, seed int64, frameIdx, cols 
 	if err != nil {
 		return err
 	}
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		return err
 	}

@@ -33,7 +33,7 @@ func main() {
 	}
 
 	// 2. The vision pipeline runs on rendered pixels only.
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	}
 	fmt.Printf("clip 1 (tunnel): %d frames, %d incidents\n", len(scene.Frames), len(scene.Incidents))
 
-	clip, err := core.ProcessScene(scene, core.DefaultConfig())
+	clip, err := core.ProcessSceneStream(scene, core.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

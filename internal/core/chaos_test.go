@@ -123,7 +123,7 @@ func TestFaultedIngestDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sc := range []StreamConfig{{}, {Depth: 1, Batch: 1, SegWorkers: 1}, {Depth: 4, Batch: 4, SegWorkers: 3}} {
+	for _, sc := range []StreamConfig{{}, {SegWorkers: 1}, {SegWorkers: 3}} {
 		b, err := mk(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -161,9 +161,9 @@ func TestRetriesExhaustedDegradeToDrops(t *testing.T) {
 	}
 }
 
-// TestFaultedIngestScenesReportsPerClip: a faulted batch ingest keeps
-// every job alive, stores every record, and reports degradation per
-// clip.
+// TestFaultedIngestScenesReportsPerClip: ingesting several scenes
+// under faults keeps every clip alive, stores every record, and
+// reports degradation per clip.
 func TestFaultedIngestScenesReportsPerClip(t *testing.T) {
 	s1 := chaosScene(t)
 	s2, err := sim.Intersection(sim.IntersectionConfig{
@@ -176,19 +176,23 @@ func TestFaultedIngestScenesReportsPerClip(t *testing.T) {
 		Seed: 29, FrameDrop: 0.1, SaltPepper: 0.05, SegTransient: 0.1,
 	}))
 	db := videodb.New()
-	results := IngestScenes(db, []IngestJob{
-		{Name: "chaos-tunnel", Scene: s1},
-		{Name: "chaos-xing", Scene: s2},
-	}, IngestOptions{Config: cfg})
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("job %q failed under faults: %v", res.Name, res.Err)
+	for _, job := range []struct {
+		name  string
+		scene *sim.Scene
+	}{{"chaos-tunnel", s1}, {"chaos-xing", s2}} {
+		clip, err := ProcessSceneStream(job.scene, cfg)
+		if err != nil {
+			t.Fatalf("clip %q failed under faults: %v", job.name, err)
 		}
-		if !res.Degraded.Any() {
-			t.Fatalf("job %q reported no degradation", res.Name)
+		if !clip.Degraded.Any() {
+			t.Fatalf("clip %q reported no degradation", job.name)
 		}
-		if res.Record == nil {
-			t.Fatalf("job %q produced no record", res.Name)
+		rec, err := clip.Record(job.name)
+		if err != nil {
+			t.Fatalf("clip %q produced no record: %v", job.name, err)
+		}
+		if err := db.Add(rec); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if db.Len() != 2 {

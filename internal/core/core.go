@@ -4,12 +4,12 @@
 // interactive MIL retrieval. It is the primary entry point for the
 // tools, examples and benchmarks.
 //
-// Two ingestion paths exist: ProcessScene renders a simulated scene
-// and runs the complete vision pipeline over the pixels (the default
-// for experiments, where ground truth drives the feedback oracle),
-// and ProcessVideo consumes an arbitrary clip with no ground truth
-// (the path a real deployment would use, with a human supplying
-// feedback).
+// Two ingestion paths exist: ProcessSceneStream renders a simulated
+// scene and runs the complete vision pipeline over the pixels (the
+// default for experiments, where ground truth drives the feedback
+// oracle), and ProcessVideoStream consumes an arbitrary clip with no
+// ground truth (the path a real deployment would use, with a human
+// supplying feedback).
 package core
 
 import (
@@ -35,9 +35,9 @@ type Config struct {
 	Segment segment.Options
 	Track   track.Options
 	Window  window.Config
-	// Stream tunes the streaming ingestion pipeline (channel depth,
-	// batch size, segmentation workers); zero values take defaults.
-	// Stream settings never change the output, only the schedule.
+	// Stream sizes the streaming pipeline's segmentation worker pool;
+	// the zero value takes the default. It never changes the output,
+	// only the schedule.
 	Stream StreamConfig
 	// Faults, when non-nil and enabled, injects deterministic ingest
 	// faults (frame drops, pixel corruption, latency spikes, transient
@@ -72,7 +72,7 @@ func DefaultConfig() Config {
 // pipeline stage plus the final VS database.
 type Clip struct {
 	// Scene is the simulator ground truth; nil when the clip came
-	// from ProcessVideo.
+	// from ProcessVideoStream.
 	Scene *sim.Scene
 	// Video is the rendered (or supplied) pixel data.
 	Video *frame.Video
@@ -86,25 +86,6 @@ type Clip struct {
 	Degraded Degradation
 	// Config echoes the parameters that produced the clip.
 	Config Config
-}
-
-// ProcessScene renders the scene and runs the vision pipeline on the
-// rendered pixels. The scene itself is only retained as ground truth
-// for the feedback oracle and tracking evaluation — the learning
-// stages never see it. Since PR 2 this is the streaming pipeline
-// (ProcessSceneStream); the output is byte-identical to the
-// sequential path.
-func ProcessScene(scene *sim.Scene, cfg Config) (*Clip, error) {
-	return ProcessSceneStream(scene, cfg)
-}
-
-// ProcessVideo runs segmentation, tracking, trajectory sampling and
-// window extraction over an arbitrary clip. Since PR 2 this is the
-// streaming pipeline (ProcessVideoStream); the output is
-// byte-identical to the stage-by-stage ProcessVideoSequential the
-// tests keep as its oracle.
-func ProcessVideo(v *frame.Video, cfg Config) (*Clip, error) {
-	return ProcessVideoStream(v, cfg)
 }
 
 // AccidentOracle returns the simulated user for accident queries. It

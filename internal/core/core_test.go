@@ -38,7 +38,7 @@ var (
 func processed(t *testing.T) *Clip {
 	t.Helper()
 	processedOnce.Do(func() {
-		processedClip, processedErr = ProcessScene(smallScene(t), DefaultConfig())
+		processedClip, processedErr = ProcessSceneStream(smallScene(t), DefaultConfig())
 	})
 	if processedErr != nil {
 		t.Fatal(processedErr)
@@ -70,14 +70,14 @@ func TestProcessSceneEndToEnd(t *testing.T) {
 }
 
 func TestProcessErrors(t *testing.T) {
-	if _, err := ProcessScene(nil, DefaultConfig()); err == nil {
+	if _, err := ProcessSceneStream(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil scene accepted")
 	}
-	if _, err := ProcessVideo(nil, DefaultConfig()); err == nil {
+	if _, err := ProcessVideoStream(nil, DefaultConfig()); err == nil {
 		t.Fatal("nil video accepted")
 	}
 	bad := &frame.Video{FPS: 25}
-	if _, err := ProcessVideo(bad, DefaultConfig()); err == nil {
+	if _, err := ProcessVideoStream(bad, DefaultConfig()); err == nil {
 		t.Fatal("empty video accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestProcessErrors(t *testing.T) {
 func TestProcessVideoWithoutGroundTruth(t *testing.T) {
 	c := processed(t)
 	// Re-ingest the rendered pixels with no scene attached.
-	c2, err := ProcessVideo(c.Video, DefaultConfig())
+	c2, err := ProcessVideoStream(c.Video, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestProcessVideoWithoutGroundTruth(t *testing.T) {
 	// Default model fills in when nil.
 	cfg := DefaultConfig()
 	cfg.Model = nil
-	c3, err := ProcessVideo(c.Video, cfg)
+	c3, err := ProcessVideoStream(c.Video, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestVehicleClassification(t *testing.T) {
 		t.Fatal("nil classifier accepted")
 	}
 	// Training without ground truth fails.
-	c2, err := ProcessVideo(c.Video, DefaultConfig())
+	c2, err := ProcessVideoStream(c.Video, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestGeneralityModelSwap(t *testing.T) {
 	// claim): re-run with the U-turn model and check dimensions.
 	cfg := DefaultConfig()
 	cfg.Model = event.UTurnModel{}
-	c, err := ProcessScene(smallScene(t), cfg)
+	c, err := ProcessSceneStream(smallScene(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

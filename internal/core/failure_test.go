@@ -19,7 +19,7 @@ func TestPipelineOnBlankVideo(t *testing.T) {
 		f.Fill(100)
 		v.Frames = append(v.Frames, f)
 	}
-	c, err := ProcessVideo(v, DefaultConfig())
+	c, err := ProcessVideoStream(v, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestPipelineOnPureNoise(t *testing.T) {
 		}
 		v.Frames = append(v.Frames, f)
 	}
-	c, err := ProcessVideo(v, DefaultConfig())
+	c, err := ProcessVideoStream(v, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

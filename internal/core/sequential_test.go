@@ -14,11 +14,11 @@ import (
 	"milvideo/internal/window"
 )
 
-// ProcessVideoSequential is the original stage-by-stage pipeline:
-// segmentation over the whole clip (track.Video's worker pool), then
-// tracking, then windowing, with no inter-stage overlap. It is the
-// oracle the streaming path is verified against, and the baseline of
-// BenchmarkIngestSequentialClip.
+// ProcessVideoSequential is the stage-by-stage reference pipeline on
+// one goroutine: segment frame i, then track it, for every frame in
+// display order, then window the tracks, with no worker pool and no
+// inter-stage overlap. It is the oracle the streaming path is verified
+// against, and the baseline of BenchmarkIngestSequentialClip.
 func ProcessVideoSequential(v *frame.Video, cfg Config) (*Clip, error) {
 	if v == nil {
 		return nil, errors.New("core: nil video")
@@ -30,10 +30,17 @@ func ProcessVideoSequential(v *frame.Video, cfg Config) (*Clip, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: segmentation: %w", err)
 	}
-	tracks, err := track.Video(ex, v, cfg.Track)
-	if err != nil {
-		return nil, fmt.Errorf("core: tracking: %w", err)
+	tr := track.NewTracker(cfg.Track)
+	for i, f := range v.Frames {
+		segs, err := ex.Segments(f)
+		if err != nil {
+			return nil, fmt.Errorf("core: tracking: track: frame %d: %w", i, err)
+		}
+		if err := tr.Update(i, segs); err != nil {
+			return nil, fmt.Errorf("core: tracking: %w", err)
+		}
 	}
+	tracks := tr.Flush()
 	vss, err := window.Extract(tracks, cfg.Model, v.Len(), cfg.Window)
 	if err != nil {
 		return nil, fmt.Errorf("core: windowing: %w", err)
@@ -41,8 +48,8 @@ func ProcessVideoSequential(v *frame.Video, cfg Config) (*Clip, error) {
 	return &Clip{Video: v, Tracks: tracks, VSs: vss, Config: cfg}, nil
 }
 
-// BenchmarkIngestSequentialClip measures the stage-by-stage reference
-// pipeline (segment all frames, then track, then window) on the root
+// BenchmarkIngestSequentialClip measures the one-goroutine reference
+// pipeline (segment and track each frame in turn, then window) on the root
 // package's pre-rendered 300-frame bench clip (the same scene as
 // BenchmarkIngestStreamClip there): the baseline for the streaming
 // path.

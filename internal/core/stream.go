@@ -15,43 +15,35 @@ import (
 	"milvideo/internal/window"
 )
 
-// StreamConfig tunes the streaming ingestion pipeline: how deep the
-// inter-stage channels are (the backpressure bound), how many frames
-// travel together per channel operation, and how many workers the
-// segmentation stage runs. The settings trade memory and scheduling
-// overhead for overlap; they never change the output — the streamed
-// pipeline is byte-identical to the sequential one for every setting.
+// StreamConfig sizes the streaming pipeline's segmentation worker
+// pool. It never changes the output — the streamed pipeline is
+// byte-identical to the sequential one for every setting.
 type StreamConfig struct {
-	// Depth is the capacity, in batches, of each inter-stage channel.
-	// A full channel blocks the producer (backpressure), bounding how
-	// far rendering may run ahead of segmentation and segmentation
-	// ahead of tracking. 0 means 2.
-	Depth int
-	// Batch is how many consecutive frames form one unit of channel
-	// traffic and reordering. Larger batches amortize channel and
-	// scheduling overhead; smaller ones tighten the pipeline. 0 means 8.
-	Batch int
 	// SegWorkers bounds the segmentation stage's worker pool; 0 sizes
 	// it by GOMAXPROCS. Adaptive (stateful) extraction always uses one
 	// worker, since its frames must be segmented in display order.
 	SegWorkers int
 }
 
-// withDefaults resolves zero values.
-func (sc StreamConfig) withDefaults(adaptive bool) StreamConfig {
-	if sc.Depth <= 0 {
-		sc.Depth = 2
+// The pipeline's schedule: streamBatch consecutive frames form one
+// unit of channel traffic and reordering, and each inter-stage channel
+// holds streamDepth such units. A full channel blocks its producer
+// (backpressure), bounding how far rendering may run ahead of
+// segmentation and segmentation ahead of tracking.
+const (
+	streamDepth = 2
+	streamBatch = 8
+)
+
+// segWorkers resolves the segmentation pool size.
+func (sc StreamConfig) segWorkers(adaptive bool) int {
+	switch {
+	case adaptive:
+		return 1
+	case sc.SegWorkers <= 0:
+		return runtime.GOMAXPROCS(0)
 	}
-	if sc.Batch <= 0 {
-		sc.Batch = 8
-	}
-	if sc.SegWorkers <= 0 {
-		sc.SegWorkers = runtime.GOMAXPROCS(0)
-	}
-	if adaptive {
-		sc.SegWorkers = 1
-	}
-	return sc
+	return sc.SegWorkers
 }
 
 // ProcessVideoStream runs segmentation, tracking, trajectory sampling
@@ -61,7 +53,7 @@ func (sc StreamConfig) withDefaults(adaptive bool) StreamConfig {
 // a small reorder buffer — concurrently, so frame i is tracked while
 // frame i+k is still being segmented. Output is byte-identical to
 // ProcessVideoSequential: tracking sees the same segments in the same
-// order regardless of Depth, Batch or SegWorkers.
+// order whatever the worker count.
 func ProcessVideoStream(v *frame.Video, cfg Config) (*Clip, error) {
 	if v == nil {
 		return nil, errors.New("core: nil video")
@@ -104,24 +96,23 @@ type segBatch struct {
 // Fault injection (cfg.Faults) is applied per frame inside the worker
 // pool via segmentUnderFaults, accumulating into deg.
 func streamTracks(ex *segment.Extractor, frames []*frame.Gray, cfg Config, deg *degCounters) ([]*track.Track, error) {
-	sc := cfg.Stream.withDefaults(ex.Adaptive())
 	n := len(frames)
 	if n == 0 {
 		return nil, track.ErrEmptyVideo
 	}
-	batches := (n + sc.Batch - 1) / sc.Batch
-	workers := min(sc.SegWorkers, batches)
+	batches := (n + streamBatch - 1) / streamBatch
+	workers := min(cfg.Stream.segWorkers(ex.Adaptive()), batches)
 
-	work := make(chan int, sc.Depth)
-	out := make(chan segBatch, sc.Depth)
+	work := make(chan int, streamDepth)
+	out := make(chan segBatch, streamDepth)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for seq := range work {
-				lo := seq * sc.Batch
-				hi := min(lo+sc.Batch, n)
+				lo := seq * streamBatch
+				hi := min(lo+streamBatch, n)
 				sb := segBatch{seq: seq, segs: make([][]segment.Segment, hi-lo)}
 				for i := lo; i < hi; i++ {
 					segs, err := segmentUnderFaults(ex, cfg, deg, i, frames[i])
@@ -147,7 +138,7 @@ func streamTracks(ex *segment.Extractor, frames []*frame.Gray, cfg Config, deg *
 	}()
 
 	tr := track.NewTracker(cfg.Track)
-	pending := make(map[int]segBatch, workers+sc.Depth)
+	pending := make(map[int]segBatch, workers+streamDepth)
 	expect := 0
 	var firstErr error
 	for sb := range out {
@@ -162,7 +153,7 @@ func streamTracks(ex *segment.Extractor, frames []*frame.Gray, cfg Config, deg *
 				if cur.err != nil {
 					firstErr = fmt.Errorf("track: frame %d: %w", cur.errFrame, cur.err)
 				} else {
-					lo := expect * sc.Batch
+					lo := expect * streamBatch
 					for i, segs := range cur.segs {
 						if err := tr.Update(lo+i, segs); err != nil {
 							firstErr = err
@@ -243,7 +234,6 @@ func processSceneAdaptiveStream(scene *sim.Scene, cfg Config) (*Clip, error) {
 	if cfg.Model == nil {
 		cfg.Model = event.AccidentModel{}
 	}
-	sc := cfg.Stream.withDefaults(true)
 	n := len(scene.Frames)
 	learnCount := n
 	if learnCount > 50 {
@@ -256,8 +246,8 @@ func processSceneAdaptiveStream(scene *sim.Scene, cfg Config) (*Clip, error) {
 	defer halt()
 	deg := &degCounters{}
 
-	rendered := make(chan renderedFrame, sc.Depth*sc.Batch)
-	segmented := make(chan segmentedFrame, sc.Depth*sc.Batch)
+	rendered := make(chan renderedFrame, streamDepth*streamBatch)
+	segmented := make(chan segmentedFrame, streamDepth*streamBatch)
 	renderErr := make(chan error, 1)
 
 	go func() {

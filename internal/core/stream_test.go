@@ -57,16 +57,14 @@ func streamScenes(t *testing.T) []*sim.Scene {
 }
 
 // TestProcessVideoStreamMatchesSequential is the streaming pipeline's
-// core guarantee: for every scene and every channel-depth / batch /
-// worker setting, the streamed output is byte-identical to the
-// sequential reference.
+// core guarantee: for every scene and every worker count, the
+// streamed output is byte-identical to the sequential reference.
 func TestProcessVideoStreamMatchesSequential(t *testing.T) {
 	variants := []StreamConfig{
-		{},                                     // defaults
-		{Depth: 1, Batch: 1, SegWorkers: 1},    // fully serialized
-		{Depth: 2, Batch: 4, SegWorkers: 2},    // small batches, 2 workers
-		{Depth: 8, Batch: 16, SegWorkers: 4},   // deep channels, wide pool
-		{Depth: 1, Batch: 1000, SegWorkers: 2}, // one batch holds the whole clip
+		{},              // defaults
+		{SegWorkers: 1}, // one worker: segmentation in frame order
+		{SegWorkers: 2},
+		{SegWorkers: 4}, // batches finish out of order
 	}
 	if raceDetectorOn {
 		variants = variants[:3]
@@ -114,48 +112,46 @@ func TestProcessSceneStreamAdaptiveMatchesSequential(t *testing.T) {
 		}
 		want := clipSignature(t, seq.Tracks, seq.VSs)
 
-		adaptiveVariants := []StreamConfig{{}, {Depth: 1, Batch: 1}, {Depth: 4, Batch: 2}}
-		if raceDetectorOn {
-			adaptiveVariants = adaptiveVariants[:1]
+		got, err := ProcessSceneStream(scene, cfg)
+		if err != nil {
+			t.Fatalf("scene %s: %v", scene.Name, err)
 		}
-		for _, sc := range adaptiveVariants {
-			cfg.Stream = sc
-			got, err := ProcessSceneStream(scene, cfg)
-			if err != nil {
-				t.Fatalf("scene %s stream %+v: %v", scene.Name, sc, err)
+		if got.Video.Len() != v.Len() {
+			t.Fatalf("scene %s: streamed %d frames, want %d", scene.Name, got.Video.Len(), v.Len())
+		}
+		for i := range v.Frames {
+			if !bytes.Equal(v.Frames[i].Pix, got.Video.Frames[i].Pix) {
+				t.Fatalf("scene %s frame %d: pixels differ", scene.Name, i)
 			}
-			if got.Video.Len() != v.Len() {
-				t.Fatalf("scene %s: streamed %d frames, want %d", scene.Name, got.Video.Len(), v.Len())
-			}
-			for i := range v.Frames {
-				if !bytes.Equal(v.Frames[i].Pix, got.Video.Frames[i].Pix) {
-					t.Fatalf("scene %s frame %d: pixels differ", scene.Name, i)
-				}
-			}
-			if !bytes.Equal(want, clipSignature(t, got.Tracks, got.VSs)) {
-				t.Fatalf("scene %s stream %+v: adaptive output differs from sequential", scene.Name, sc)
-			}
+		}
+		if !bytes.Equal(want, clipSignature(t, got.Tracks, got.VSs)) {
+			t.Fatalf("scene %s: adaptive output differs from sequential", scene.Name)
 		}
 	}
 }
 
-// TestProcessSceneMatchesStream pins the public entry points to the
-// streaming implementations.
+// TestProcessSceneMatchesStream pins the scene entry point to the
+// video one: with a static background, ProcessSceneStream is rendering
+// followed by ProcessVideoStream, plus the ground-truth scene.
 func TestProcessSceneMatchesStream(t *testing.T) {
 	scene := streamScenes(t)[0]
-	a, err := ProcessScene(scene, DefaultConfig())
+	a, err := ProcessSceneStream(scene, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ProcessSceneStream(scene, DefaultConfig())
+	v, err := render.Video(scene, DefaultConfig().Render)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ProcessVideoStream(v, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(clipSignature(t, a.Tracks, a.VSs), clipSignature(t, b.Tracks, b.VSs)) {
-		t.Fatal("ProcessScene and ProcessSceneStream disagree")
+		t.Fatal("ProcessSceneStream and ProcessVideoStream over the rendered clip disagree")
 	}
-	if a.Scene == nil {
-		t.Fatal("ProcessScene dropped the ground-truth scene")
+	if a.Scene != scene || b.Scene != nil {
+		t.Fatal("ground-truth scene not carried by the scene path alone")
 	}
 }
 
@@ -190,7 +186,7 @@ func TestStreamErrorPaths(t *testing.T) {
 	copy(frames, v.Frames)
 	frames[len(frames)/2] = frame.NewGray(8, 8)
 	bad := &frame.Video{Frames: frames, FPS: v.FPS, Name: v.Name}
-	for _, sc := range []StreamConfig{{}, {Depth: 1, Batch: 1, SegWorkers: 4}} {
+	for _, sc := range []StreamConfig{{}, {SegWorkers: 1}, {SegWorkers: 4}} {
 		cfg := DefaultConfig()
 		cfg.Stream = sc
 		// NewExtractor validates frame sizes, so feed the good video to

@@ -41,7 +41,7 @@ func CrossCamera() (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.ProcessScene(scene, pipeline)
+		return core.ProcessSceneStream(scene, pipeline)
 	})
 	if err != nil {
 		return Table{}, err
@@ -51,7 +51,7 @@ func CrossCamera() (Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.ProcessScene(scene, pipeline)
+		return core.ProcessSceneStream(scene, pipeline)
 	})
 	if err != nil {
 		return Table{}, err

@@ -42,7 +42,7 @@ func IlluminationDrift() (Table, error) {
 			pcfg := core.DefaultConfig()
 			pcfg.Render.LightDrift = 35
 			pcfg.Segment.Adaptive = adaptive
-			return core.ProcessScene(scene, pcfg)
+			return core.ProcessSceneStream(scene, pcfg)
 		})
 		if err != nil {
 			return Table{}, err

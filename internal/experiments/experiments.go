@@ -95,7 +95,7 @@ func TunnelClip() (*core.Clip, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.ProcessScene(scene, core.DefaultConfig())
+		return core.ProcessSceneStream(scene, core.DefaultConfig())
 	})
 }
 
@@ -107,7 +107,7 @@ func IntersectionClip() (*core.Clip, error) {
 		if err != nil {
 			return nil, err
 		}
-		return core.ProcessScene(scene, core.DefaultConfig())
+		return core.ProcessSceneStream(scene, core.DefaultConfig())
 	})
 }
 

@@ -478,7 +478,11 @@ type BagHit struct {
 // (max-instance aggregation), ties broken by ascending position.
 // Probes whose dimension does not match the index are skipped.
 func (bi *BagIndex) Candidates(probes [][]float64, c int) ([]int, ProbeStats) {
-	hits, stats := bi.CandidatesDist(probes, c)
+	bi.mu.RLock()
+	defer bi.mu.RUnlock()
+	sc := bi.scratches.Get().(*Scratch)
+	defer bi.scratches.Put(sc)
+	hits, _, stats := bi.candidatesLocked(probes, c, nil, sc)
 	if hits == nil {
 		return nil, stats
 	}
@@ -489,45 +493,30 @@ func (bi *BagIndex) Candidates(probes [][]float64, c int) ([]int, ProbeStats) {
 	return out, stats
 }
 
-// CandidatesDist probes like Candidates but keeps each candidate's
-// aggregated distance — the currency a scatter–gather merge needs to
-// order one shard's answers against another's.
-func (bi *BagIndex) CandidatesDist(probes [][]float64, c int) ([]BagHit, ProbeStats) {
-	hits, _, stats := bi.CandidatesDistBounded(probes, c, nil)
-	return hits, stats
-}
-
-// CandidatesDistBounded is CandidatesDist with per-probe pruning
-// radii and per-probe result-quality bounds back out, the two halves
-// of a scout-and-carry scatter. bounds[i], when positive and finite,
-// is an initial pruning radius for probe i: instances beyond it are
-// skipped (subtree-pruned in a VP-tree, filtered in IVF), so bags
-// whose best instance lies beyond bounds[i] for every probe may be
-// missing from the result — the caller holds candidates of that
-// quality from another shard already. nil (or an infinite entry)
-// means unbounded. The returned kth slice has one entry per probe:
-// the distance of the k-th instance neighbor that probe actually
-// retrieved, or +Inf when it retrieved fewer than k (dimension
-// mismatch, a tight incoming bound, the probes' shared threshold
-// cutting it short, or a small index). Each finite kth[i]
+// CandidatesOver probes like Candidates for a caller holding the
+// database it ranks, keeping each candidate's aggregated distance —
+// the currency a scatter–gather merge needs to order one shard's
+// answers against another's. Under the probe's read lock it checks
+// that the index covers db and returns ErrStale if not. At steady
+// retention a live commit evicts as many VSs as it appends, so the
+// count alone cannot tell generations apart; the VS.Index at the
+// first and last positions can, since the feed evicts the oldest VSs,
+// appends new ones and never reuses an index.
+//
+// bounds and kth are the two halves of a scout-and-carry scatter.
+// bounds[i], when positive and finite, is an initial pruning radius
+// for probe i: instances beyond it are skipped (subtree-pruned in a
+// VP-tree, filtered in IVF), so bags whose best instance lies beyond
+// bounds[i] for every probe may be missing from the result — the
+// caller holds candidates of that quality from another shard already.
+// nil (or an infinite entry) means unbounded. The returned kth slice
+// has one entry per probe: the distance of the k-th instance neighbor
+// that probe actually retrieved, or +Inf when it retrieved fewer than
+// k (dimension mismatch, a tight incoming bound, the probes' shared
+// threshold cutting it short, or a small index). Each finite kth[i]
 // upper-bounds the true k-th neighbor distance of probe i over this
 // shard's instances, which is what makes it a sound carried bound for
 // another shard of the same quantile share.
-func (bi *BagIndex) CandidatesDistBounded(probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats) {
-	bi.mu.RLock()
-	defer bi.mu.RUnlock()
-	sc := bi.scratches.Get().(*Scratch)
-	defer bi.scratches.Put(sc)
-	return bi.candidatesLocked(probes, c, bounds, sc)
-}
-
-// CandidatesOver is CandidatesDistBounded for a caller holding the
-// database it ranks: under the probe's read lock it checks that the
-// index covers db and returns ErrStale if not. At steady retention a
-// live commit evicts as many VSs as it appends, so the count alone
-// cannot tell generations apart; the VS.Index at the first and last
-// positions can, since the feed evicts the oldest VSs, appends new
-// ones and never reuses an index.
 func (bi *BagIndex) CandidatesOver(db []window.VS, probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats, error) {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
@@ -550,10 +539,11 @@ func spanOf(db []window.VS) [2]int {
 	return [2]int{db[0].Index, db[len(db)-1].Index}
 }
 
-// candidatesLocked is CandidatesDistBounded under the read lock, with
-// its scratch passed in. Each probe's hits arrive unsorted — only
-// their per-bag minimum matters — and aggregate into the scratch's
-// dense per-position distances.
+// candidatesLocked is the probe pass behind Candidates and
+// CandidatesOver, run under the read lock with its scratch passed in.
+// Each probe's hits arrive unsorted — only their per-bag minimum
+// matters — and aggregate into the scratch's dense per-position
+// distances.
 //
 // The probes share one threshold tau: an upper bound on the c-th best
 // (distance, position) bag aggregated so far, +Inf until c bags are

@@ -67,10 +67,10 @@ func TestBagIndexCandidates(t *testing.T) {
 	}
 }
 
-// TestCandidatesDist: the distance-carrying probe agrees with
-// Candidates on membership and order, distances are non-negative and
-// non-decreasing, and the empty cases return nil exactly like the
-// position-only form.
+// TestCandidatesDist: the distance-carrying probe (CandidatesOver)
+// agrees with Candidates on membership and order, distances are
+// non-negative and non-decreasing, and the empty cases return nil
+// exactly like the position-only form.
 func TestCandidatesDist(t *testing.T) {
 	db := synthVSs(8, 50)
 	for _, kind := range Kinds() {
@@ -79,7 +79,10 @@ func TestCandidatesDist(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		probes := [][]float64{db[3].TSs[0].Flat(), db[21].TSs[0].Flat()}
-		hits, hstats := bi.CandidatesDist(probes, 12)
+		hits, _, hstats, err := bi.CandidatesOver(db, probes, 12, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
 		cands, cstats := bi.Candidates(probes, 12)
 		if len(hits) != len(cands) {
 			t.Fatalf("%s: %d hits vs %d candidates", kind, len(hits), len(cands))
@@ -104,15 +107,19 @@ func TestCandidatesDist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, _ := bi.CandidatesDist([][]float64{{1, 2, 3}}, 4); hits != nil {
-		t.Fatalf("instanceless index returned hits %v", hits)
+	if hits, _, _, err := bi.CandidatesOver(empty, [][]float64{{1, 2, 3}}, 4, nil); err != nil || hits != nil {
+		t.Fatalf("instanceless index returned hits %v (err %v)", hits, err)
+	}
+	if cands, _ := bi.Candidates([][]float64{{1, 2, 3}}, 4); cands != nil {
+		t.Fatalf("instanceless index returned candidates %v", cands)
 	}
 }
 
-// TestCandidatesDistBounded: the scout/carry probe surface. Nil
-// bounds reproduce CandidatesDist exactly while exporting each
-// probe's achieved k-th instance distance, carrying those very
-// distances back as bounds changes no answer (a probe's own k-th
+// TestCandidatesDistBounded: the scout/carry probe surface of
+// CandidatesOver. Nil bounds and all-infinite bounds are the same
+// unbounded probe, hit for hit and evaluation for evaluation, and
+// export each probe's achieved k-th instance distance; carrying those
+// very distances back as bounds changes no answer (a probe's own k-th
 // distance upper-bounds itself) and costs no extra evals, and the
 // instanceless index stays nil.
 func TestCandidatesDistBounded(t *testing.T) {
@@ -123,18 +130,25 @@ func TestCandidatesDistBounded(t *testing.T) {
 			t.Fatalf("%s: %v", kind, err)
 		}
 		probes := [][]float64{db[5].TSs[0].Flat(), db[40].TSs[0].Flat()}
-		want, wstats := bi.CandidatesDist(probes, 10)
-		hits, kth, stats := bi.CandidatesDistBounded(probes, 10, nil)
+		inf := []float64{math.Inf(1), math.Inf(1)}
+		want, _, wstats, err := bi.CandidatesOver(db, probes, 10, inf)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		hits, kth, stats, err := bi.CandidatesOver(db, probes, 10, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
 		if len(hits) != len(want) {
-			t.Fatalf("%s: %d hits with nil bounds, CandidatesDist has %d", kind, len(hits), len(want))
+			t.Fatalf("%s: %d hits with nil bounds, %d with infinite ones", kind, len(hits), len(want))
 		}
 		for i := range want {
 			if hits[i] != want[i] {
-				t.Fatalf("%s: hit %d = %+v, CandidatesDist has %+v", kind, i, hits[i], want[i])
+				t.Fatalf("%s: hit %d = %+v with nil bounds, %+v with infinite ones", kind, i, hits[i], want[i])
 			}
 		}
 		if stats.DistEvals != wstats.DistEvals {
-			t.Fatalf("%s: nil-bound evals %d, CandidatesDist %d", kind, stats.DistEvals, wstats.DistEvals)
+			t.Fatalf("%s: nil-bound evals %d, infinite-bound evals %d", kind, stats.DistEvals, wstats.DistEvals)
 		}
 		if len(kth) != len(probes) {
 			t.Fatalf("%s: %d exported bounds for %d probes", kind, len(kth), len(probes))
@@ -149,7 +163,10 @@ func TestCandidatesDistBounded(t *testing.T) {
 				t.Fatalf("%s: probe %d found fewer than k of %d live instances", kind, qi, bi.Instances())
 			}
 		}
-		carried, _, cstats := bi.CandidatesDistBounded(probes, 10, kth)
+		carried, _, cstats, err := bi.CandidatesOver(db, probes, 10, kth)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
 		if len(carried) != len(hits) {
 			t.Fatalf("%s: carrying own bounds changed the hit count: %d vs %d", kind, len(carried), len(hits))
 		}
@@ -167,8 +184,8 @@ func TestCandidatesDistBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, kth, _ := bi.CandidatesDistBounded([][]float64{{1, 2, 3}}, 4, nil); hits != nil || len(kth) != 1 || !math.IsInf(kth[0], 1) {
-		t.Fatalf("instanceless index returned hits %v bounds %v", hits, kth)
+	if hits, kth, _, err := bi.CandidatesOver(empty, [][]float64{{1, 2, 3}}, 4, nil); err != nil || hits != nil || len(kth) != 1 || !math.IsInf(kth[0], 1) {
+		t.Fatalf("instanceless index returned hits %v bounds %v (err %v)", hits, kth, err)
 	}
 }
 
@@ -300,7 +317,8 @@ var fuzzQuantizers = sync.OnceValues(func() (map[QuantKind]Quantizer, error) {
 
 // FuzzCandidatesExact: the shared-threshold multi-probe pass returns
 // exactly candidatesOracle's candidates, distances included, through
-// CandidatesDist and CandidatesDistBounded with nil bounds alike. It
+// CandidatesOver with nil bounds, and their positions through
+// Candidates. It
 // covers both kinds × {none, scalar, pq}, general-position and lattice
 // (rounded, tie-heavy) instances, tombstones left by a delta Update, a
 // dimension-mismatched and a duplicate probe, and c from 1 to past the
@@ -378,20 +396,21 @@ func FuzzCandidatesExact(f *testing.F) {
 		c := 1 + int(cRaw)*len(db)/128
 
 		want, sumEvals := candidatesOracle(bi, probes, c)
-		got, stats := bi.CandidatesDist(probes, c)
-		bounded, _, bstats := bi.CandidatesDistBounded(probes, c, nil)
-		for name, hits := range map[string][]BagHit{"CandidatesDist": got, "CandidatesDistBounded": bounded} {
-			if len(hits) != len(want) {
-				t.Fatalf("%s %s c=%d: %d hits, oracle %d", kind, name, c, len(hits), len(want))
-			}
-			for i := range want {
-				if hits[i] != want[i] {
-					t.Fatalf("%s %s c=%d: hit %d = %+v, oracle %+v", kind, name, c, i, hits[i], want[i])
-				}
+		hits, _, stats, err := bi.CandidatesOver(db, probes, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos, pstats := bi.Candidates(probes, c)
+		if len(hits) != len(want) || len(pos) != len(want) {
+			t.Fatalf("%s c=%d: %d hits and %d candidates, oracle %d", kind, c, len(hits), len(pos), len(want))
+		}
+		for i := range want {
+			if hits[i] != want[i] || pos[i] != want[i].Pos {
+				t.Fatalf("%s c=%d: hit %d = %+v, candidate %d, oracle %+v", kind, c, i, hits[i], pos[i], want[i])
 			}
 		}
-		if stats != bstats || stats.Probes != len(probes)-1 {
-			t.Fatalf("%s: stats %+v and %+v for %d answerable probes", kind, stats, bstats, len(probes)-1)
+		if stats != pstats || stats.Probes != len(probes)-1 {
+			t.Fatalf("%s: stats %+v and %+v for %d answerable probes", kind, stats, pstats, len(probes)-1)
 		}
 		switch {
 		case kind == KindIVF && stats.DistEvals != sumEvals:

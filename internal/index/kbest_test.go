@@ -297,7 +297,10 @@ func TestCandidatesKth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, kth, _ := bi.CandidatesDistBounded(probes, c, nil)
+		_, kth, _, err := bi.CandidatesOver(db, probes, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i, q := range probes {
 			var sorted []Neighbor
 			switch kind {

@@ -43,6 +43,7 @@ import (
 	"milvideo/internal/core"
 	"milvideo/internal/faults"
 	"milvideo/internal/sim"
+	"milvideo/internal/stats"
 	"milvideo/internal/videodb"
 	"milvideo/internal/window"
 )
@@ -184,7 +185,7 @@ type Daemon struct {
 	state       string
 
 	stat      counters
-	staleness *histogram
+	staleness stats.LatencyHistogram
 	snapSeq   atomic.Uint64
 
 	started bool
@@ -244,7 +245,6 @@ func New(cfg Config) (*Daemon, error) {
 		recs:        make(map[string]*videodb.ClipRecord),
 		commitTimes: make(map[string]time.Time),
 		state:       "idle",
-		staleness:   newHistogram(),
 	}
 	if d.logf == nil {
 		d.logf = func(string, ...any) {}
@@ -653,7 +653,7 @@ func (d *Daemon) commitOne(p processed) {
 	}
 
 	staleness := time.Since(p.arrival)
-	d.staleness.observe(staleness)
+	d.staleness.Observe(staleness)
 	if staleness > d.cfg.MaxStaleness {
 		d.stat.violations.Add(1)
 	}
@@ -725,6 +725,6 @@ func (d *Daemon) Stats() Stats {
 	s.SnapshotFailures = d.stat.snapshotFailures.Load()
 	s.MaxStalenessMs = d.cfg.MaxStaleness.Milliseconds()
 	s.StalenessViolations = d.stat.violations.Load()
-	s.Staleness = d.staleness.summary()
+	s.Staleness = d.staleness.Summary()
 	return s
 }

@@ -249,7 +249,7 @@ func generateHard(seed int64) (*Suite, error) {
 			SaltPepper: 0.04,
 			FrameDrop:  0.01,
 		})
-		clip, err := core.ProcessScene(scene, pipe)
+		clip, err := core.ProcessSceneStream(scene, pipe)
 		if err != nil {
 			return nil, fmt.Errorf("retbench: scenario %s: %w", sp.name, err)
 		}

@@ -57,8 +57,8 @@ type Options struct {
 	// AdaptRate. This follows slow illumination drift (clouds, dusk)
 	// that defeats a static model. Adaptive extraction is stateful
 	// and order-dependent: frames must be processed sequentially in
-	// display order (track.Video detects this and disables its
-	// worker pool).
+	// display order (the streaming pipeline in internal/core detects
+	// this and segments on one worker).
 	Adaptive bool
 	// AdaptRate is the per-frame blending factor in (0, 1); 0 means
 	// the default 0.02.

@@ -13,7 +13,7 @@
 //	DELETE /v1/session/{id}           end the session
 //	POST   /v1/clips                  ingest a synthetic clip (churn)
 //	DELETE /v1/clips/{name}           remove a clip from the catalog
-//	GET    /v1/stats                  expvar-backed service metrics
+//	GET    /v1/stats                  service metrics
 //
 // Concurrency model: per-session rounds are serialized while re-ranks
 // of different sessions run concurrently under a bounded worker pool.
@@ -44,6 +44,7 @@ import (
 	"milvideo/internal/query"
 	"milvideo/internal/retrieval"
 	"milvideo/internal/shard"
+	"milvideo/internal/stats"
 	"milvideo/internal/videodb"
 	"milvideo/internal/window"
 )
@@ -80,10 +81,6 @@ type Config struct {
 	// probing). Quantization shrinks the probe structures ~8× and
 	// speeds list scans; the exact re-rank is unaffected either way.
 	Quant string
-	// IndexOptions tunes candidate-index construction and probes
-	// (zero values take the index package defaults). Config.Quant,
-	// when set, overrides IndexOptions.Quant.
-	IndexOptions index.Options
 	// MaxBodyBytes caps request-body size; oversized bodies are
 	// rejected with 413 before any parsing. Default 1 MiB.
 	MaxBodyBytes int64
@@ -207,12 +204,13 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
+	var indexOpt index.Options
 	if cfg.Quant != "" {
 		qk, err := index.ParseQuantKind(cfg.Quant)
 		if err != nil {
 			return nil, err
 		}
-		cfg.IndexOptions.Quant = qk
+		indexOpt.Quant = qk
 	}
 	if cfg.PartitionCount > 1 && (cfg.PartitionIndex < 0 || cfg.PartitionIndex >= cfg.PartitionCount) {
 		return nil, fmt.Errorf("server: partition index %d out of range 0..%d", cfg.PartitionIndex, cfg.PartitionCount-1)
@@ -224,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		store:       newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Clock),
 		metrics:     &Metrics{},
-		indexes:     newIndexCache(cfg.IndexOptions),
+		indexes:     newIndexCache(indexOpt),
 		engineStats: &shard.Stats{},
 		sem:         make(chan struct{}, cfg.RerankWorkers),
 		mux:         http.NewServeMux(),
@@ -247,7 +245,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Ingest != nil {
 		s.indexes.setLive(cfg.Ingest.FeedClip())
 	}
-	s.metrics.publish()
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/session/{id}/ranking", s.handleRanking)
 	s.mux.HandleFunc("POST /v1/session/{id}/feedback", s.handleFeedback)
@@ -418,10 +415,10 @@ type IndexStats struct {
 	SeededRounds int64 `json:"seeded_rounds"`
 	// Probes and DistEvals total the index probe work;
 	// CandidatesRanked totals the bags exact-re-ranked.
-	Probes           int64          `json:"probes"`
-	DistEvals        int64          `json:"dist_evals"`
-	CandidatesRanked int64          `json:"candidates_ranked"`
-	BuildLatency     LatencySummary `json:"build_latency"`
+	Probes           int64                `json:"probes"`
+	DistEvals        int64                `json:"dist_evals"`
+	CandidatesRanked int64                `json:"candidates_ranked"`
+	BuildLatency     stats.LatencySummary `json:"build_latency"`
 }
 
 // DegradationStats reports how often the service degraded instead of
@@ -437,16 +434,16 @@ type DegradationStats struct {
 
 // StatsResponse is /v1/stats.
 type StatsResponse struct {
-	SessionsLive     int64            `json:"sessions_live"`
-	SessionsCreated  int64            `json:"sessions_created"`
-	SessionsEvicted  int64            `json:"sessions_evicted"`
-	SessionsExpired  int64            `json:"sessions_expired"`
-	SessionsDeleted  int64            `json:"sessions_deleted"`
-	RoundsServed     int64            `json:"rounds_served"`
-	RequestsRejected int64            `json:"requests_rejected"`
-	Degraded         DegradationStats `json:"degraded"`
-	Index            IndexStats       `json:"index"`
-	RerankLatency    LatencySummary   `json:"rerank_latency"`
+	SessionsLive     int64                `json:"sessions_live"`
+	SessionsCreated  int64                `json:"sessions_created"`
+	SessionsEvicted  int64                `json:"sessions_evicted"`
+	SessionsExpired  int64                `json:"sessions_expired"`
+	SessionsDeleted  int64                `json:"sessions_deleted"`
+	RoundsServed     int64                `json:"rounds_served"`
+	RequestsRejected int64                `json:"requests_rejected"`
+	Degraded         DegradationStats     `json:"degraded"`
+	Index            IndexStats           `json:"index"`
+	RerankLatency    stats.LatencySummary `json:"rerank_latency"`
 	// Shard reports the scatter–gather subsystem when this server
 	// shards in-process, coordinates a cluster, or serves a worker
 	// partition; Cluster additionally aggregates the workers behind a
@@ -985,25 +982,25 @@ func (s *Server) DropClips(names []string) int {
 // Stats assembles the service metrics.
 func (s *Server) Stats() *StatsResponse {
 	resp := &StatsResponse{
-		SessionsLive:     s.metrics.SessionsLive.Value(),
-		SessionsCreated:  s.metrics.SessionsCreated.Value(),
-		SessionsEvicted:  s.metrics.SessionsEvicted.Value(),
-		SessionsExpired:  s.metrics.SessionsExpired.Value(),
-		SessionsDeleted:  s.metrics.SessionsDeleted.Value(),
-		RoundsServed:     s.metrics.RoundsServed.Value(),
-		RequestsRejected: s.metrics.RequestsRejected.Value(),
+		SessionsLive:     s.metrics.SessionsLive.Load(),
+		SessionsCreated:  s.metrics.SessionsCreated.Load(),
+		SessionsEvicted:  s.metrics.SessionsEvicted.Load(),
+		SessionsExpired:  s.metrics.SessionsExpired.Load(),
+		SessionsDeleted:  s.metrics.SessionsDeleted.Load(),
+		RoundsServed:     s.metrics.RoundsServed.Load(),
+		RequestsRejected: s.metrics.RequestsRejected.Load(),
 		Degraded: DegradationStats{
-			RoundsTimedOut:   s.metrics.RoundsTimedOut.Value(),
-			InjectedSlow:     s.metrics.InjectedSlow.Value(),
-			InjectedFailures: s.metrics.InjectedFail.Value(),
-			BodiesRejected:   s.metrics.BodiesRejected.Value(),
+			RoundsTimedOut:   s.metrics.RoundsTimedOut.Load(),
+			InjectedSlow:     s.metrics.InjectedSlow.Load(),
+			InjectedFailures: s.metrics.InjectedFail.Load(),
+			BodiesRejected:   s.metrics.BodiesRejected.Load(),
 		},
 		RerankLatency: s.metrics.Rerank.Summary(),
 		Index: IndexStats{
-			Builds:             s.metrics.IndexBuilds.Value(),
-			CacheHits:          s.metrics.IndexCacheHits.Value(),
-			IncrementalApplies: s.metrics.IndexApplies.Value(),
-			ForcedRebuilds:     s.metrics.IndexRebuilds.Value(),
+			Builds:             s.metrics.IndexBuilds.Load(),
+			CacheHits:          s.metrics.IndexCacheHits.Load(),
+			IncrementalApplies: s.metrics.IndexApplies.Load(),
+			ForcedRebuilds:     s.metrics.IndexRebuilds.Load(),
 			PrunedRounds:       s.engineStats.PrunedRounds.Load(),
 			FullRounds:         s.engineStats.FullRounds.Load(),
 			SeededRounds:       s.engineStats.SeededRounds.Load(),
@@ -1024,8 +1021,8 @@ func (s *Server) Stats() *StatsResponse {
 		ist := s.cfg.Ingest.Stats()
 		resp.Ingest = &ist
 		resp.Live = &LiveStats{
-			Rounds:  s.metrics.LiveRounds.Value(),
-			Retries: s.metrics.LiveRetries.Value(),
+			Rounds:  s.metrics.LiveRounds.Load(),
+			Retries: s.metrics.LiveRetries.Load(),
 		}
 	}
 	if len(s.shardNodes) > 0 {

@@ -14,6 +14,7 @@ import (
 	"milvideo/internal/index"
 	"milvideo/internal/retrieval"
 	"milvideo/internal/shard"
+	"milvideo/internal/stats"
 	"milvideo/internal/videodb"
 	"milvideo/internal/window"
 )
@@ -254,7 +255,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 type shardNode struct {
 	url      string
 	client   *Client
-	scatter  LatencyHistogram
+	scatter  stats.LatencyHistogram
 	timeouts atomic.Int64
 	errs     atomic.Int64
 }
@@ -366,11 +367,11 @@ type ShardStats struct {
 // ShardNodeStats is the coordinator's per-worker telemetry: scatter
 // latency quantiles measured at the coordinator, plus loss counters.
 type ShardNodeStats struct {
-	URL       string         `json:"url"`
-	Reachable bool           `json:"reachable"`
-	Scatter   LatencySummary `json:"scatter_latency"`
-	Timeouts  int64          `json:"timeouts"`
-	Errors    int64          `json:"errors"`
+	URL       string               `json:"url"`
+	Reachable bool                 `json:"reachable"`
+	Scatter   stats.LatencySummary `json:"scatter_latency"`
+	Timeouts  int64                `json:"timeouts"`
+	Errors    int64                `json:"errors"`
 }
 
 // ClusterStats aggregates the workers behind a coordinator so one
@@ -427,8 +428,8 @@ func (s *Server) shardStatsJSON(mode string) *ShardStats {
 		BoundedProbes:    st.BoundedShardProbes.Load(),
 		ScatterMsTotal:   ms(time.Duration(st.ScatterNs.Load())),
 		MergeMsTotal:     ms(time.Duration(st.MergeNs.Load())),
-		ScatterServed:    s.metrics.ScatterServed.Value(),
-		ForwardErrors:    s.metrics.ShardForwardErrors.Value(),
+		ScatterServed:    s.metrics.ScatterServed.Load(),
+		ForwardErrors:    s.metrics.ShardForwardErrors.Load(),
 	}
 }
 

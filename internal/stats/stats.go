@@ -3,7 +3,9 @@
 // per-dimension feature statistics. The weighted relevance-feedback
 // baseline (paper §6.2) derives its feature weights from the inverse
 // standard deviation of the relevant examples' features, so these
-// helpers sit on its hot path.
+// helpers sit on its hot path. LatencyHistogram is the fixed-bucket
+// latency histogram behind the query server's and the ingest daemon's
+// stats.
 package stats
 
 import (

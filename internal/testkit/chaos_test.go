@@ -16,6 +16,7 @@ import (
 	"milvideo/internal/core"
 	"milvideo/internal/faults"
 	"milvideo/internal/server"
+	"milvideo/internal/sim"
 	"milvideo/internal/testkit"
 	"milvideo/internal/videodb"
 )
@@ -148,7 +149,7 @@ func TestChaosIngestConformance(t *testing.T) {
 	}
 }
 
-// TestChaosPersistenceConformance runs a degraded batch ingest into a
+// TestChaosPersistenceConformance ingests two degraded clips into a
 // catalog, round-trips it through disk, and then damages the file:
 // the strict loader must refuse it and the recovering loader must
 // salvage only intact, valid records.
@@ -163,13 +164,20 @@ func TestChaosPersistenceConformance(t *testing.T) {
 	}
 	db := videodb.New()
 	cfg := testkit.PipelineConfig(faults.New(testkit.FaultSchedule(33)))
-	results := core.IngestScenes(db, []core.IngestJob{
-		{Name: "tunnel", Scene: tun},
-		{Name: "xing", Scene: xing},
-	}, core.IngestOptions{Config: cfg})
-	for _, res := range results {
-		if res.Err != nil {
-			t.Fatalf("ingest %q: %v", res.Name, res.Err)
+	for _, job := range []struct {
+		name  string
+		scene *sim.Scene
+	}{{"tunnel", tun}, {"xing", xing}} {
+		clip, err := core.ProcessSceneStream(job.scene, cfg)
+		if err != nil {
+			t.Fatalf("ingest %q: %v", job.name, err)
+		}
+		rec, err := clip.Record(job.name)
+		if err != nil {
+			t.Fatalf("ingest %q: %v", job.name, err)
+		}
+		if err := db.Add(rec); err != nil {
+			t.Fatalf("ingest %q: %v", job.name, err)
 		}
 	}
 	if err := testkit.CheckDBRoundTrip(db); err != nil {

@@ -15,11 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"milvideo/internal/assign"
-	"milvideo/internal/frame"
 	"milvideo/internal/geom"
 	"milvideo/internal/segment"
 )
@@ -114,11 +111,6 @@ type Options struct {
 	// KalmanProcessNoise and KalmanMeasurementNoise tune the filter;
 	// zero values take the defaults (0.5 px/frame², 1.5 px).
 	KalmanProcessNoise, KalmanMeasurementNoise float64
-	// Workers bounds the per-frame segmentation pool in Video; 0 sizes
-	// it by GOMAXPROCS. The frame results are consumed in frame order
-	// regardless, so the worker count never changes the output
-	// (determinism tests pin it to compare pool sizes).
-	Workers int
 }
 
 // DefaultOptions returns the association parameters used by the
@@ -306,59 +298,5 @@ func (tr *Tracker) Flush() []*Track {
 // Live returns the currently active (not yet terminated) tracks.
 func (tr *Tracker) Live() []*Track { return tr.live }
 
-// ErrEmptyVideo is returned by Video for clips with no frames.
+// ErrEmptyVideo reports a clip with no frames to track.
 var ErrEmptyVideo = errors.New("track: empty video")
-
-// Video runs segmentation and tracking over an entire clip and
-// returns the confirmed tracks. Per-frame segmentation is independent
-// work and runs on a bounded worker pool (sized by Options.Workers,
-// default GOMAXPROCS, capped at the frame count); association is
-// inherently sequential and consumes the results in frame order.
-func Video(ex *segment.Extractor, v *frame.Video, opt Options) ([]*Track, error) {
-	if v == nil || len(v.Frames) == 0 {
-		return nil, ErrEmptyVideo
-	}
-	type result struct {
-		segs []segment.Segment
-		err  error
-	}
-	results := make([]result, len(v.Frames))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(v.Frames) {
-		workers = len(v.Frames)
-	}
-	if ex.Adaptive() {
-		workers = 1 // adaptive background is stateful: keep frame order
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				segs, err := ex.Segments(v.Frames[i])
-				results[i] = result{segs: segs, err: err}
-			}
-		}()
-	}
-	for i := range v.Frames {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-
-	tr := NewTracker(opt)
-	for i, r := range results {
-		if r.err != nil {
-			return nil, fmt.Errorf("track: frame %d: %w", i, r.err)
-		}
-		if err := tr.Update(i, r.segs); err != nil {
-			return nil, err
-		}
-	}
-	return tr.Flush(), nil
-}

@@ -229,10 +229,17 @@ func TestVideoEndToEndOnSimulatedScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracks, err := Video(ex, clip, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	tr := NewTracker(DefaultOptions())
+	for i, f := range clip.Frames {
+		segs, err := ex.Segments(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Update(i, segs); err != nil {
+			t.Fatal(err)
+		}
 	}
+	tracks := tr.Flush()
 	if len(tracks) == 0 {
 		t.Fatal("no tracks from the simulated clip")
 	}
@@ -248,12 +255,6 @@ func TestVideoEndToEndOnSimulatedScene(t *testing.T) {
 	}
 	if q.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-func TestVideoErrors(t *testing.T) {
-	if _, err := Video(nil, nil, DefaultOptions()); err == nil {
-		t.Fatal("nil video accepted")
 	}
 }
 

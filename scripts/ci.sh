@@ -2,10 +2,10 @@
 # CI gate: formatting, vet, the tier-1 build/test pair, the benchmark
 # module's vet and self-tests (perfbench/, a nested module that
 # `go test ./...` skips), a race-detector pass over the internal
-# packages (the concurrent paths: streaming ingestion and batch ingest,
-# videodb under concurrent mutation and snapshots, pooled segmentation
-# scratch, kernel Gram workers, the query-service session store and
-# load generator, the candidate-index build/probe paths), an explicit
+# packages (the concurrent paths: streaming ingestion, the ingest
+# daemon, videodb under concurrent mutation and snapshots, pooled
+# segmentation scratch, kernel Gram workers, the query-service session
+# store and load generator, the candidate-index build/probe paths), an explicit
 # candidate-index recall gate (both index kinds × quantization modes
 # on the demo catalog: recall@10 must be 1.0 at C=N and ≥ 0.9 at
 # C=N/4), the chaos conformance suite under -race (seeded fault
@@ -16,8 +16,8 @@
 # segmentation passes against their per-pixel oracles (every gated
 # -run alternative and fuzz target must name an existing test, or the
 # run fails), a statement-coverage floor over the internal packages, a
-# one-iteration smoke of the ingest benchmarks (streaming, batch and
-# the sequential reference in internal/core), of per-frame vehicle
+# one-iteration smoke of the ingest benchmarks (streaming and the
+# sequential reference in internal/core), of per-frame vehicle
 # extraction and of the stored-heuristic-order benchmarks (round 0,
 # re-rank tail), an
 # incremental-maintenance gate (an internal/index test: 20 whole-bag
@@ -114,7 +114,7 @@ echo "== benchmark module (perfbench: vet + self-tests, offline) =="
     go test ./...
 )
 
-echo "== race (internal: server, streaming/ingest, videodb, pools, sweeps) =="
+echo "== race (internal: server, streaming ingestion, ingest daemon, videodb, pools, sweeps) =="
 go test -race ./internal/...
 
 echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N rankings and probe work; exact k-best and multi-probe; stored heuristic order) =="
@@ -217,10 +217,10 @@ awk -v got="$total" -v floor="$COVERAGE_FLOOR" 'BEGIN { exit !(got+0 >= floor+0)
 }
 
 echo "== bench smoke (ingest, per-frame extraction) =="
-# The streaming and batch ingest benchmarks and per-frame vehicle
-# extraction live in the root package; the sequential reference
+# The streaming ingest benchmark and per-frame vehicle extraction live
+# in the root package; the sequential reference
 # pipeline and its benchmark live in internal/core's tests.
-ingest_benches='BenchmarkIngestStreamClip|BenchmarkIngestBatchScenes|BenchmarkIngestSequentialClip|BenchmarkSegmentationPerFrame'
+ingest_benches='BenchmarkIngestStreamClip|BenchmarkIngestSequentialClip|BenchmarkSegmentationPerFrame'
 require_run "$ingest_benches" . ./internal/core/
 go test -run xxx -bench "$ingest_benches" -benchtime 1x . ./internal/core/
 
