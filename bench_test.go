@@ -17,12 +17,14 @@ import (
 
 	"milvideo/internal/core"
 	"milvideo/internal/experiments"
+	"milvideo/internal/index"
 	"milvideo/internal/kernel"
 	"milvideo/internal/mil"
 	"milvideo/internal/render"
 	"milvideo/internal/retrieval"
 	"milvideo/internal/rf"
 	"milvideo/internal/segment"
+	"milvideo/internal/server"
 	"milvideo/internal/sim"
 	"milvideo/internal/svm"
 	"milvideo/internal/trajectory"
@@ -422,5 +424,30 @@ func BenchmarkTrajectoryFit(b *testing.B) {
 		if _, err := trajectory.Fit(frames, pts, 4); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkIndexBuildArchive measures the archive's candidate-index
+// build: index.Build with a VP-tree over the 74,000 instances of
+// ScaledDemoRecord(1, 1000) (48,000 VSs, 6,000 of them sharing one
+// witness TS), with PQ codes (training included) and with float rows.
+func BenchmarkIndexBuildArchive(b *testing.B) {
+	rec, err := server.ScaledDemoRecord(1, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, quant := range []index.QuantKind{index.QuantPQ, index.QuantNone} {
+		name := string(quant)
+		if quant == index.QuantNone {
+			name = "none"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := index.Build(rec.VSs, index.KindVPTree, index.Options{Quant: quant}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -43,10 +43,12 @@ type IVFOptions struct {
 	// Seed drives the k-means++ initialization (default 1). Identical
 	// seeds yield identical indexes.
 	Seed int64
-	// TrainSamples caps the points the coarse k-means trains on
-	// (default 8192); larger sets are stride-subsampled
-	// deterministically. The list-assignment pass always covers every
-	// point.
+	// TrainSamples sets the coarse k-means training subsample
+	// (default 8192). It is a stride, not a cap: a set of n >
+	// TrainSamples points trains on every ⌊n / TrainSamples⌋-th point
+	// from point 0, which keeps up to 2·TrainSamples−1 points, and a
+	// smaller set trains on every point. The list-assignment pass
+	// always covers every point.
 	TrainSamples int
 	// Centroids, when set, skips k-means and adopts these coarse
 	// centroids verbatim (deep-copied; Clusters/Iters/Seed are
@@ -151,10 +153,13 @@ func subsample(pts [][]float64, limit int) [][]float64 {
 }
 
 // kmeansFastThreshold is the point count beyond which Lloyd
-// assignment switches to the columnar unrolled kernel: training
-// output feeds nothing that demands bitwise identity with the serial
-// path, so large builds take the throughput variant while small
-// (test-pinned) builds keep their historical results.
+// assignment switches to the columnar unrolled kernel. Its sums may
+// differ from the serial path's in the last bit, so crossing the
+// threshold can move centroids. Both sides are deterministic, and
+// TestPrunedRankingGolden pins rankings built on each (IVF centroids
+// and PQ codebooks trained on 10× and 100× the demo catalog), so
+// moving the threshold or changing either kernel re-records those
+// hashes.
 const kmeansFastThreshold = 2048
 
 // kmeansPP runs seeded k-means++ initialization followed by Lloyd

@@ -215,8 +215,11 @@ type PQOptions struct {
 	Iters int
 	// Seed drives k-means++ (default 1).
 	Seed int64
-	// TrainSamples caps the rows k-means trains on (default 4096);
-	// larger blocks are stride-subsampled deterministically.
+	// TrainSamples sets the deterministic training subsample (default
+	// 4096). It is a stride, not a cap: a block of n > TrainSamples
+	// rows trains on every ⌊n / TrainSamples⌋-th row from row 0, which
+	// keeps up to 2·TrainSamples−1 rows (4,112 of 74,000), and a
+	// smaller block trains on every row.
 	TrainSamples int
 }
 
@@ -252,7 +255,7 @@ type ProductQuantizer struct {
 	dim  int
 	offs []int     // M+1 subspace boundaries
 	k    int       // centroids per subspace
-	cent []float64 // concatenated codebooks: subspace m's centroid c at centOff(m,c)
+	cent []float64 // concatenated codebooks: subspace m's centroid c at offs[m]·k + c·subDim(m)
 }
 
 // TrainProductQuantizer fits per-subspace k-means codebooks over the
@@ -307,16 +310,12 @@ func TrainProductQuantizer(b *kernel.FeatureBlock, opt PQOptions) (*ProductQuant
 // subDim reports subspace m's width.
 func (pq *ProductQuantizer) subDim(m int) int { return pq.offs[m+1] - pq.offs[m] }
 
-// centAt returns subspace m's centroid c.
+// centAt returns subspace m's centroid c. Every subspace before m
+// holds k centroids of its own width, and those widths sum to
+// offs[m], so m's codebook starts at offs[m]·k.
 func (pq *ProductQuantizer) centAt(m, c int) []float64 {
-	// Subspaces may have unequal widths (the last absorbs the
-	// remainder), so walk the offsets.
-	base := 0
-	for i := 0; i < m; i++ {
-		base += pq.subDim(i) * pq.k
-	}
 	w := pq.subDim(m)
-	off := base + c*w
+	off := pq.offs[m]*pq.k + c*w
 	return pq.cent[off : off+w]
 }
 
@@ -327,13 +326,23 @@ func (pq *ProductQuantizer) Dim() int { return pq.dim }
 func (pq *ProductQuantizer) CodeLen() int { return len(pq.offs) - 1 }
 
 // Encode implements Quantizer: each subspace snaps to its nearest
-// centroid (lowest index on ties).
+// centroid (lowest index on ties). It scans the subspace's contiguous
+// codebook with the arithmetic of kernel.SquaredDistance(sub,
+// centroid), so the codes are the ones that call would choose.
 func (pq *ProductQuantizer) Encode(v []float64, code []byte) {
 	for m := 0; m < pq.CodeLen(); m++ {
-		sub := v[pq.offs[m]:pq.offs[m+1]]
+		lo, hi := pq.offs[m], pq.offs[m+1]
+		sub, w := v[lo:hi], hi-lo
+		book := pq.cent[lo*pq.k : hi*pq.k]
 		best, bestD := 0, math.Inf(1)
 		for c := 0; c < pq.k; c++ {
-			if d := kernel.SquaredDistance(sub, pq.centAt(m, c)); d < bestD {
+			cent := book[c*w : c*w+w]
+			d := 0.0
+			for i, x := range sub {
+				diff := x - cent[i]
+				d += diff * diff
+			}
+			if d < bestD {
 				best, bestD = c, d
 			}
 		}

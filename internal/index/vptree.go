@@ -23,10 +23,12 @@
 package index
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"milvideo/internal/kernel"
@@ -85,9 +87,10 @@ func (sc *Scratch) adcTab(qz Quantizer, q []float64) []float64 {
 // VPTree is a vantage-point tree over a point set: a binary metric
 // tree where each node splits its subset by the median distance to a
 // vantage point, enabling triangle-inequality pruning. Build is
-// O(n log n) distance evaluations; an exact k-NN visits a small
-// fraction of the points when the intrinsic dimension is moderate
-// (the 9–27-dim TS feature vectors here).
+// O(n log n) distance evaluations, and a subset of coincident points
+// is split without measuring any (see buildChain); an exact k-NN
+// visits a small fraction of the points when the intrinsic dimension
+// is moderate (the 9–27-dim TS feature vectors here).
 //
 // With a Quantizer the tree indexes the quantized reconstructions:
 // codes replace the float rows (CodeLen bytes per point instead of
@@ -179,7 +182,7 @@ func BuildVPTree(pts [][]float64, opt VPOptions) (*VPTree, error) {
 		ids[i] = i
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	t.root = t.build(ids, opt.LeafSize, rng)
+	t.root = t.build(ids, opt.LeafSize, rng, make([]vpPair, len(ids)))
 	return t, nil
 }
 
@@ -194,17 +197,25 @@ func (t *VPTree) ptDist(i, j int) float64 {
 	return math.Sqrt(t.blk.SquaredDistTo(i, t.blk.Row(j)))
 }
 
-// build recursively constructs the subtree over ids (which it may
-// reorder) and returns its node index.
-func (t *VPTree) build(ids []int, leafSize int, rng *rand.Rand) int32 {
+// vpPair is one (distance to the vantage, point) entry of a split.
+type vpPair struct {
+	d  float64
+	id int
+}
+
+// build recursively constructs the subtree over ids (which it
+// reorders in place) and returns its node index. pairs is scratch of
+// at least len(ids) entries shared by the whole build, so the build
+// allocates only nodes and leaves.
+func (t *VPTree) build(ids []int, leafSize int, rng *rand.Rand, pairs []vpPair) int32 {
 	if len(ids) == 0 {
 		return -1
 	}
 	if len(ids) <= leafSize {
-		leaf := append([]int(nil), ids...)
-		sort.Ints(leaf) // deterministic scan order
-		t.nodes = append(t.nodes, vpNode{leaf: leaf})
-		return int32(len(t.nodes) - 1)
+		return t.addLeaf(ids)
+	}
+	if t.coincident(ids) {
+		return t.buildChain(ids, leafSize, rng)
 	}
 	// Random vantage point: swap it to the front, split the rest by
 	// the median distance to it.
@@ -212,34 +223,100 @@ func (t *VPTree) build(ids []int, leafSize int, rng *rand.Rand) int32 {
 	ids[0], ids[vi] = ids[vi], ids[0]
 	vantage := ids[0]
 	rest := ids[1:]
-	dists := make([]float64, len(rest))
+	ps := pairs[:len(rest)]
 	for i, id := range rest {
-		dists[i] = t.ptDist(id, vantage)
+		ps[i] = vpPair{t.ptDist(id, vantage), id}
 	}
-	order := make([]int, len(rest))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
-	mid := len(order) / 2
-	radius := dists[order[mid]]
-	innerIDs := make([]int, 0, mid+1)
-	outerIDs := make([]int, 0, len(order)-mid)
-	for _, oi := range order {
-		if dists[oi] <= radius {
-			innerIDs = append(innerIDs, rest[oi])
-		} else {
-			outerIDs = append(outerIDs, rest[oi])
+	// SortStableFunc runs the insertion-sort and symMerge steps of
+	// sort.SliceStable, and this comparator is negative exactly when
+	// a.d < b.d, so equal and NaN distances get the order
+	// sort.SliceStable on a.d < b.d gives them (buildRef in the tests).
+	slices.SortStableFunc(ps, func(a, b vpPair) int {
+		if a.d < b.d {
+			return -1
+		}
+		if b.d < a.d {
+			return 1
+		}
+		return 0
+	})
+	radius := ps[len(ps)/2].d
+	// Inner side first, then outer, each in sorted order. Two passes,
+	// not a cut at the first d > radius: a NaN distance leaves the
+	// pairs unsorted, so a point within the radius can follow one
+	// beyond it.
+	n := 0
+	for _, p := range ps {
+		if p.d <= radius {
+			rest[n] = p.id
+			n++
 		}
 	}
-	node := vpNode{vantage: vantage, radius: radius}
-	t.nodes = append(t.nodes, node)
+	o := n
+	for _, p := range ps {
+		if !(p.d <= radius) {
+			rest[o] = p.id
+			o++
+		}
+	}
+	t.nodes = append(t.nodes, vpNode{vantage: vantage, radius: radius})
 	self := int32(len(t.nodes) - 1)
-	inner := t.build(innerIDs, leafSize, rng)
-	outer := t.build(outerIDs, leafSize, rng)
+	inner := t.build(rest[:n], leafSize, rng, pairs)
+	outer := t.build(rest[n:], leafSize, rng, pairs)
 	t.nodes[self].inner = inner
 	t.nodes[self].outer = outer
 	return self
+}
+
+// addLeaf appends a leaf holding a sorted copy of ids (a
+// deterministic scan order).
+func (t *VPTree) addLeaf(ids []int) int32 {
+	leaf := append([]int(nil), ids...)
+	sort.Ints(leaf)
+	t.nodes = append(t.nodes, vpNode{leaf: leaf})
+	return int32(len(t.nodes) - 1)
+}
+
+// coincident reports whether every point of ids is stored exactly as
+// ids[0] is (byte-equal codes or == float rows) and ids[0] lies at
+// distance 0 from itself. Every distance a split of ids would measure
+// is then +0. A NaN or ±Inf coordinate makes the self-distance NaN.
+func (t *VPTree) coincident(ids []int) bool {
+	if t.codes != nil {
+		c0 := t.codes.at(ids[0])
+		for _, id := range ids[1:] {
+			if !bytes.Equal(t.codes.at(id), c0) {
+				return false
+			}
+		}
+	} else {
+		r0 := t.blk.Row(ids[0])
+		for _, id := range ids[1:] {
+			if !slices.Equal(t.blk.Row(id), r0) {
+				return false
+			}
+		}
+	}
+	return t.ptDist(ids[0], ids[0]) == 0
+}
+
+// buildChain builds the subtree over coincident ids without measuring
+// a distance, in linear time. A split of such a set finds every
+// distance +0: the stable sort keeps the order, the radius is +0,
+// every other point goes inner and none outer, down to a leaf. So the
+// subtree is a chain of nodes whose inner child is the next node. Each
+// level draws its vantage as a split would, which keeps the rng in
+// step for the rest of the tree.
+func (t *VPTree) buildChain(ids []int, leafSize int, rng *rand.Rand) int32 {
+	root := int32(len(t.nodes))
+	for len(ids) > leafSize {
+		vi := rng.Intn(len(ids))
+		ids[0], ids[vi] = ids[vi], ids[0]
+		t.nodes = append(t.nodes, vpNode{vantage: ids[0], inner: int32(len(t.nodes) + 1), outer: -1})
+		ids = ids[1:]
+	}
+	t.addLeaf(ids)
+	return root
 }
 
 // Len reports the stored point count, tombstones included.

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -242,11 +243,13 @@ func (l *lat) stats() map[string]OpStats {
 	out := make(map[string]OpStats, len(l.m))
 	for op, ds := range l.m {
 		sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
+		// Nearest rank: percentile p is the ⌈p·n⌉-th smallest sample,
+		// the rule stats.LatencyHistogram and perfbench read by.
 		q := func(p float64) float64 {
 			if len(ds) == 0 {
 				return 0
 			}
-			i := int(p * float64(len(ds)-1))
+			i := max(int(math.Ceil(p*float64(len(ds)))), 1) - 1
 			return ms(ds[i])
 		}
 		out[op] = OpStats{

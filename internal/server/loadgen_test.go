@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"testing"
+	"time"
 )
 
 // TestLoadGen32Sessions is the acceptance gate: 32 concurrent
@@ -110,5 +111,29 @@ func TestLoadGenValidation(t *testing.T) {
 	}
 	if _, err := (&LoadGen{Client: &Client{}}).Run(context.Background()); err == nil {
 		t.Fatal("nil judge accepted")
+	}
+}
+
+// TestLoadGenPercentiles: per-op percentiles are nearest ranks, the
+// ⌈p·n⌉-th smallest sample, so one slow round in four is the p90.
+func TestLoadGenPercentiles(t *testing.T) {
+	millis := func(vs ...int) []time.Duration {
+		out := make([]time.Duration, len(vs))
+		for i, v := range vs {
+			out[i] = time.Duration(v) * time.Millisecond
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		samples []time.Duration
+		want    OpStats
+	}{
+		{millis(31, 3, 3, 3), OpStats{Count: 4, P50Ms: 3, P90Ms: 31, P99Ms: 31, MaxMs: 31}},
+		{millis(10, 9, 8, 7, 6, 5, 4, 3, 2, 1), OpStats{Count: 10, P50Ms: 5, P90Ms: 9, P99Ms: 10, MaxMs: 10}},
+	} {
+		l := &lat{m: map[string][]time.Duration{"feedback": tc.samples}}
+		if got := l.stats()["feedback"]; got != tc.want {
+			t.Errorf("stats of %v = %+v, want %+v", tc.samples, got, tc.want)
+		}
 	}
 }

@@ -12,14 +12,15 @@
 # schedules across ingest, persistence and the query service), fuzz
 # smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
 # k-NN, the shared-threshold multi-probe candidate pass, the
-# stored-heuristic-order re-rank tail and the word-parallel
-# segmentation passes against their per-pixel oracles (every gated
+# stored-heuristic-order re-rank tail, the word-parallel
+# segmentation passes against their per-pixel oracles and the VP-tree
+# build against its reference build (every gated
 # -run alternative and fuzz target must name an existing test, or the
 # run fails), a statement-coverage floor over the internal packages, a
 # one-iteration smoke of the ingest benchmarks (streaming and the
 # sequential reference in internal/core), of per-frame vehicle
-# extraction and of the stored-heuristic-order benchmarks (round 0,
-# re-rank tail), an
+# extraction, of the stored-heuristic-order benchmarks (round 0,
+# re-rank tail) and of the archive index build, an
 # incremental-maintenance gate (an internal/index test: 20 whole-bag
 # deltas per index kind, all absorbed without a rebuild), a live
 # server smoke: cmd/serve (quantized probing) on an ephemeral port
@@ -125,8 +126,10 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # the heap-free k-best search must equal brute force, the
 # shared-threshold multi-probe pass must equal independent
 # per-probe searches (FuzzCandidatesExact's seed corpus) while
-# spending fewer VP-tree evaluations, and one probe scratch must serve
-# indexes of any bag count. The stored heuristic order: the filtered
+# spending fewer VP-tree evaluations, one probe scratch must serve
+# indexes of any bag count, and the VP-tree build must reproduce its
+# reference build's nodes, radii, leaves and codes byte for byte
+# (TestVPTreeBuildMatchesRef). The stored heuristic order: the filtered
 # re-rank tail must equal re-scoring and re-sorting the remainder
 # (FuzzRerankUnionOrder's seed corpus), the candidate and sharded
 # engines must rank the same with and without a stored order, every
@@ -193,14 +196,16 @@ jq -e 'all(.categories[]; .min_recall.exact >= 0.9 and .min_recall.candidate >= 
 }
 rm -rf "$rbdir"
 
-echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail, word-parallel morphology; 5s each) =="
+echo "== fuzz smoke (snapshot decoder, predicate decoder, HTTP API, exact k-NN, multi-probe candidates, stored-order re-rank tail, word-parallel morphology, VP-tree build; 5s each) =="
 # FuzzMorphology: ErodeInto, DilateInto and the fused subtraction must
 # equal the per-pixel loops they replaced on any size, pixel values
-# and dirty destination.
+# and dirty destination. FuzzVPTreeBuild: the VP-tree build must equal
+# its reference build on small-integer point sets, where duplicates
+# and distance ties are common.
 for target in FuzzDBDecode:./internal/videodb/ FuzzPredicateDecode:./internal/predicate/ \
     FuzzQueryRequest:./internal/server/ FuzzKNNExact:./internal/index/ \
     FuzzCandidatesExact:./internal/index/ FuzzRerankUnionOrder:./internal/retrieval/ \
-    FuzzMorphology:./internal/segment/; do
+    FuzzMorphology:./internal/segment/ FuzzVPTreeBuild:./internal/index/; do
     require_fuzz "${target%%:*}" "${target#*:}"
     go test -run xxx -fuzz "${target%%:*}" -fuzztime 5s "${target#*:}"
 done
@@ -230,6 +235,13 @@ echo "== bench smoke (stored heuristic order: round 0 and the re-rank tail) =="
 order_benches='BenchmarkRoundZero|BenchmarkRerankUnion'
 require_run "$order_benches" ./internal/retrieval/
 go test -run '^$' -bench "$order_benches" -benchtime 1x ./internal/retrieval/
+
+echo "== bench smoke (archive index build) =="
+# One VP-tree build of the archive catalog (ScaledDemoRecord(1, 1000):
+# 48,000 VSs, 74,000 instances), with PQ codes and with float rows.
+build_bench='BenchmarkIndexBuildArchive'
+require_run "$build_bench" .
+go test -run '^$' -bench "$build_bench" -benchtime 1x -benchmem .
 
 echo "== bench smoke (incremental index maintenance) =="
 # A built index (480 bags, default options) is driven through 20
