@@ -67,7 +67,7 @@ func main() {
 	demoScale := flag.Int("demo-scale", 1, "demo catalog size multiplier (must match the server's)")
 	clip := flag.String("clip", server.DemoClip, "clip to query")
 	engine := flag.String("engine", "", "ranking engine (empty = server default)")
-	indexKind := flag.String("index", "", `candidate index sessions request ("vptree", "ivf", "exact", empty = server default)`)
+	indexKind := flag.String("index", "", `candidate index sessions request ("vptree", "exact", empty = server default)`)
 	candidates := flag.Int("candidates", 0, "candidate-set size C for indexed sessions (0 = server default)")
 	sessions := flag.Int("sessions", 32, "concurrent sessions")
 	rounds := flag.Int("rounds", 5, "rounds per session including the initial one")

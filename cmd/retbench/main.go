@@ -6,8 +6,8 @@
 // worlds carrying the full eight-type incident taxonomy, including a
 // two-camera scenario reconciled through homography into cross-camera
 // trajectories. Every (scenario, category) pair runs one MIL feedback
-// session per serving path (exact, candidate C=N, quantized IVF,
-// sharded scatter–gather) and is scored with recall@k and mean
+// session per serving path (exact, candidate C=N, quantized VP-tree+PQ
+// at C=3N/4, sharded scatter–gather) and is scored with recall@k and mean
 // average precision against the simulator's incident log.
 //
 // Usage:

@@ -8,10 +8,10 @@
 //	serve -db db.gob                       # serve a stored catalog
 //	serve -demo                            # built-in synthetic catalog
 //	serve -db db.gob -addr 127.0.0.1:0     # ephemeral port (printed)
-//	serve -demo -index ivf -candidates 64  # route sessions through the
+//	serve -demo -index vptree              # route sessions through the
 //	                                       # candidate index by default
-//	serve -demo -index vptree -quant pq    # quantize the index's probe
-//	                                       # structures (exact re-rank)
+//	serve -demo -index vptree -quant pq    # store PQ codes in the
+//	                                       # index (exact re-rank)
 //	serve -demo -local-shards 4            # in-process sharded serving:
 //	                                       # scatter–gather over 4 shards
 //	serve -demo -shard 0/3                 # cluster worker: serve shard
@@ -115,8 +115,8 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "concurrent re-rank bound (0 = GOMAXPROCS)")
 	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request ranking timeout")
 	flag.IntVar(&o.topK, "topk", 20, "default results per round")
-	flag.StringVar(&o.indexKind, "index", "", `default candidate index for sessions ("vptree", "ivf", or empty for exact)`)
-	flag.StringVar(&o.quant, "quant", "", `instance-feature quantization for candidate indexes ("scalar", "pq", or empty/"none" for exact float probing)`)
+	flag.StringVar(&o.indexKind, "index", "", `default candidate index for sessions ("vptree", or empty for exact)`)
+	flag.StringVar(&o.quant, "quant", "", `instance-feature quantization for candidate indexes ("pq", or empty/"none" for exact float probing)`)
 	flag.IntVar(&o.candidates, "candidates", 64, "default candidate-set size C for indexed sessions")
 	flag.Int64Var(&o.maxBody, "max-body", 1<<20, "request-body size cap in bytes (413 beyond it)")
 	flag.BoolVar(&o.recover, "recover", false, "load -db in recovery mode, skipping corrupt records")
@@ -127,7 +127,7 @@ func main() {
 	flag.StringVar(&o.savePartition, "save-partition", "", "with -shard: write this worker's partitioned catalog to the path and exit")
 	flag.BoolVar(&o.ingest, "ingest", false, "run an always-on ingest daemon feeding the live clip (works with an empty catalog)")
 	flag.StringVar(&o.ingestSource, "ingest-source", "sim", `ingest clip source: "sim" (synthetic traffic) or "dir" (watch -ingest-dir)`)
-	flag.StringVar(&o.ingestDir, "ingest-dir", "", "directory the dir source watches for .gob clip segments")
+	flag.StringVar(&o.ingestDir, "ingest-dir", "", "directory the dir source watches for *.scene.json files, each a JSON-encoded sim.Scene")
 	flag.DurationVar(&o.ingestInterval, "ingest-interval", 2*time.Second, "sim source: delay between segments; dir source: scan interval")
 	flag.IntVar(&o.ingestFrames, "ingest-frames", 100, "sim source: frames per synthetic segment")
 	flag.Int64Var(&o.ingestSeed, "ingest-seed", 1, "sim source: scenario seed")

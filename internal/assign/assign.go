@@ -3,9 +3,8 @@
 // matrix between existing tracks and newly detected segments, find the
 // minimum-cost one-to-one matching.
 //
-// Two solvers are provided: Hungarian, the O(n³) optimal algorithm
-// (Jonker-style shortest augmenting path), and Greedy, a fast
-// approximation used as an ablation baseline.
+// Hungarian solves it optimally in O(n³) (Jonker-style shortest
+// augmenting path).
 package assign
 
 import (
@@ -147,50 +146,6 @@ func Hungarian(cost [][]float64) (rowToCol []int, total float64, err error) {
 		}
 		rowToCol[i] = j - 1
 		total += cost[i][j-1]
-	}
-	return rowToCol, total, nil
-}
-
-// Greedy assigns rows to columns by repeatedly taking the globally
-// cheapest remaining finite pair. It is O(n·m·min(n,m)) and not
-// optimal, but fast and simple; the tracker exposes it as an ablation.
-func Greedy(cost [][]float64) (rowToCol []int, total float64, err error) {
-	n := len(cost)
-	if n == 0 {
-		return nil, 0, nil
-	}
-	m := len(cost[0])
-	for i, row := range cost {
-		if len(row) != m {
-			return nil, 0, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(row), m)
-		}
-	}
-	rowToCol = make([]int, n)
-	for i := range rowToCol {
-		rowToCol[i] = -1
-	}
-	usedCol := make([]bool, m)
-	for {
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if rowToCol[i] != -1 {
-				continue
-			}
-			for j := 0; j < m; j++ {
-				if usedCol[j] {
-					continue
-				}
-				if c := cost[i][j]; c < best {
-					bi, bj, best = i, j, c
-				}
-			}
-		}
-		if bi == -1 || math.IsInf(best, 1) {
-			break
-		}
-		rowToCol[bi] = bj
-		usedCol[bj] = true
-		total += best
 	}
 	return rowToCol, total, nil
 }

@@ -190,66 +190,6 @@ func TestHungarianMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestGreedyBasics(t *testing.T) {
-	cost := [][]float64{
-		{1, 2},
-		{3, 0},
-	}
-	rows, total, err := Greedy(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Greedy picks (1,1)=0 first, then (0,0)=1 → total 1.
-	if rows[0] != 0 || rows[1] != 1 || total != 1 {
-		t.Fatalf("rows=%v total=%v", rows, total)
-	}
-	if _, _, err := Greedy([][]float64{{1}, {1, 2}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged: %v", err)
-	}
-	rows, total, err = Greedy(nil)
-	if err != nil || rows != nil || total != 0 {
-		t.Fatal("nil input")
-	}
-}
-
-func TestGreedySuboptimalExampleWhereHungarianWins(t *testing.T) {
-	// Classic trap: greedy grabs the 0 and pays 10+... Hungarian
-	// avoids it.
-	cost := [][]float64{
-		{0, 1},
-		{1, 100},
-	}
-	_, gTotal, err := Greedy(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, hTotal, err := Hungarian(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gTotal != 100 {
-		t.Fatalf("greedy total: %v", gTotal)
-	}
-	if hTotal != 2 {
-		t.Fatalf("hungarian total: %v", hTotal)
-	}
-}
-
-func TestGreedyRespectsInfinity(t *testing.T) {
-	inf := math.Inf(1)
-	cost := [][]float64{
-		{inf, inf},
-		{1, inf},
-	}
-	rows, total, err := Greedy(cost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0] != -1 || rows[1] != 0 || total != 1 {
-		t.Fatalf("rows=%v total=%v", rows, total)
-	}
-}
-
 func BenchmarkHungarian20x20(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cost := make([][]float64, 20)

@@ -170,23 +170,3 @@ func TestHungarianForbiddenPairTable(t *testing.T) {
 		}
 	}
 }
-
-// TestGreedyNeverBeatsHungarian: the ablation baseline can match but
-// never undercut the optimal solver.
-func TestGreedyNeverBeatsHungarian(t *testing.T) {
-	prop := func(cm costMatrix) bool {
-		cost := [][]float64(cm)
-		_, optimal, err := Hungarian(cost)
-		if err != nil {
-			return false
-		}
-		_, greedy, err := Greedy(cost)
-		if err != nil {
-			return false
-		}
-		return greedy >= optimal-1e-9
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

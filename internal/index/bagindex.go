@@ -13,51 +13,40 @@ import (
 // Kind names a candidate-index structure.
 type Kind string
 
-// The supported index kinds.
-const (
-	KindVPTree Kind = "vptree"
-	KindIVF    Kind = "ivf"
-)
-
-// Kinds lists the supported kinds in a stable order (for usage
-// strings and API errors).
-func Kinds() []Kind { return []Kind{KindIVF, KindVPTree} }
+// KindVPTree is the one index structure: a VP-tree over the instance
+// vectors (float rows, or PQ codes with Options.Quant).
+const KindVPTree Kind = "vptree"
 
 // ParseKind validates an index name from a flag or query parameter.
 func ParseKind(s string) (Kind, error) {
-	switch Kind(s) {
-	case KindVPTree, KindIVF:
-		return Kind(s), nil
+	if Kind(s) != KindVPTree {
+		return "", fmt.Errorf("index: unknown kind %q (have %s)", s, KindVPTree)
 	}
-	return "", fmt.Errorf("index: unknown kind %q (have %v)", s, Kinds())
+	return KindVPTree, nil
 }
 
 // Options tunes a BagIndex build and its probes. The zero value is a
 // sensible default for every field.
 type Options struct {
-	// Seed drives vantage selection / k-means++ (default 1).
+	// Seed drives vantage selection and PQ training (default 1).
 	Seed int64
 	// LeafSize forwards to VPOptions.LeafSize.
 	LeafSize int
-	// Clusters and Iters forward to IVFOptions.
-	Clusters int
-	Iters    int
-	// NProbe is the IVF search breadth (default max(2, Clusters/8)).
-	NProbe int
 	// PerProbeK is the per-probe instance k-NN depth (default C + 16
 	// at probe time, clamped to the live instances). Deeper probes
 	// improve bag recall when bags hold many instances.
 	PerProbeK int
-	// Quant selects a quantizer family for the instance store
-	// (default none: full float64 rows). Quantized probing is lossy
-	// only in the probe stage; the retrieval layer's exact re-rank
-	// rescores every candidate from uncompressed features.
+	// Quant selects the instance store: QuantNone keeps full float64
+	// rows (the default), QuantPQ stores product-quantizer codes.
+	// Quantized probing is lossy only in the probe stage; the
+	// retrieval layer's exact re-rank rescores every candidate from
+	// uncompressed features.
 	Quant QuantKind
 	// Quantizer, when set, is adopted instead of training one (and
 	// Quant is ignored). Pre-training pins the reconstruction lattice,
 	// making separately built indexes directly comparable — the
 	// incremental equivalence tests share one quantizer across builds.
-	Quantizer Quantizer
+	Quantizer *ProductQuantizer
 	// RebuildFraction is the churn ratio — instances inserted plus
 	// deleted since the last build, over the instance count at that
 	// build — beyond which Update rebuilds instead of applying another
@@ -65,11 +54,6 @@ type Options struct {
 	// structure balance; the trained quantizer is reused, never
 	// retrained.
 	RebuildFraction float64
-	// TrainSamples forwards to IVFOptions.TrainSamples.
-	TrainSamples int
-	// Centroids forwards to IVFOptions.Centroids (pins the coarse
-	// partition across builds; primarily for equivalence tests).
-	Centroids [][]float64
 }
 
 // ProbeStats accounts one Candidates call (or an accumulation of
@@ -125,7 +109,7 @@ type UpdateResult struct {
 }
 
 // BagIndex is a candidate index over a VS database: every TS instance
-// vector of every bag is indexed (by the configured Kind), and probe
+// vector of every bag is indexed in one VP-tree, and probe
 // hits aggregate back to the owning bag by max-instance similarity —
 // a bag's score is its closest instance's distance to any probe, the
 // same "most eventful instance speaks for the bag" rule the MIL
@@ -138,10 +122,9 @@ type UpdateResult struct {
 // VS.Index under the videodb record-immutability contract — a VS
 // keeps its feature content for as long as it keeps its index.
 type BagIndex struct {
-	mu   sync.RWMutex
-	kind Kind
-	opt  Options
-	qz   Quantizer
+	mu  sync.RWMutex
+	opt Options
+	qz  *ProductQuantizer
 	// trainTime is the quantizer training cost (zero when adopted
 	// pre-trained or unquantized). Set once: rebuilds reuse the
 	// trained quantizer.
@@ -152,7 +135,6 @@ type BagIndex struct {
 	span [2]int
 	dim  int
 	vp   *VPTree
-	ivf  *IVF
 	// owner maps instance id → bag position in the current database
 	// (stale entries for tombstoned ids are never read: searches skip
 	// dead points). byVS maps VS.Index → its live instance ids.
@@ -184,7 +166,7 @@ func Build(db []window.VS, kind Kind, opt Options) (*BagIndex, error) {
 	if opt.RebuildFraction <= 0 {
 		opt.RebuildFraction = 0.25
 	}
-	bi := &BagIndex{kind: kind, opt: opt, qz: opt.Quantizer, dim: -1}
+	bi := &BagIndex{opt: opt, qz: opt.Quantizer, dim: -1}
 	bi.scratches.New = func() any { return NewScratch() }
 	if err := bi.rebuildLocked(db); err != nil {
 		return nil, err
@@ -229,13 +211,13 @@ func (bi *BagIndex) rebuildLocked(db []window.VS) error {
 	if dim == -1 {
 		dim = bi.dim
 	}
-	if bi.qz == nil && bi.opt.Quant != QuantNone && len(pts) > 0 {
+	if bi.qz == nil && bi.opt.Quant == QuantPQ && len(pts) > 0 {
 		blk, err := kernel.FeatureBlockFromRows(pts)
 		if err != nil {
 			return err
 		}
 		start := time.Now()
-		bi.qz, err = TrainQuantizer(bi.opt.Quant, blk, bi.opt.Seed)
+		bi.qz, err = TrainProductQuantizer(blk, PQOptions{Seed: bi.opt.Seed})
 		if err != nil {
 			return err
 		}
@@ -245,33 +227,20 @@ func (bi *BagIndex) rebuildLocked(db []window.VS) error {
 		return fmt.Errorf("%w: quantizer dim %d, database dim %d", ErrDim, bi.qz.Dim(), dim)
 	}
 	var vp *VPTree
-	var ivf *IVF
 	if len(pts) > 0 {
-		switch bi.kind {
-		case KindVPTree:
-			vp, err = BuildVPTree(pts, VPOptions{
-				LeafSize: bi.opt.LeafSize, Seed: bi.opt.Seed, Quantizer: bi.qz,
-			})
-		case KindIVF:
-			ivf, err = BuildIVF(pts, IVFOptions{
-				Clusters: bi.opt.Clusters, Iters: bi.opt.Iters, Seed: bi.opt.Seed,
-				TrainSamples: bi.opt.TrainSamples, Centroids: bi.opt.Centroids,
-				Quantizer: bi.qz,
-			})
-		}
+		vp, err = BuildVPTree(pts, VPOptions{
+			LeafSize: bi.opt.LeafSize, Seed: bi.opt.Seed, Quantizer: bi.qz,
+		})
 		if err != nil {
 			return err
 		}
 	}
-	bi.vp, bi.ivf = vp, ivf
+	bi.vp = vp
 	bi.bags, bi.span, bi.dim = len(db), spanOf(db), dim
 	bi.owner, bi.byVS = owner, byVS
 	bi.churn, bi.baseline = 0, len(pts)
 	return nil
 }
-
-// Kind reports the underlying structure.
-func (bi *BagIndex) Kind() Kind { return bi.kind }
 
 // QuantName reports the trained quantizer ("" when unquantized).
 func (bi *BagIndex) QuantName() string {
@@ -300,23 +269,10 @@ func (bi *BagIndex) Instances() int {
 }
 
 func (bi *BagIndex) liveLocked() int {
-	switch {
-	case bi.vp != nil:
-		return bi.vp.Live()
-	case bi.ivf != nil:
-		return bi.ivf.Live()
+	if bi.vp == nil {
+		return 0
 	}
-	return 0
-}
-
-func (bi *BagIndex) storedLocked() int {
-	switch {
-	case bi.vp != nil:
-		return bi.vp.Len()
-	case bi.ivf != nil:
-		return bi.ivf.Len()
-	}
-	return 0
+	return bi.vp.Live()
 }
 
 // Maintenance reports the incremental-maintenance counters.
@@ -327,11 +283,8 @@ func (bi *BagIndex) Maintenance() MaintStats {
 		Inserted: bi.inserted, Deleted: bi.deleted,
 		Applies: bi.applies, Rebuilds: bi.rebuilds,
 	}
-	switch {
-	case bi.vp != nil:
+	if bi.vp != nil {
 		m.Tombstones = bi.vp.Tombstones()
-	case bi.ivf != nil:
-		m.Tombstones = bi.ivf.Tombstones()
 	}
 	return m
 }
@@ -340,12 +293,9 @@ func (bi *BagIndex) Maintenance() MaintStats {
 func (bi *BagIndex) Memory() MemoryStats {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
-	m := MemoryStats{Instances: bi.storedLocked()}
-	switch {
-	case bi.vp != nil:
-		m.PointBytes = bi.vp.PointBytes()
-	case bi.ivf != nil:
-		m.PointBytes = bi.ivf.PointBytes()
+	var m MemoryStats
+	if bi.vp != nil {
+		m.Instances, m.PointBytes = bi.vp.Len(), bi.vp.PointBytes()
 	}
 	if bi.qz != nil {
 		m.CodebookBytes = bi.qz.Bytes()
@@ -369,8 +319,7 @@ func (bi *BagIndex) Memory() MemoryStats {
 // identity and constructs a fresh index).
 //
 // After Update, probes return exactly what a fresh build over newDB
-// would return (given the same quantizer and, for IVF, the same
-// coarse centroids).
+// would return (given the same quantizer).
 func (bi *BagIndex) Update(newDB []window.VS) (UpdateResult, error) {
 	bi.mu.Lock()
 	defer bi.mu.Unlock()
@@ -400,9 +349,8 @@ func (bi *BagIndex) Update(newDB []window.VS) (UpdateResult, error) {
 	}
 	res.Inserted, res.Deleted = len(addPts), len(delIDs)
 
-	structure := bi.vp != nil || bi.ivf != nil
 	threshold := int(bi.opt.RebuildFraction * float64(bi.baseline))
-	if !structure || (bi.qz != nil && dim != -1 && bi.qz.Dim() != dim) ||
+	if bi.vp == nil || (bi.qz != nil && dim != -1 && bi.qz.Dim() != dim) ||
 		bi.churn+len(addPts)+len(delIDs) > threshold {
 		// Over-threshold churn (or no structure to amend yet): rebuild
 		// from newDB, compacting tombstones. The quantizer survives.
@@ -416,23 +364,12 @@ func (bi *BagIndex) Update(newDB []window.VS) (UpdateResult, error) {
 
 	// Delta-apply: tombstone departures, thread in arrivals.
 	for _, id := range delIDs {
-		switch bi.kind {
-		case KindVPTree:
-			bi.vp.Delete(id)
-		case KindIVF:
-			bi.ivf.Delete(id)
-		}
+		bi.vp.Delete(id)
 	}
 	for vsIdx, addIdx := range addByVS {
 		ids := make([]int, 0, len(addIdx))
 		for _, ai := range addIdx {
-			var id int
-			switch bi.kind {
-			case KindVPTree:
-				id = bi.vp.Insert(addPts[ai])
-			case KindIVF:
-				id = bi.ivf.Insert(addPts[ai])
-			}
+			id := bi.vp.Insert(addPts[ai])
 			ids = append(ids, id)
 			for id >= len(bi.owner) {
 				bi.owner = append(bi.owner, -1)
@@ -505,18 +442,18 @@ func (bi *BagIndex) Candidates(probes [][]float64, c int) ([]int, ProbeStats) {
 //
 // bounds and kth are the two halves of a scout-and-carry scatter.
 // bounds[i], when positive and finite, is an initial pruning radius
-// for probe i: instances beyond it are skipped (subtree-pruned in a
-// VP-tree, filtered in IVF), so bags whose best instance lies beyond
-// bounds[i] for every probe may be missing from the result — the
-// caller holds candidates of that quality from another shard already.
-// nil (or an infinite entry) means unbounded. The returned kth slice
-// has one entry per probe: the distance of the k-th instance neighbor
-// that probe actually retrieved, or +Inf when it retrieved fewer than
-// k (dimension mismatch, a tight incoming bound, the probes' shared
-// threshold cutting it short, or a small index). Each finite kth[i]
-// upper-bounds the true k-th neighbor distance of probe i over this
-// shard's instances, which is what makes it a sound carried bound for
-// another shard of the same quantile share.
+// for probe i: subtrees wholly beyond it are pruned, so bags whose
+// best instance lies beyond bounds[i] for every probe may be missing
+// from the result — the caller holds candidates of that quality from
+// another shard already. nil (or an infinite entry) means unbounded.
+// The returned kth slice has one entry per probe: the distance of the
+// k-th instance neighbor that probe actually retrieved, or +Inf when
+// it retrieved fewer than k (dimension mismatch, a tight incoming
+// bound, the probes' shared threshold cutting it short, or a small
+// index). Each finite kth[i] upper-bounds the true k-th neighbor
+// distance of probe i over this shard's instances, which is what makes
+// it a sound carried bound for another shard of the same quantile
+// share.
 func (bi *BagIndex) CandidatesOver(db []window.VS, probes [][]float64, c int, bounds []float64) ([]BagHit, []float64, ProbeStats, error) {
 	bi.mu.RLock()
 	defer bi.mu.RUnlock()
@@ -550,9 +487,9 @@ func spanOf(db []window.VS) [2]int {
 // in. Each probe searches within min(its incoming bound, tau), and
 // hits beyond tau are dropped. No candidate changes: a bag that ends
 // in the top c is at most the final c-th distance from its nearest
-// probe, hence within every probe's tau, and both searches return
-// every hit of their exact k-NN that lies within their bound, ties at
-// the bound included. cand lists the bags at or under tau; tau is
+// probe, hence within every probe's tau, and the VP-tree search
+// returns every hit of its exact k-NN that lies within its bound, ties
+// at the bound included. cand lists the bags at or under tau; tau is
 // re-selected over cand only after c hits have lowered a bag since the
 // last selection — the k-best buffer's rule lifted to bags — so it
 // costs amortized O(1) per hit, and in between it is stale but still
@@ -586,26 +523,13 @@ func (bi *BagIndex) candidatesLocked(probes [][]float64, c int, bounds []float64
 			continue
 		}
 		stats.Probes++
-		// A zero bound would read as unbounded to the searches.
+		// A zero bound would read as unbounded to the search.
 		bound := max(tau, math.SmallestNonzeroFloat64)
 		if bounds != nil && bounds[qi] > 0 && bounds[qi] < bound {
 			bound = bounds[qi]
 		}
-		var hits []Neighbor
-		var evals int
-		switch bi.kind {
-		case KindVPTree:
-			hits, kth[qi], evals = bi.vp.knn(q, k, bound, sc)
-		case KindIVF:
-			nprobe := bi.opt.NProbe
-			if nprobe <= 0 {
-				// clusters/8 scans ~⅛ of the instances per probe; the
-				// union over probes restores coverage (the CI recall
-				// gate holds both kinds to ≥ 0.9 at C = N/4).
-				nprobe = max(2, bi.ivf.Clusters()/8)
-			}
-			hits, kth[qi], evals = bi.ivf.search(q, k, nprobe, bound, sc)
-		}
+		hits, qkth, evals := bi.vp.knn(q, k, bound, sc)
+		kth[qi] = qkth
 		stats.DistEvals += evals
 		for _, h := range hits {
 			if h.Dist > tau {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,38 +32,35 @@ func synthVSs(seed int64, n int) []window.VS {
 	return db
 }
 
-// TestBagIndexCandidates: for both kinds, probing with a bag's own
-// instance puts that bag first; results stay within bounds and are
-// deterministic.
+// TestBagIndexCandidates: probing with a bag's own instance puts that
+// bag first; results stay within bounds and are deterministic.
 func TestBagIndexCandidates(t *testing.T) {
 	db := synthVSs(5, 60)
-	for _, kind := range Kinds() {
-		bi, err := Build(db, kind, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if bi.Bags() != 60 {
-			t.Fatalf("%s: bags %d, want 60", kind, bi.Bags())
-		}
-		if bi.Instances() == 0 {
-			t.Fatalf("%s: no instances indexed", kind)
-		}
-		probe := db[17].TSs[0].Flat()
-		cands, stats := bi.Candidates([][]float64{probe}, 8)
-		if len(cands) == 0 || len(cands) > 8 {
-			t.Fatalf("%s: %d candidates for c=8", kind, len(cands))
-		}
-		if cands[0] != 17 {
-			t.Fatalf("%s: self-probe ranked bag %d first, want 17", kind, cands[0])
-		}
-		if stats.Probes != 1 || stats.DistEvals == 0 {
-			t.Fatalf("%s: odd stats %+v", kind, stats)
-		}
-		again, _ := bi.Candidates([][]float64{probe}, 8)
-		for i := range cands {
-			if cands[i] != again[i] {
-				t.Fatalf("%s: candidates nondeterministic at %d", kind, i)
-			}
+	bi, err := Build(db, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bi.Bags() != 60 {
+		t.Fatalf("bags %d, want 60", bi.Bags())
+	}
+	if bi.Instances() == 0 {
+		t.Fatal("no instances indexed")
+	}
+	probe := db[17].TSs[0].Flat()
+	cands, stats := bi.Candidates([][]float64{probe}, 8)
+	if len(cands) == 0 || len(cands) > 8 {
+		t.Fatalf("%d candidates for c=8", len(cands))
+	}
+	if cands[0] != 17 {
+		t.Fatalf("self-probe ranked bag %d first, want 17", cands[0])
+	}
+	if stats.Probes != 1 || stats.DistEvals == 0 {
+		t.Fatalf("odd stats %+v", stats)
+	}
+	again, _ := bi.Candidates([][]float64{probe}, 8)
+	for i := range cands {
+		if cands[i] != again[i] {
+			t.Fatalf("candidates nondeterministic at %d", i)
 		}
 	}
 }
@@ -73,37 +71,35 @@ func TestBagIndexCandidates(t *testing.T) {
 // exactly like the position-only form.
 func TestCandidatesDist(t *testing.T) {
 	db := synthVSs(8, 50)
-	for _, kind := range Kinds() {
-		bi, err := Build(db, kind, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+	bi, err := Build(db, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := [][]float64{db[3].TSs[0].Flat(), db[21].TSs[0].Flat()}
+	hits, _, hstats, err := bi.CandidatesOver(db, probes, 12, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, cstats := bi.Candidates(probes, 12)
+	if len(hits) != len(cands) {
+		t.Fatalf("%d hits vs %d candidates", len(hits), len(cands))
+	}
+	for i, h := range hits {
+		if h.Pos != cands[i] {
+			t.Fatalf("hit %d is bag %d, Candidates has %d", i, h.Pos, cands[i])
 		}
-		probes := [][]float64{db[3].TSs[0].Flat(), db[21].TSs[0].Flat()}
-		hits, _, hstats, err := bi.CandidatesOver(db, probes, 12, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+		if h.Dist < 0 {
+			t.Fatalf("negative distance %v", h.Dist)
 		}
-		cands, cstats := bi.Candidates(probes, 12)
-		if len(hits) != len(cands) {
-			t.Fatalf("%s: %d hits vs %d candidates", kind, len(hits), len(cands))
-		}
-		for i, h := range hits {
-			if h.Pos != cands[i] {
-				t.Fatalf("%s: hit %d is bag %d, Candidates has %d", kind, i, h.Pos, cands[i])
-			}
-			if h.Dist < 0 {
-				t.Fatalf("%s: negative distance %v", kind, h.Dist)
-			}
-			if i > 0 && h.Dist < hits[i-1].Dist {
-				t.Fatalf("%s: distances not sorted at %d: %v < %v", kind, i, h.Dist, hits[i-1].Dist)
-			}
-		}
-		if hstats.Probes != cstats.Probes {
-			t.Fatalf("%s: probe stats diverge: %+v vs %+v", kind, hstats, cstats)
+		if i > 0 && h.Dist < hits[i-1].Dist {
+			t.Fatalf("distances not sorted at %d: %v < %v", i, h.Dist, hits[i-1].Dist)
 		}
 	}
+	if hstats.Probes != cstats.Probes {
+		t.Fatalf("probe stats diverge: %+v vs %+v", hstats, cstats)
+	}
 	empty := []window.VS{{Index: 0}}
-	bi, err := Build(empty, KindVPTree, Options{})
+	bi, err = Build(empty, KindVPTree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,63 +120,58 @@ func TestCandidatesDist(t *testing.T) {
 // instanceless index stays nil.
 func TestCandidatesDistBounded(t *testing.T) {
 	db := synthVSs(9, 60)
-	for _, kind := range Kinds() {
-		bi, err := Build(db, kind, Options{})
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		probes := [][]float64{db[5].TSs[0].Flat(), db[40].TSs[0].Flat()}
-		inf := []float64{math.Inf(1), math.Inf(1)}
-		want, _, wstats, err := bi.CandidatesOver(db, probes, 10, inf)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		hits, kth, stats, err := bi.CandidatesOver(db, probes, 10, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if len(hits) != len(want) {
-			t.Fatalf("%s: %d hits with nil bounds, %d with infinite ones", kind, len(hits), len(want))
-		}
-		for i := range want {
-			if hits[i] != want[i] {
-				t.Fatalf("%s: hit %d = %+v with nil bounds, %+v with infinite ones", kind, i, hits[i], want[i])
-			}
-		}
-		if stats.DistEvals != wstats.DistEvals {
-			t.Fatalf("%s: nil-bound evals %d, infinite-bound evals %d", kind, stats.DistEvals, wstats.DistEvals)
-		}
-		if len(kth) != len(probes) {
-			t.Fatalf("%s: %d exported bounds for %d probes", kind, len(kth), len(probes))
-		}
-		for qi, d := range kth {
-			// +Inf is legal (a probe that found fewer than k neighbors
-			// promises nothing); a finite bound must be a distance.
-			if d < 0 || math.IsNaN(d) {
-				t.Fatalf("%s: probe %d exported bound %v", kind, qi, d)
-			}
-			if kind == KindVPTree && math.IsInf(d, 1) {
-				t.Fatalf("%s: probe %d found fewer than k of %d live instances", kind, qi, bi.Instances())
-			}
-		}
-		carried, _, cstats, err := bi.CandidatesOver(db, probes, 10, kth)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if len(carried) != len(hits) {
-			t.Fatalf("%s: carrying own bounds changed the hit count: %d vs %d", kind, len(carried), len(hits))
-		}
-		for i := range hits {
-			if carried[i] != hits[i] {
-				t.Fatalf("%s: carried hit %d = %+v, want %+v", kind, i, carried[i], hits[i])
-			}
-		}
-		if cstats.DistEvals > stats.DistEvals {
-			t.Fatalf("%s: carried bounds cost more evals: %d vs %d", kind, cstats.DistEvals, stats.DistEvals)
+	bi, err := Build(db, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := [][]float64{db[5].TSs[0].Flat(), db[40].TSs[0].Flat()}
+	inf := []float64{math.Inf(1), math.Inf(1)}
+	want, _, wstats, err := bi.CandidatesOver(db, probes, 10, inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits, kth, stats, err := bi.CandidatesOver(db, probes, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != len(want) {
+		t.Fatalf("%d hits with nil bounds, %d with infinite ones", len(hits), len(want))
+	}
+	for i := range want {
+		if hits[i] != want[i] {
+			t.Fatalf("hit %d = %+v with nil bounds, %+v with infinite ones", i, hits[i], want[i])
 		}
 	}
+	if stats.DistEvals != wstats.DistEvals {
+		t.Fatalf("nil-bound evals %d, infinite-bound evals %d", stats.DistEvals, wstats.DistEvals)
+	}
+	if len(kth) != len(probes) {
+		t.Fatalf("%d exported bounds for %d probes", len(kth), len(probes))
+	}
+	for qi, d := range kth {
+		// A probe over 60 bags at k = 26 finds k neighbors, so its
+		// bound is a finite distance.
+		if d < 0 || math.IsNaN(d) || math.IsInf(d, 1) {
+			t.Fatalf("probe %d exported bound %v over %d live instances", qi, d, bi.Instances())
+		}
+	}
+	carried, _, cstats, err := bi.CandidatesOver(db, probes, 10, kth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(carried) != len(hits) {
+		t.Fatalf("carrying own bounds changed the hit count: %d vs %d", len(carried), len(hits))
+	}
+	for i := range hits {
+		if carried[i] != hits[i] {
+			t.Fatalf("carried hit %d = %+v, want %+v", i, carried[i], hits[i])
+		}
+	}
+	if cstats.DistEvals > stats.DistEvals {
+		t.Fatalf("carried bounds cost more evals: %d vs %d", cstats.DistEvals, stats.DistEvals)
+	}
 	empty := []window.VS{{Index: 0}}
-	bi, err := Build(empty, KindVPTree, Options{})
+	bi, err = Build(empty, KindVPTree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,24 +189,22 @@ func TestCandidatesOverGeneration(t *testing.T) {
 	db := synthVSs(12, 120)
 	old, cur := db[:100], db[20:]
 	probes := [][]float64{db[50].TSs[0].Flat()}
-	for _, kind := range Kinds() {
-		bi, err := Build(old, kind, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bi.Update(cur); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := bi.CandidatesOver(old, probes, 5, nil); !errors.Is(err, ErrStale) {
-			t.Fatalf("%s: superseded database: err %v, want ErrStale", kind, err)
-		}
-		hits, kth, _, err := bi.CandidatesOver(cur, probes, 5, nil)
-		if err != nil {
-			t.Fatalf("%s: current database: %v", kind, err)
-		}
-		if len(hits) == 0 || hits[0].Pos != 30 || hits[0].Dist != 0 || len(kth) != 1 {
-			t.Fatalf("%s: self-probe hits %v (kth %v), want position 30 first at distance 0", kind, hits, kth)
-		}
+	bi, err := Build(old, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bi.Update(cur); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := bi.CandidatesOver(old, probes, 5, nil); !errors.Is(err, ErrStale) {
+		t.Fatalf("superseded database: err %v, want ErrStale", err)
+	}
+	hits, kth, _, err := bi.CandidatesOver(cur, probes, 5, nil)
+	if err != nil {
+		t.Fatalf("current database: %v", err)
+	}
+	if len(hits) == 0 || hits[0].Pos != 30 || hits[0].Dist != 0 || len(kth) != 1 {
+		t.Fatalf("self-probe hits %v (kth %v), want position 30 first at distance 0", hits, kth)
 	}
 }
 
@@ -233,7 +222,7 @@ func TestBagIndexEmptyAndMismatch(t *testing.T) {
 	}
 
 	db := synthVSs(6, 10)
-	bi, err = Build(db, KindIVF, Options{})
+	bi, err = Build(db, KindVPTree, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +241,29 @@ func TestBagIndexEmptyAndMismatch(t *testing.T) {
 	}
 }
 
+// TestDeletedNamesRejected: the index kind and the quantizer that were
+// deleted fail to parse and to build, with an error that names what
+// remains, instead of mapping silently onto it.
+func TestDeletedNamesRejected(t *testing.T) {
+	if _, err := ParseKind("ivf"); err == nil || !strings.Contains(err.Error(), string(KindVPTree)) {
+		t.Fatalf(`ParseKind("ivf"): err %v, want one naming %q`, err, KindVPTree)
+	}
+	if _, err := ParseQuantKind("scalar"); err == nil || !strings.Contains(err.Error(), string(QuantPQ)) {
+		t.Fatalf(`ParseQuantKind("scalar"): err %v, want one naming %q`, err, QuantPQ)
+	}
+	db := synthVSs(6, 10)
+	if _, err := Build(db, Kind("ivf"), Options{}); err == nil {
+		t.Fatal("ivf index built successfully")
+	}
+	if _, err := Build(db, KindVPTree, Options{Quant: QuantKind("scalar")}); err == nil {
+		t.Fatal("scalar-quantized index built successfully")
+	}
+}
+
 // candidatesOracle is the multi-probe pass without a shared threshold:
-// each probe's sorted KNN (VP-tree) or Search at the default nprobe
-// (IVF), at k = c + 16 clamped to the live instances, min-aggregated
-// per bag, ordered by (distance, position) and cut to c. It also
-// returns the per-probe distance evaluations summed.
+// each probe's sorted KNN at k = c + 16 clamped to the live instances,
+// min-aggregated per bag, ordered by (distance, position) and cut to
+// c. It also returns the per-probe distance evaluations summed.
 func candidatesOracle(bi *BagIndex, probes [][]float64, c int) ([]BagHit, int) {
 	k := min(c+16, bi.Instances())
 	if c <= 0 || k == 0 {
@@ -265,14 +272,7 @@ func candidatesOracle(bi *BagIndex, probes [][]float64, c int) ([]BagHit, int) {
 	best := map[int]float64{}
 	evals := 0
 	for _, q := range probes {
-		var nbs []Neighbor
-		var e int
-		switch bi.Kind() {
-		case KindVPTree:
-			nbs, e = bi.vp.KNN(q, k)
-		case KindIVF:
-			nbs, e = bi.ivf.Search(q, k, max(2, bi.ivf.Clusters()/8))
-		}
+		nbs, e := bi.vp.KNN(q, k)
 		evals += e
 		for _, nb := range nbs {
 			pos := bi.owner[nb.Idx]
@@ -294,10 +294,9 @@ func candidatesOracle(bi *BagIndex, probes [][]float64, c int) ([]BagHit, int) {
 	return out[:min(c, len(out))], evals
 }
 
-// fuzzQuantizers holds one scalar and one PQ quantizer trained on a
-// fixed synthVSs draw; the fuzz adopts them instead of training per
-// input.
-var fuzzQuantizers = sync.OnceValues(func() (map[QuantKind]Quantizer, error) {
+// fuzzQuantizer is one PQ trained on a fixed synthVSs draw; the fuzz
+// adopts it instead of training per input.
+var fuzzQuantizer = sync.OnceValues(func() (*ProductQuantizer, error) {
 	pts, _, _, _, err := flatten(synthVSs(1, 400), -1)
 	if err != nil {
 		return nil, err
@@ -306,50 +305,45 @@ var fuzzQuantizers = sync.OnceValues(func() (map[QuantKind]Quantizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := map[QuantKind]Quantizer{}
-	for _, qk := range []QuantKind{QuantScalar, QuantPQ} {
-		if out[qk], err = TrainQuantizer(qk, blk, 1); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return TrainProductQuantizer(blk, PQOptions{Seed: 1})
 })
 
 // FuzzCandidatesExact: the shared-threshold multi-probe pass returns
 // exactly candidatesOracle's candidates, distances included, through
 // CandidatesOver with nil bounds, and their positions through
-// Candidates. It
-// covers both kinds × {none, scalar, pq}, general-position and lattice
-// (rounded, tie-heavy) instances, tombstones left by a delta Update, a
-// dimension-mismatched and a duplicate probe, and c from 1 to past the
-// bag count. IVF spends exactly the per-probe evaluations (its cost is
-// the list scan); a VP-tree over 500 or more bags probed 10 or more
-// times at c <= bags/8 must spend strictly fewer. The seed corpus
-// doubles as the table test.
+// Candidates. It covers float rows and PQ codes, general-position and
+// lattice (rounded, tie-heavy) instances, tombstones left by a delta
+// Update, a dimension-mismatched and a duplicate probe, and c from 1
+// to past the bag count. A VP-tree over 500 or more bags probed 10 or
+// more times at c <= bags/8 must spend strictly fewer evaluations than
+// the per-probe searches. The seed corpus doubles as the table test.
 func FuzzCandidatesExact(f *testing.F) {
-	// seed, bags-8, probes-1, c step, deletion phase, kind, quant, lattice
-	for _, kind := range []uint8{0, 1} {
-		for quant := uint8(0); quant < 3; quant++ {
-			f.Add(int64(1+quant), uint16(592), uint8(11), uint8(6), uint8(0), kind, quant, false)
-			f.Add(int64(4+quant), uint16(40), uint8(5), uint8(0), uint8(3), kind, quant, true)
+	// seed, bags-8, probes-1, c step, deletion phase, pq, lattice
+	//
+	// Seeds are named by position (seed#N), so the corpus keeps its 20
+	// slots: each shape runs under two RNG bases, the two leading
+	// shapes on float rows once and on PQ codes twice.
+	for _, base := range []int64{10, 0} {
+		for i, pq := range []bool{false, true, true} {
+			f.Add(base+int64(1+i), uint16(592), uint8(11), uint8(6), uint8(0), pq, false)
+			f.Add(base+int64(4+i), uint16(40), uint8(5), uint8(0), uint8(3), pq, true)
 		}
-		f.Add(int64(7), uint16(120), uint8(15), uint8(200), uint8(5), kind, uint8(0), false)
-		f.Add(int64(8), uint16(0), uint8(2), uint8(255), uint8(0), kind, uint8(2), true)
-		f.Add(int64(9), uint16(300), uint8(12), uint8(3), uint8(9), kind, uint8(1), true)
+		f.Add(base+7, uint16(120), uint8(15), uint8(200), uint8(5), false, false)
+		f.Add(base+8, uint16(0), uint8(2), uint8(255), uint8(0), true, true)
+		f.Add(base+9, uint16(300), uint8(12), uint8(3), uint8(9), true, true)
 	}
 	// Lattice ties at the threshold: dropping hits at exactly tau, or
 	// the bags tied with the c-th at a re-selection, changes these.
-	f.Add(int64(58), uint16(29), uint8(5), uint8(47), uint8(1), uint8(1), uint8(0), true)
-	f.Add(int64(-58), uint16(40), uint8(5), uint8(91), uint8(102), uint8(1), uint8(12), true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, pRaw, cRaw, delRaw, kindRaw, quantRaw uint8, lattice bool) {
-		qzs, err := fuzzQuantizers()
-		if err != nil {
-			t.Fatal(err)
-		}
-		kind := Kinds()[kindRaw%2]
+	f.Add(int64(58), uint16(29), uint8(5), uint8(47), uint8(1), false, true)
+	f.Add(int64(-58), uint16(40), uint8(5), uint8(91), uint8(102), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint16, pRaw, cRaw, delRaw uint8, pq, lattice bool) {
 		opt := Options{}
-		if quant := []QuantKind{QuantNone, QuantScalar, QuantPQ}[quantRaw%3]; quant != QuantNone {
-			opt.Quantizer = qzs[quant]
+		if pq {
+			qz, err := fuzzQuantizer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Quantizer = qz
 		}
 		n := 8 + int(nRaw)%600
 		db := synthVSs(seed, n+3)
@@ -364,7 +358,7 @@ func FuzzCandidatesExact(f *testing.F) {
 				}
 			}
 		}
-		bi, err := Build(db[:n], kind, opt)
+		bi, err := Build(db[:n], KindVPTree, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,21 +396,18 @@ func FuzzCandidatesExact(f *testing.F) {
 		}
 		pos, pstats := bi.Candidates(probes, c)
 		if len(hits) != len(want) || len(pos) != len(want) {
-			t.Fatalf("%s c=%d: %d hits and %d candidates, oracle %d", kind, c, len(hits), len(pos), len(want))
+			t.Fatalf("c=%d: %d hits and %d candidates, oracle %d", c, len(hits), len(pos), len(want))
 		}
 		for i := range want {
 			if hits[i] != want[i] || pos[i] != want[i].Pos {
-				t.Fatalf("%s c=%d: hit %d = %+v, candidate %d, oracle %+v", kind, c, i, hits[i], pos[i], want[i])
+				t.Fatalf("c=%d: hit %d = %+v, candidate %d, oracle %+v", c, i, hits[i], pos[i], want[i])
 			}
 		}
 		if stats != pstats || stats.Probes != len(probes)-1 {
-			t.Fatalf("%s: stats %+v and %+v for %d answerable probes", kind, stats, pstats, len(probes)-1)
+			t.Fatalf("stats %+v and %+v for %d answerable probes", stats, pstats, len(probes)-1)
 		}
-		switch {
-		case kind == KindIVF && stats.DistEvals != sumEvals:
-			t.Fatalf("ivf: %d evals, per-probe searches %d", stats.DistEvals, sumEvals)
-		case kind == KindVPTree && len(db) >= 500 && stats.Probes >= 10 && c <= len(db)/8 && stats.DistEvals >= sumEvals:
-			t.Fatalf("vptree: %d evals, per-probe searches %d: the shared threshold pruned nothing", stats.DistEvals, sumEvals)
+		if len(db) >= 500 && stats.Probes >= 10 && c <= len(db)/8 && stats.DistEvals >= sumEvals {
+			t.Fatalf("%d evals, per-probe searches %d: the shared threshold pruned nothing", stats.DistEvals, sumEvals)
 		}
 	})
 }

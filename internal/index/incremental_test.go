@@ -152,22 +152,33 @@ func TestVPTreeIncrementalMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestIVFIncrementalMatchesFresh: the same property for the inverted
-// file, with the coarse centroids pinned across builds (list
-// membership is a pure function of the float vector and the
-// centroids, so growth and fresh assignment agree exactly).
-func TestIVFIncrementalMatchesFresh(t *testing.T) {
-	const dim, initial, ops = 9, 80, 70
-	u := newUniverse(201, initial+ops, dim)
-	rng := rand.New(rand.NewSource(202))
-
-	base, err := BuildIVF(u.vecs[:initial], IVFOptions{Clusters: 9})
+// trainUniverseQuantizer trains one PQ over the whole key pool so
+// incremental and fresh builds share a reconstruction lattice.
+func trainUniverseQuantizer(t *testing.T, u *ptUniverse) *ProductQuantizer {
+	t.Helper()
+	blk, err := kernel.FeatureBlockFromRows(u.vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	centroids := base.Centroids()
+	qz, err := TrainProductQuantizer(blk, PQOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qz
+}
 
-	f, err := BuildIVF(u.vecs[:initial], IVFOptions{Centroids: centroids})
+// TestQuantizedIncrementalMatchesFresh: the equivalence property
+// holds over PQ codes too. Quantization collapses points onto a
+// shared lattice, so exact distance ties are common; queries use
+// exhaustive depth (k = live count), where set identity is
+// independent of tie order between the two id spaces.
+func TestQuantizedIncrementalMatchesFresh(t *testing.T) {
+	const dim, initial, ops = 9, 50, 40
+	u := newUniverse(301, initial+ops, dim)
+	rng := rand.New(rand.NewSource(302))
+	qz := trainUniverseQuantizer(t, u)
+
+	tr, err := BuildVPTree(u.vecs[:initial], VPOptions{Quantizer: qz})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,42 +190,8 @@ func TestIVFIncrementalMatchesFresh(t *testing.T) {
 		u.alive[i] = true
 	}
 	next := initial
-
-	check := func(step int) {
-		fresh, err := BuildIVF(u.survivors(), IVFOptions{Centroids: centroids})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh2key := make([]int, 0, len(u.vecs))
-		for key, alive := range u.alive {
-			if alive {
-				fresh2key = append(fresh2key, key)
-			}
-		}
-		for trial := 0; trial < 4; trial++ {
-			q := make([]float64, dim)
-			for d := range q {
-				q[d] = rng.NormFloat64()
-			}
-			k := 1 + rng.Intn(10)
-			nprobe := 1 + rng.Intn(len(centroids))
-			got, _ := f.Search(q, k, nprobe)
-			want, _ := fresh.Search(q, k, nprobe)
-			gk, wk := keysOf(got, id2key), keysOf(want, fresh2key)
-			if len(gk) != len(wk) {
-				t.Fatalf("step %d: incremental returned %d, fresh %d", step, len(gk), len(wk))
-			}
-			for i := range gk {
-				if gk[i] != wk[i] || got[i].Dist != want[i].Dist {
-					t.Fatalf("step %d trial %d pos %d: incremental key %d vs fresh key %d",
-						step, trial, i, gk[i], wk[i])
-				}
-			}
-		}
-	}
-
 	for op := 0; op < ops; op++ {
-		if f.Live() > 5 && rng.Intn(3) == 0 {
+		if tr.Live() > 5 && rng.Intn(3) == 0 {
 			var liveKeys []int
 			for key, alive := range u.alive {
 				if alive {
@@ -222,127 +199,50 @@ func TestIVFIncrementalMatchesFresh(t *testing.T) {
 				}
 			}
 			key := liveKeys[rng.Intn(len(liveKeys))]
-			if !f.Delete(key2id[key]) {
-				t.Fatalf("op %d: delete of live key %d refused", op, key)
-			}
+			tr.Delete(key2id[key])
 			u.alive[key] = false
 		} else {
 			key := next
 			next++
-			id := f.Insert(u.vecs[key])
-			if id < 0 {
-				t.Fatalf("op %d: insert refused", op)
+			id := tr.Insert(u.vecs[key])
+			if id != len(id2key) {
+				t.Fatalf("insert id %d, want %d (ids are append-order)", id, len(id2key))
 			}
-			for id >= len(id2key) {
-				id2key = append(id2key, -1)
-			}
-			id2key[id] = key
+			id2key = append(id2key, key)
 			key2id[key] = id
 			u.alive[key] = true
 		}
-		if op%7 == 0 {
-			check(op)
-		}
 	}
-	check(ops)
-	if f.Tombstones() == 0 {
-		t.Fatal("script never tombstoned a point")
-	}
-}
-
-// quantizedUniverse trains one quantizer over the whole key pool so
-// incremental and fresh builds share a reconstruction lattice.
-func trainUniverseQuantizer(t *testing.T, u *ptUniverse, kind QuantKind) Quantizer {
-	t.Helper()
-	blk, err := kernel.FeatureBlockFromRows(u.vecs)
+	fresh, err := BuildVPTree(u.survivors(), VPOptions{Quantizer: qz})
 	if err != nil {
 		t.Fatal(err)
 	}
-	qz, err := TrainQuantizer(kind, blk, 1)
-	if err != nil {
-		t.Fatal(err)
+	fresh2key := make([]int, 0, len(u.vecs))
+	for key, alive := range u.alive {
+		if alive {
+			fresh2key = append(fresh2key, key)
+		}
 	}
-	return qz
-}
-
-// TestQuantizedIncrementalMatchesFresh: the equivalence property
-// holds under quantization too. Quantization collapses points onto a
-// shared lattice, so exact distance ties are common; queries use
-// exhaustive depth (k = live count), where set identity is
-// independent of tie order between the two id spaces.
-func TestQuantizedIncrementalMatchesFresh(t *testing.T) {
-	const dim, initial, ops = 9, 50, 40
-	for _, kind := range []QuantKind{QuantScalar, QuantPQ} {
-		u := newUniverse(301, initial+ops, dim)
-		rng := rand.New(rand.NewSource(302))
-		qz := trainUniverseQuantizer(t, u, kind)
-
-		tr, err := BuildVPTree(u.vecs[:initial], VPOptions{Quantizer: qz})
-		if err != nil {
-			t.Fatal(err)
+	for trial := 0; trial < 5; trial++ {
+		q := make([]float64, dim)
+		for d := range q {
+			q[d] = rng.NormFloat64()
 		}
-		id2key := make([]int, initial)
-		key2id := make(map[int]int, initial)
-		for i := 0; i < initial; i++ {
-			id2key[i] = i
-			key2id[i] = i
-			u.alive[i] = true
+		got, _ := tr.KNN(q, tr.Live())
+		want, _ := fresh.KNN(q, fresh.Live())
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d live vs %d", trial, len(got), len(want))
 		}
-		next := initial
-		for op := 0; op < ops; op++ {
-			if tr.Live() > 5 && rng.Intn(3) == 0 {
-				var liveKeys []int
-				for key, alive := range u.alive {
-					if alive {
-						liveKeys = append(liveKeys, key)
-					}
-				}
-				key := liveKeys[rng.Intn(len(liveKeys))]
-				tr.Delete(key2id[key])
-				u.alive[key] = false
-			} else {
-				key := next
-				next++
-				id := tr.Insert(u.vecs[key])
-				if id != len(id2key) {
-					t.Fatalf("insert id %d, want %d (ids are append-order)", id, len(id2key))
-				}
-				id2key = append(id2key, key)
-				key2id[key] = id
-				u.alive[key] = true
-			}
+		gotKeys := make(map[int]float64, len(got))
+		for _, nb := range got {
+			gotKeys[id2key[nb.Idx]] = nb.Dist
 		}
-		fresh, err := BuildVPTree(u.survivors(), VPOptions{Quantizer: qz})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh2key := make([]int, 0, len(u.vecs))
-		for key, alive := range u.alive {
-			if alive {
-				fresh2key = append(fresh2key, key)
-			}
-		}
-		for trial := 0; trial < 5; trial++ {
-			q := make([]float64, dim)
-			for d := range q {
-				q[d] = rng.NormFloat64()
-			}
-			got, _ := tr.KNN(q, tr.Live())
-			want, _ := fresh.KNN(q, fresh.Live())
-			if len(got) != len(want) {
-				t.Fatalf("%s trial %d: %d live vs %d", kind, trial, len(got), len(want))
-			}
-			gotKeys := make(map[int]float64, len(got))
-			for _, nb := range got {
-				gotKeys[id2key[nb.Idx]] = nb.Dist
-			}
-			for i, nb := range want {
-				key := fresh2key[nb.Idx]
-				d, ok := gotKeys[key]
-				if !ok || d != nb.Dist {
-					t.Fatalf("%s trial %d pos %d: fresh key %d (d=%v) missing or mismatched (d=%v)",
-						kind, trial, i, key, nb.Dist, d)
-				}
+		for i, nb := range want {
+			key := fresh2key[nb.Idx]
+			d, ok := gotKeys[key]
+			if !ok || d != nb.Dist {
+				t.Fatalf("trial %d pos %d: fresh key %d (d=%v) missing or mismatched (d=%v)",
+					trial, i, key, nb.Dist, d)
 			}
 		}
 	}
@@ -361,8 +261,8 @@ func synthVSsAt(seed int64, base, n int) []window.VS {
 // TestBagIndexUpdateMatchesFresh: the full-stack property — a
 // BagIndex driven through interleaved Update deltas (VS insertions
 // and removals) returns the same candidate sets as a fresh Build over
-// the surviving database, for both kinds and for quantized variants
-// (sharing the pre-trained quantizer and, for IVF, pinned centroids).
+// the surviving database, over float rows and over PQ codes (sharing
+// the pre-trained quantizer).
 func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 	pool := synthVSsAt(40, 0, 120)
 	poolBlk := func() *kernel.FeatureBlock {
@@ -381,7 +281,6 @@ func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 
 	type variant struct {
 		name string
-		kind Kind
 		opt  Options
 		// exhaustive: probe with full depth and candidate budget.
 		// Quantized variants need it — the lattice makes exact
@@ -391,43 +290,19 @@ func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 		// (score, position) order are identical.
 		exhaustive bool
 	}
-	var variants []variant
-	baseIVF, err := BuildIVF(func() [][]float64 {
-		var rows [][]float64
-		for _, vs := range pool[:60] {
-			for _, ts := range vs.TSs {
-				rows = append(rows, ts.Flat())
-			}
-		}
-		return rows
-	}(), IVFOptions{Clusters: 8})
+	qz, err := TrainProductQuantizer(poolBlk, PQOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	centroids := baseIVF.Centroids()
-	variants = append(variants,
-		variant{name: "vptree", kind: KindVPTree, opt: Options{RebuildFraction: 10}},
-		variant{name: "ivf", kind: KindIVF, opt: Options{RebuildFraction: 10, Centroids: centroids}},
-	)
-	for _, qk := range []QuantKind{QuantScalar, QuantPQ} {
-		qz, err := TrainQuantizer(qk, poolBlk, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exhaustive := Options{RebuildFraction: 10, Quantizer: qz, PerProbeK: 1 << 20}
-		ivfOpt := exhaustive
-		ivfOpt.Centroids = centroids
-		ivfOpt.NProbe = 1 << 20
-		variants = append(variants,
-			variant{name: "vptree+" + string(qk), kind: KindVPTree, opt: exhaustive, exhaustive: true},
-			variant{name: "ivf+" + string(qk), kind: KindIVF, opt: ivfOpt, exhaustive: true},
-		)
+	variants := []variant{
+		{name: "vptree", opt: Options{RebuildFraction: 10}},
+		{name: "vptree+pq", opt: Options{RebuildFraction: 10, Quantizer: qz, PerProbeK: 1 << 20}, exhaustive: true},
 	}
 
 	for _, v := range variants {
 		rng := rand.New(rand.NewSource(77))
 		db := append([]window.VS(nil), pool[:60]...)
-		bi, err := Build(db, v.kind, v.opt)
+		bi, err := Build(db, KindVPTree, v.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
 		}
@@ -449,7 +324,7 @@ func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 			if res.Rebuilt {
 				t.Fatalf("%s step %d: rebuilt despite high threshold", v.name, step)
 			}
-			fresh, err := Build(db, v.kind, v.opt)
+			fresh, err := Build(db, KindVPTree, v.opt)
 			if err != nil {
 				t.Fatalf("%s step %d: fresh build: %v", v.name, step, err)
 			}
@@ -493,31 +368,29 @@ func TestBagIndexUpdateMatchesFresh(t *testing.T) {
 // TestWholeBagDeltasApplyIncrementally is the incremental-maintenance
 // gate: at default Options, a built index over a 480-bag catalog
 // absorbs 20 deltas that each remove the oldest bag and add an unseen
-// one, for every index kind, and every delta must take the
-// incremental path — 20 applies, no rebuild.
+// one, and every delta must take the incremental path — 20 applies,
+// no rebuild.
 func TestWholeBagDeltasApplyIncrementally(t *testing.T) {
 	const bags, deltas = 480, 20
 	catalog := synthVSsAt(90, 0, bags)
 	fresh := synthVSsAt(91, 1_000_000, deltas)
-	for _, kind := range Kinds() {
-		bi, err := Build(catalog, kind, Options{})
+	bi, err := Build(catalog, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := append([]window.VS(nil), catalog...)
+	for op, vs := range fresh {
+		db = append(db[1:], vs)
+		res, err := bi.Update(db)
 		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+			t.Fatalf("delta %d: %v", op, err)
 		}
-		db := append([]window.VS(nil), catalog...)
-		for op, vs := range fresh {
-			db = append(db[1:], vs)
-			res, err := bi.Update(db)
-			if err != nil {
-				t.Fatalf("%s delta %d: %v", kind, op, err)
-			}
-			if res.Rebuilt || res.Inserted == 0 || res.Deleted == 0 {
-				t.Fatalf("%s delta %d: not applied as a delta: %+v", kind, op, res)
-			}
+		if res.Rebuilt || res.Inserted == 0 || res.Deleted == 0 {
+			t.Fatalf("delta %d: not applied as a delta: %+v", op, res)
 		}
-		if m := bi.Maintenance(); m.Applies != deltas || m.Rebuilds != 0 {
-			t.Fatalf("%s: applies %d, rebuilds %d; want %d, 0", kind, m.Applies, m.Rebuilds, deltas)
-		}
+	}
+	if m := bi.Maintenance(); m.Applies != deltas || m.Rebuilds != 0 {
+		t.Fatalf("applies %d, rebuilds %d; want %d, 0", m.Applies, m.Rebuilds, deltas)
 	}
 }
 
@@ -574,36 +447,32 @@ func TestBagIndexUpdateRebuildThreshold(t *testing.T) {
 	}
 }
 
-// TestBagIndexQuantizedBuild: Build trains the requested quantizer,
-// reports its name, training time and a compressed memory footprint.
+// TestBagIndexQuantizedBuild: Build trains the PQ, reports its name,
+// training time and a compressed memory footprint.
 func TestBagIndexQuantizedBuild(t *testing.T) {
 	db := synthVSs(60, 80)
-	for _, qk := range []QuantKind{QuantScalar, QuantPQ} {
-		for _, kind := range Kinds() {
-			bi, err := Build(db, kind, Options{Quant: qk})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, qk, err)
-			}
-			if bi.QuantName() == "" {
-				t.Fatalf("%s/%s: no quantizer name", kind, qk)
-			}
-			if bi.TrainTime() <= 0 {
-				t.Fatalf("%s/%s: no training time", kind, qk)
-			}
-			m := bi.Memory()
-			if m.PointBytes <= 0 || m.FloatBytes <= 0 {
-				t.Fatalf("%s/%s: empty memory stats %+v", kind, qk, m)
-			}
-			if m.PointBytes*4 > m.FloatBytes {
-				t.Fatalf("%s/%s: point bytes %d not ≤ 1/4 of float %d", kind, qk, m.PointBytes, m.FloatBytes)
-			}
-			// Quantized probing still finds the self-probed bag first.
-			probe := db[11].TSs[0].Flat()
-			cands, _ := bi.Candidates([][]float64{probe}, 8)
-			if len(cands) == 0 || cands[0] != 11 {
-				t.Fatalf("%s/%s: self-probe candidates %v", kind, qk, cands)
-			}
-		}
+	bi, err := Build(db, KindVPTree, Options{Quant: QuantPQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bi.QuantName() == "" {
+		t.Fatal("no quantizer name")
+	}
+	if bi.TrainTime() <= 0 {
+		t.Fatal("no training time")
+	}
+	m := bi.Memory()
+	if m.PointBytes <= 0 || m.FloatBytes <= 0 {
+		t.Fatalf("empty memory stats %+v", m)
+	}
+	if m.PointBytes*4 > m.FloatBytes {
+		t.Fatalf("point bytes %d not ≤ 1/4 of float %d", m.PointBytes, m.FloatBytes)
+	}
+	// Quantized probing still finds the self-probed bag first.
+	probe := db[11].TSs[0].Flat()
+	cands, _ := bi.Candidates([][]float64{probe}, 8)
+	if len(cands) == 0 || cands[0] != 11 {
+		t.Fatalf("self-probe candidates %v", cands)
 	}
 	if _, err := Build(db, KindVPTree, Options{Quant: QuantKind("bad")}); err == nil {
 		t.Fatal("unknown quant kind built successfully")

@@ -230,12 +230,12 @@ func testKBestExact(t *testing.T, pts, queries [][]float64, leaf int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := TrainQuantizer(QuantPQ, blk, 1)
+	pq, err := TrainProductQuantizer(blk, PQOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(pts)
-	for _, qz := range []Quantizer{nil, pq} {
+	for _, qz := range []*ProductQuantizer{nil, pq} {
 		tree, err := BuildVPTree(pts, VPOptions{LeafSize: leaf, Quantizer: qz})
 		if err != nil {
 			t.Fatal(err)
@@ -283,8 +283,8 @@ func testKBestExact(t *testing.T, pts, queries [][]float64, leaf int) {
 }
 
 // TestCandidatesKth: the first probe runs before any shared threshold
-// exists, so its kth equals the k-th distance of the sorted KNN/Search
-// the same probe would get (k = c + 16). A later probe may be cut
+// exists, so its kth equals the k-th distance of the sorted KNN the
+// same probe would get (k = c + 16). A later probe may be cut
 // short by the threshold and report +Inf, but a finite kth still
 // upper-bounds its sorted search's k-th — the contract the shard scout
 // relies on. A probe that cannot be answered reports +Inf.
@@ -292,44 +292,37 @@ func TestCandidatesKth(t *testing.T) {
 	db := synthVSs(6, 120)
 	const c = 20
 	probes := [][]float64{db[3].TSs[0].Flat(), db[40].TSs[0].Flat(), {1, 2}, db[99].TSs[0].Flat()}
-	for _, kind := range Kinds() {
-		bi, err := Build(db, kind, Options{})
-		if err != nil {
-			t.Fatal(err)
+	bi, err := Build(db, KindVPTree, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, kth, _, err := bi.CandidatesOver(db, probes, c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range probes {
+		sorted, _ := bi.vp.KNN(q, c+16)
+		want := math.Inf(1)
+		if len(sorted) == c+16 {
+			want = sorted[c+15].Dist
 		}
-		_, kth, _, err := bi.CandidatesOver(db, probes, c, nil)
-		if err != nil {
-			t.Fatal(err)
+		switch {
+		case i == 0 && kth[i] != want:
+			t.Fatalf("first probe: kth %v, sorted search says %v", kth[i], want)
+		case kth[i] < want:
+			t.Fatalf("probe %d: kth %v under the sorted search's %v", i, kth[i], want)
 		}
-		for i, q := range probes {
-			var sorted []Neighbor
-			switch kind {
-			case KindVPTree:
-				sorted, _ = bi.vp.KNN(q, c+16)
-			case KindIVF:
-				sorted, _ = bi.ivf.Search(q, c+16, max(2, bi.ivf.Clusters()/8))
-			}
-			want := math.Inf(1)
-			if len(sorted) == c+16 {
-				want = sorted[c+15].Dist
-			}
-			switch {
-			case i == 0 && kth[i] != want:
-				t.Fatalf("%s first probe: kth %v, sorted search says %v", kind, kth[i], want)
-			case kth[i] < want:
-				t.Fatalf("%s probe %d: kth %v under the sorted search's %v", kind, i, kth[i], want)
-			}
-		}
-		if !math.IsInf(kth[2], 1) {
-			t.Fatalf("%s: dimension-mismatched probe got kth %v", kind, kth[2])
-		}
+	}
+	if !math.IsInf(kth[2], 1) {
+		t.Fatalf("dimension-mismatched probe got kth %v", kth[2])
 	}
 }
 
 // TestScratchReuseAcrossIndexes: one Scratch carried across BagIndexes
-// of different bag counts, in both directions, returns what a fresh
-// scratch returns — the dense per-bag buffer grows on demand and is
-// fully reset after every pass. Several goroutines do it at once over
+// of different bag counts and stores, in both directions, returns what
+// a fresh scratch returns — the dense per-bag buffer and the ADC table
+// grow on demand and the per-bag buffer is fully reset after every
+// pass. Several goroutines do it at once over
 // the same indexes (run under -race).
 func TestScratchReuseAcrossIndexes(t *testing.T) {
 	type fixture struct {
@@ -339,8 +332,8 @@ func TestScratchReuseAcrossIndexes(t *testing.T) {
 	var fx []fixture
 	for i, n := range []int{30, 200, 5, 90} {
 		db := synthVSs(int64(10+i), n)
-		for _, kind := range Kinds() {
-			bi, err := Build(db, kind, Options{})
+		for _, quant := range []QuantKind{QuantNone, QuantPQ} {
+			bi, err := Build(db, KindVPTree, Options{Quant: quant})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,17 +3,19 @@ package index
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"milvideo/internal/kernel"
 )
 
 // Quantization layer: lossy compression of instance vectors for the
-// candidate indexes. A trained Quantizer maps each float64 vector to
-// a short byte code; probes measure distances asymmetrically (ADC:
-// exact float query against compressed points) through a per-query
-// lookup table, so a scan costs CodeLen table reads per point instead
-// of Dim multiply-adds, and the resident store shrinks from 8·Dim
-// bytes per instance to CodeLen bytes plus a shared codebook.
+// candidate index. A trained ProductQuantizer maps each float64
+// vector to a short byte code; probes measure distances
+// asymmetrically (ADC: exact float query against compressed points)
+// through a per-query lookup table, so a scan costs CodeLen table
+// reads per point instead of Dim multiply-adds, and the resident
+// store shrinks from 8·Dim bytes per instance to CodeLen bytes plus a
+// shared codebook.
 //
 // The geometry that makes this safe: quantizing is snapping every
 // indexed point onto the reconstruction lattice. ADC distances are
@@ -25,14 +27,13 @@ import (
 // absorbs, because the exact MIL re-rank rescores every candidate
 // from the uncompressed features.
 
-// QuantKind names a quantizer family.
+// QuantKind names an instance store: float rows or PQ codes.
 type QuantKind string
 
-// The supported quantizers. QuantNone keeps full float64 vectors.
+// The supported stores. QuantNone keeps full float64 vectors.
 const (
-	QuantNone   QuantKind = ""
-	QuantScalar QuantKind = "scalar"
-	QuantPQ     QuantKind = "pq"
+	QuantNone QuantKind = ""
+	QuantPQ   QuantKind = "pq"
 )
 
 // ParseQuantKind validates a quantizer name from a flag or query
@@ -41,165 +42,11 @@ func ParseQuantKind(s string) (QuantKind, error) {
 	switch s {
 	case "", "none":
 		return QuantNone, nil
-	case string(QuantScalar):
-		return QuantScalar, nil
 	case string(QuantPQ):
 		return QuantPQ, nil
 	}
-	return "", fmt.Errorf("index: unknown quantizer %q (have scalar, pq, none)", s)
+	return "", fmt.Errorf("index: unknown quantizer %q (have pq, none)", s)
 }
-
-// Quantizer compresses fixed-dimension vectors to byte codes and
-// measures query-to-code distances through a per-query ADC table.
-// Implementations are immutable after training and safe for
-// concurrent use.
-type Quantizer interface {
-	// Dim is the input vector dimension.
-	Dim() int
-	// CodeLen is the encoded size in bytes per vector.
-	CodeLen() int
-	// Encode writes the code of v into code (len ≥ CodeLen).
-	Encode(v []float64, code []byte)
-	// Reconstruct decodes a code back to its lattice point (len(out)
-	// ≥ Dim) — the point ADC distances are measured to.
-	Reconstruct(code []byte, out []float64)
-	// TabLen is the ADC table length FillADC requires.
-	TabLen() int
-	// FillADC precomputes the query's distance table: after it,
-	// ADCDist(tab, code) returns ‖q − Reconstruct(code)‖².
-	FillADC(q []float64, tab []float64)
-	// ADCDist reads the squared distance of one code from the table.
-	ADCDist(tab []float64, code []byte) float64
-	// CodeDist returns the squared distance between the
-	// reconstructions of two codes, accumulated with the same grouping
-	// as ADCDist — so tree radii computed from codes and query
-	// distances computed through ADC tables measure one consistent
-	// metric.
-	CodeDist(a, b []byte) float64
-	// Bytes is the codebook's resident size.
-	Bytes() int
-	// Name identifies the quantizer in reports.
-	Name() string
-}
-
-// ---- scalar quantization ----
-
-// ScalarQuantizer is the per-dimension baseline: each dimension is
-// ranged over the training set and snapped to 256 evenly spaced
-// levels, giving Dim-byte codes (8× smaller than float64). ADCDist
-// sums per-dimension table entries in index order, so it is bitwise
-// identical to kernel.SquaredDistance against the reconstruction.
-type ScalarQuantizer struct {
-	min, scale []float64 // scale = (max−min)/255; 0 for constant dims
-}
-
-// TrainScalarQuantizer fits per-dimension ranges over the block.
-func TrainScalarQuantizer(b *kernel.FeatureBlock) (*ScalarQuantizer, error) {
-	if b == nil || b.Len() == 0 {
-		return nil, ErrNoPoints
-	}
-	dim := b.Dim()
-	sq := &ScalarQuantizer{min: make([]float64, dim), scale: make([]float64, dim)}
-	max := make([]float64, dim)
-	for d := 0; d < dim; d++ {
-		sq.min[d] = math.Inf(1)
-		max[d] = math.Inf(-1)
-	}
-	for i := 0; i < b.Len(); i++ {
-		row := b.Row(i)
-		for d, v := range row {
-			if v < sq.min[d] {
-				sq.min[d] = v
-			}
-			if v > max[d] {
-				max[d] = v
-			}
-		}
-	}
-	for d := 0; d < dim; d++ {
-		if span := max[d] - sq.min[d]; span > 0 {
-			sq.scale[d] = span / 255
-		}
-	}
-	return sq, nil
-}
-
-// Dim implements Quantizer.
-func (sq *ScalarQuantizer) Dim() int { return len(sq.min) }
-
-// CodeLen implements Quantizer.
-func (sq *ScalarQuantizer) CodeLen() int { return len(sq.min) }
-
-// Encode implements Quantizer. Out-of-range values (vectors inserted
-// after training) clamp to the trained range.
-func (sq *ScalarQuantizer) Encode(v []float64, code []byte) {
-	for d := range sq.min {
-		if sq.scale[d] == 0 {
-			code[d] = 0
-			continue
-		}
-		c := math.Round((v[d] - sq.min[d]) / sq.scale[d])
-		if c < 0 {
-			c = 0
-		} else if c > 255 {
-			c = 255
-		}
-		code[d] = byte(c)
-	}
-}
-
-// Reconstruct implements Quantizer.
-func (sq *ScalarQuantizer) Reconstruct(code []byte, out []float64) {
-	for d := range sq.min {
-		out[d] = sq.min[d] + sq.scale[d]*float64(code[d])
-	}
-}
-
-// TabLen implements Quantizer.
-func (sq *ScalarQuantizer) TabLen() int { return len(sq.min) * 256 }
-
-// FillADC implements Quantizer.
-func (sq *ScalarQuantizer) FillADC(q []float64, tab []float64) {
-	for d := range sq.min {
-		base := d * 256
-		qd, mn, sc := q[d], sq.min[d], sq.scale[d]
-		for c := 0; c < 256; c++ {
-			diff := qd - (mn + sc*float64(c))
-			tab[base+c] = diff * diff
-		}
-	}
-}
-
-// ADCDist implements Quantizer.
-func (sq *ScalarQuantizer) ADCDist(tab []float64, code []byte) float64 {
-	d := 0.0
-	for j, c := range code {
-		d += tab[j*256+int(c)]
-	}
-	return d
-}
-
-// CodeDist implements Quantizer: per-dimension differences summed in
-// index order, bitwise identical to the serial kernel over the two
-// reconstructions (and to ADCDist with either side's table).
-func (sq *ScalarQuantizer) CodeDist(a, b []byte) float64 {
-	d := 0.0
-	for j := range sq.min {
-		ra := sq.min[j] + sq.scale[j]*float64(a[j])
-		rb := sq.min[j] + sq.scale[j]*float64(b[j])
-		diff := ra - rb
-		d += diff * diff
-	}
-	return d
-}
-
-// Bytes implements Quantizer.
-func (sq *ScalarQuantizer) Bytes() int { return 8 * (cap(sq.min) + cap(sq.scale)) }
-
-// Name implements Quantizer.
-func (sq *ScalarQuantizer) Name() string { return "scalar8" }
-
-// ---- product quantization ----
 
 // PQOptions tunes product-quantizer training. Zero values take the
 // documented defaults.
@@ -307,6 +154,163 @@ func TrainProductQuantizer(b *kernel.FeatureBlock, opt PQOptions) (*ProductQuant
 	return pq, nil
 }
 
+// kmeansFastThreshold is the point count beyond which Lloyd
+// assignment switches to the columnar unrolled kernel. Its sums may
+// differ from the serial path's in the last bit, so crossing the
+// threshold can move centroids. Both sides are deterministic, and
+// TestPrunedRankingGolden pins rankings built on each (PQ codebooks
+// trained on 10× and 100× the demo catalog), so moving the threshold
+// or changing either kernel re-records those hashes.
+const kmeansFastThreshold = 2048
+
+// kmeansPP runs seeded k-means++ initialization followed by Lloyd
+// iterations. Deterministic: the rng is seeded, assignment ties break
+// toward the lowest centroid index, and an emptied cluster is
+// reseeded to the point farthest from its assigned centroid (lowest
+// index on ties).
+func kmeansPP(pts [][]float64, k, iters int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	dim := len(pts[0])
+	centroids := make([][]float64, 0, k)
+	centroids = append(centroids, clone(pts[rng.Intn(len(pts))]))
+	// D² sampling: each next seed is drawn proportionally to the
+	// squared distance to the nearest chosen centroid.
+	d2 := make([]float64, len(pts))
+	for i, p := range pts {
+		d2[i] = kernel.SquaredDistance(p, centroids[0])
+	}
+	for len(centroids) < k {
+		total := 0.0
+		for _, d := range d2 {
+			total += d
+		}
+		var next int
+		if total <= 0 {
+			// All points coincide with a centroid; any point works.
+			next = rng.Intn(len(pts))
+		} else {
+			r := rng.Float64() * total
+			acc := 0.0
+			next = len(pts) - 1
+			for i, d := range d2 {
+				acc += d
+				if acc >= r {
+					next = i
+					break
+				}
+			}
+		}
+		c := clone(pts[next])
+		centroids = append(centroids, c)
+		for i, p := range pts {
+			if d := kernel.SquaredDistance(p, c); d < d2[i] {
+				d2[i] = d
+			}
+		}
+	}
+
+	// Columnar view for the fast assignment path on large inputs.
+	var blk *kernel.FeatureBlock
+	var fastD []float64
+	var fastBest []float64
+	if len(pts) >= kmeansFastThreshold {
+		if b, err := kernel.FeatureBlockFromRows(pts); err == nil {
+			blk = b
+			fastD = make([]float64, len(pts))
+			fastBest = make([]float64, len(pts))
+		}
+	}
+
+	assign := make([]int, len(pts))
+	for i := range assign {
+		assign[i] = -1
+	}
+	for it := 0; it < iters; it++ {
+		changed := false
+		if blk != nil {
+			// Centroid-major sweep: one unrolled streaming pass per
+			// centroid, argmin per point with ties to the lowest
+			// centroid index (strict < against earlier centroids).
+			best := fastBest[:len(pts)]
+			bestIdx := make([]int, len(pts))
+			for c := range centroids {
+				blk.SquaredDistsToFast(centroids[c], fastD)
+				if c == 0 {
+					copy(best, fastD)
+					continue
+				}
+				for i, d := range fastD {
+					if d < best[i] {
+						best[i] = d
+						bestIdx[i] = c
+					}
+				}
+			}
+			for i, c := range bestIdx {
+				if c != assign[i] {
+					assign[i] = c
+					changed = true
+				}
+			}
+		} else {
+			for i, p := range pts {
+				c := nearestCentroid(centroids, p)
+				if c != assign[i] {
+					assign[i] = c
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			break
+		}
+		counts := make([]int, len(centroids))
+		sums := make([][]float64, len(centroids))
+		for c := range sums {
+			sums[c] = make([]float64, dim)
+		}
+		for i, p := range pts {
+			c := assign[i]
+			counts[c]++
+			for j, v := range p {
+				sums[c][j] += v
+			}
+		}
+		for c := range centroids {
+			if counts[c] == 0 {
+				// Reseed an emptied cluster to the farthest point.
+				far, farD := 0, -1.0
+				for i, p := range pts {
+					if d := kernel.SquaredDistance(p, centroids[assign[i]]); d > farD {
+						far, farD = i, d
+					}
+				}
+				centroids[c] = clone(pts[far])
+				continue
+			}
+			for j := range sums[c] {
+				sums[c][j] /= float64(counts[c])
+			}
+			centroids[c] = sums[c]
+		}
+	}
+	return centroids
+}
+
+func clone(v []float64) []float64 { return append([]float64(nil), v...) }
+
+// nearestCentroid returns the index of the closest centroid (lowest
+// index on exact ties).
+func nearestCentroid(centroids [][]float64, p []float64) int {
+	best, bestD := 0, math.Inf(1)
+	for c, cen := range centroids {
+		if d := kernel.SquaredDistance(p, cen); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
+}
+
 // subDim reports subspace m's width.
 func (pq *ProductQuantizer) subDim(m int) int { return pq.offs[m+1] - pq.offs[m] }
 
@@ -319,16 +323,17 @@ func (pq *ProductQuantizer) centAt(m, c int) []float64 {
 	return pq.cent[off : off+w]
 }
 
-// Dim implements Quantizer.
+// Dim is the input vector dimension.
 func (pq *ProductQuantizer) Dim() int { return pq.dim }
 
-// CodeLen implements Quantizer.
+// CodeLen is the encoded size in bytes per vector: one per subspace.
 func (pq *ProductQuantizer) CodeLen() int { return len(pq.offs) - 1 }
 
-// Encode implements Quantizer: each subspace snaps to its nearest
-// centroid (lowest index on ties). It scans the subspace's contiguous
-// codebook with the arithmetic of kernel.SquaredDistance(sub,
-// centroid), so the codes are the ones that call would choose.
+// Encode writes the code of v into code (len ≥ CodeLen): each
+// subspace snaps to its nearest centroid (lowest index on ties). It
+// scans the subspace's contiguous codebook with the arithmetic of
+// kernel.SquaredDistance(sub, centroid), so the codes are the ones
+// that call would choose.
 func (pq *ProductQuantizer) Encode(v []float64, code []byte) {
 	for m := 0; m < pq.CodeLen(); m++ {
 		lo, hi := pq.offs[m], pq.offs[m+1]
@@ -350,17 +355,19 @@ func (pq *ProductQuantizer) Encode(v []float64, code []byte) {
 	}
 }
 
-// Reconstruct implements Quantizer.
+// Reconstruct decodes a code back to its lattice point (len(out) ≥
+// Dim) — the point ADC distances are measured to.
 func (pq *ProductQuantizer) Reconstruct(code []byte, out []float64) {
 	for m := 0; m < pq.CodeLen(); m++ {
 		copy(out[pq.offs[m]:pq.offs[m+1]], pq.centAt(m, int(code[m])))
 	}
 }
 
-// TabLen implements Quantizer.
+// TabLen is the ADC table length FillADC requires.
 func (pq *ProductQuantizer) TabLen() int { return pq.CodeLen() * pq.k }
 
-// FillADC implements Quantizer.
+// FillADC precomputes the query's distance table: after it,
+// ADCDist(tab, code) returns ‖q − Reconstruct(code)‖² up to grouping.
 func (pq *ProductQuantizer) FillADC(q []float64, tab []float64) {
 	for m := 0; m < pq.CodeLen(); m++ {
 		sub := q[pq.offs[m]:pq.offs[m+1]]
@@ -371,7 +378,7 @@ func (pq *ProductQuantizer) FillADC(q []float64, tab []float64) {
 	}
 }
 
-// ADCDist implements Quantizer.
+// ADCDist reads the squared distance of one code from the table.
 func (pq *ProductQuantizer) ADCDist(tab []float64, code []byte) float64 {
 	d := 0.0
 	for m, c := range code {
@@ -380,9 +387,11 @@ func (pq *ProductQuantizer) ADCDist(tab []float64, code []byte) float64 {
 	return d
 }
 
-// CodeDist implements Quantizer: per-subspace centroid distances
-// summed in subspace order — the same grouping as ADCDist over one
-// side's reconstruction table.
+// CodeDist returns the squared distance between the reconstructions
+// of two codes: per-subspace centroid distances summed in subspace
+// order — the same grouping as ADCDist over one side's reconstruction
+// table, so tree radii computed from codes and query distances
+// computed through ADC tables measure one consistent metric.
 func (pq *ProductQuantizer) CodeDist(a, b []byte) float64 {
 	d := 0.0
 	for m := 0; m < pq.CodeLen(); m++ {
@@ -391,37 +400,22 @@ func (pq *ProductQuantizer) CodeDist(a, b []byte) float64 {
 	return d
 }
 
-// Bytes implements Quantizer.
+// Bytes is the codebook's resident size.
 func (pq *ProductQuantizer) Bytes() int { return 8*cap(pq.cent) + 8*cap(pq.offs) }
 
-// Name implements Quantizer.
+// Name identifies the quantizer in reports.
 func (pq *ProductQuantizer) Name() string {
 	return fmt.Sprintf("pq(m=%d,k=%d)", pq.CodeLen(), pq.k)
-}
-
-// TrainQuantizer trains the named quantizer family over a block of
-// instance vectors (QuantNone returns nil, nil). seed drives the PQ
-// codebooks; the scalar baseline is deterministic by construction.
-func TrainQuantizer(kind QuantKind, b *kernel.FeatureBlock, seed int64) (Quantizer, error) {
-	switch kind {
-	case QuantNone:
-		return nil, nil
-	case QuantScalar:
-		return TrainScalarQuantizer(b)
-	case QuantPQ:
-		return TrainProductQuantizer(b, PQOptions{Seed: seed})
-	}
-	return nil, fmt.Errorf("index: unknown quantizer %q", kind)
 }
 
 // codeStore holds the packed codes of an indexed point set, appended
 // in point order.
 type codeStore struct {
-	qz    Quantizer
+	qz    *ProductQuantizer
 	codes []byte
 }
 
-func newCodeStore(qz Quantizer, capRows int) *codeStore {
+func newCodeStore(qz *ProductQuantizer, capRows int) *codeStore {
 	return &codeStore{qz: qz, codes: make([]byte, 0, capRows*qz.CodeLen())}
 }
 

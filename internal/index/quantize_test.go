@@ -23,76 +23,14 @@ func randBlock(seed int64, n, dim int) *kernel.FeatureBlock {
 }
 
 func TestParseQuantKind(t *testing.T) {
-	for _, s := range []string{"", "none", "scalar", "pq"} {
+	for _, s := range []string{"", "none", "pq"} {
 		if _, err := ParseQuantKind(s); err != nil {
 			t.Fatalf("ParseQuantKind(%q): %v", s, err)
 		}
 	}
-	if _, err := ParseQuantKind("opq"); err == nil {
-		t.Fatal("unknown quantizer parsed successfully")
-	}
-}
-
-// TestScalarQuantizerContracts pins the scalar quantizer's exactness
-// contracts: reconstruction error is bounded by half a level per
-// dimension, and the three distance paths — ADC through a query
-// table, serial distance to the reconstruction, and code-to-code —
-// are bitwise consistent with one another.
-func TestScalarQuantizerContracts(t *testing.T) {
-	const dim = 9
-	b := randBlock(1, 300, dim)
-	sq, err := TrainScalarQuantizer(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sq.Dim() != dim || sq.CodeLen() != dim {
-		t.Fatalf("dim %d codeLen %d, want %d", sq.Dim(), sq.CodeLen(), dim)
-	}
-	code := make([]byte, sq.CodeLen())
-	recon := make([]float64, dim)
-	tab := make([]float64, sq.TabLen())
-	rng := rand.New(rand.NewSource(2))
-	q := make([]float64, dim)
-	for d := range q {
-		q[d] = rng.NormFloat64()
-	}
-	sq.FillADC(q, tab)
-	codeB := make([]byte, sq.CodeLen())
-	reconB := make([]float64, dim)
-	for i := 0; i < b.Len(); i++ {
-		row := b.Row(i)
-		sq.Encode(row, code)
-		sq.Reconstruct(code, recon)
-		for d := range recon {
-			// In-range training vectors snap to within half a level.
-			if lim := sq.scale[d]/2 + 1e-12; math.Abs(recon[d]-row[d]) > lim {
-				t.Fatalf("row %d dim %d: recon error %g exceeds %g", i, d, math.Abs(recon[d]-row[d]), lim)
-			}
-		}
-		adc := sq.ADCDist(tab, code)
-		serial := kernel.SquaredDistance(q, recon)
-		if adc != serial {
-			t.Fatalf("row %d: ADC %v != serial-to-recon %v", i, adc, serial)
-		}
-		// Code-to-code distance == ADC with one side's reconstruction
-		// as the query, bitwise.
-		sq.Encode(b.Row((i+7)%b.Len()), codeB)
-		sq.Reconstruct(codeB, reconB)
-		tabA := make([]float64, sq.TabLen())
-		sq.FillADC(recon, tabA)
-		if got, want := sq.CodeDist(code, codeB), sq.ADCDist(tabA, codeB); got != want {
-			t.Fatalf("row %d: CodeDist %v != ADC-over-recon %v", i, got, want)
-		}
-	}
-	// Out-of-range vectors clamp instead of wrapping.
-	huge := make([]float64, dim)
-	for d := range huge {
-		huge[d] = 1e9
-	}
-	sq.Encode(huge, code)
-	for d, c := range code {
-		if c != 255 {
-			t.Fatalf("dim %d: out-of-range encoded to %d, want 255", d, c)
+	for _, s := range []string{"opq", "scalar"} {
+		if _, err := ParseQuantKind(s); err == nil {
+			t.Fatalf("unknown quantizer %q parsed successfully", s)
 		}
 	}
 }
@@ -146,43 +84,35 @@ func TestProductQuantizerContracts(t *testing.T) {
 }
 
 // TestQuantizerCompression verifies the memory contract the bench
-// reports: packed codes are at most a quarter of the float64 store
-// for both families at instance dim 9.
+// reports: packed PQ codes are at most a quarter of the float64 store
+// at instance dim 9.
 func TestQuantizerCompression(t *testing.T) {
 	const dim, n = 9, 500
 	b := randBlock(5, n, dim)
 	floatBytes := 8 * dim * n
-	for _, kind := range []QuantKind{QuantScalar, QuantPQ} {
-		qz, err := TrainQuantizer(kind, b, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		codeBytes := qz.CodeLen() * n
-		if codeBytes*4 > floatBytes {
-			t.Fatalf("%s: %d code bytes vs %d float bytes — not ≤ 1/4", kind, codeBytes, floatBytes)
-		}
-		if qz.Bytes() <= 0 {
-			t.Fatalf("%s: zero codebook bytes", kind)
-		}
-		if qz.Name() == "" {
-			t.Fatalf("%s: empty name", kind)
-		}
+	qz, err := TrainProductQuantizer(b, PQOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if qz, err := TrainQuantizer(QuantNone, b, 1); err != nil || qz != nil {
-		t.Fatalf("QuantNone trained to %v, %v", qz, err)
+	codeBytes := qz.CodeLen() * n
+	if codeBytes*4 > floatBytes {
+		t.Fatalf("%d code bytes vs %d float bytes — not ≤ 1/4", codeBytes, floatBytes)
 	}
-	if _, err := TrainQuantizer(QuantScalar, kernel.NewFeatureBlock(3, 0), 1); err == nil {
-		t.Fatal("trained over empty block")
+	if qz.Bytes() <= 0 {
+		t.Fatal("zero codebook bytes")
 	}
-	if _, err := TrainQuantizer(QuantPQ, kernel.NewFeatureBlock(3, 0), 1); err == nil {
+	if qz.Name() == "" {
+		t.Fatal("empty name")
+	}
+	if _, err := TrainProductQuantizer(kernel.NewFeatureBlock(3, 0), PQOptions{Seed: 1}); err == nil {
 		t.Fatal("trained PQ over empty block")
 	}
 }
 
-// TestQuantizedIndexRecall: quantized VP-tree and IVF searches over
-// gaussian points keep high top-10 agreement with the exact search —
-// the probe-stage fidelity the recall gates lean on before the exact
-// re-rank even runs.
+// TestQuantizedIndexRecall: PQ VP-tree searches over gaussian points
+// keep high top-10 agreement with the exact search — the probe-stage
+// fidelity the recall gates lean on before the exact re-rank even
+// runs.
 func TestQuantizedIndexRecall(t *testing.T) {
 	const dim, n, k = 9, 600, 10
 	b := randBlock(11, n, dim)
@@ -191,55 +121,40 @@ func TestQuantizedIndexRecall(t *testing.T) {
 		pts[i] = b.Row(i)
 	}
 	rng := rand.New(rand.NewSource(12))
-	for _, kind := range []QuantKind{QuantScalar, QuantPQ} {
-		qz, err := TrainQuantizer(kind, b, 1)
-		if err != nil {
-			t.Fatal(err)
+	qz, err := TrainProductQuantizer(b, PQOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vq, err := BuildVPTree(pts, VPOptions{Quantizer: qz})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ve, err := BuildVPTree(pts, VPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overlapSum, trials := 0, 20
+	for trial := 0; trial < trials; trial++ {
+		q := make([]float64, dim)
+		for d := range q {
+			q[d] = rng.NormFloat64()
 		}
-		vq, err := BuildVPTree(pts, VPOptions{Quantizer: qz})
-		if err != nil {
-			t.Fatal(err)
+		exact, _ := ve.KNN(q, k)
+		want := make(map[int]bool, k)
+		for _, nb := range exact {
+			want[nb.Idx] = true
 		}
-		ve, err := BuildVPTree(pts, VPOptions{})
-		if err != nil {
-			t.Fatal(err)
+		got, _ := vq.KNN(q, k)
+		if len(got) != k {
+			t.Fatalf("quantized KNN returned %d, want %d", len(got), k)
 		}
-		fq, err := BuildIVF(pts, IVFOptions{Quantizer: qz})
-		if err != nil {
-			t.Fatal(err)
-		}
-		overlapSum, trials := 0, 20
-		for trial := 0; trial < trials; trial++ {
-			q := make([]float64, dim)
-			for d := range q {
-				q[d] = rng.NormFloat64()
-			}
-			exact, _ := ve.KNN(q, k)
-			want := make(map[int]bool, k)
-			for _, nb := range exact {
-				want[nb.Idx] = true
-			}
-			got, _ := vq.KNN(q, k)
-			if len(got) != k {
-				t.Fatalf("%s: quantized KNN returned %d, want %d", kind, len(got), k)
-			}
-			for _, nb := range got {
-				if want[nb.Idx] {
-					overlapSum++
-				}
-			}
-			// IVF at full probe breadth must agree with the quantized
-			// tree exactly (both are exact over the reconstructions).
-			fgot, _ := fq.Search(q, k, fq.Clusters())
-			for i := range fgot {
-				if fgot[i].Idx != got[i].Idx {
-					t.Fatalf("%s trial %d: IVF@full vs VP quantized disagree at %d: %d vs %d",
-						kind, trial, i, fgot[i].Idx, got[i].Idx)
-				}
+		for _, nb := range got {
+			if want[nb.Idx] {
+				overlapSum++
 			}
 		}
-		if recall := float64(overlapSum) / float64(trials*k); recall < 0.8 {
-			t.Fatalf("%s: quantized top-%d recall %.2f < 0.8", kind, k, recall)
-		}
+	}
+	if recall := float64(overlapSum) / float64(trials*k); recall < 0.8 {
+		t.Fatalf("quantized top-%d recall %.2f < 0.8", k, recall)
 	}
 }

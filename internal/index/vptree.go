@@ -1,25 +1,25 @@
-// Package index provides metric-space candidate indexes over instance
-// (trajectory-sequence) feature vectors: a vantage-point tree with
-// exact k-NN, a coarse k-means inverted-file (IVF) index with
-// deterministic seeded k-means++ initialization, and a BagIndex that
-// maps instance hits back to their owning video sequence. The retrieval layer uses them to prune
-// the database to a small candidate set before exact MIL re-ranking,
-// turning per-round query cost from linear in the catalog into the
-// index's sublinear probe cost plus a constant-size re-rank.
+// Package index provides the metric-space candidate index over
+// instance (trajectory-sequence) feature vectors: a vantage-point tree
+// with exact k-NN, optionally over product-quantizer codes, and a
+// BagIndex that maps instance hits back to their owning video
+// sequence. The retrieval layer uses it to prune the database to a
+// small candidate set before exact MIL re-ranking, turning per-round
+// query cost from linear in the catalog into the tree's sublinear
+// probe cost plus a constant-size re-rank.
 //
-// Both structures measure in the Euclidean metric underlying
+// The tree measures in the Euclidean metric underlying
 // kernel.SquaredDistance — the same metric the RBF kernel is a pure
 // function of — so "near in the index" and "high kernel similarity"
 // agree exactly. All construction and search paths are deterministic
 // given the build seed, with ties broken by ascending point index.
 //
 // Storage is columnar: point vectors live in one kernel.FeatureBlock
-// (or, with a Quantizer, one packed code buffer), so probe scans
-// stream contiguous memory. Both structures also support incremental
+// (or, with a ProductQuantizer, one packed code buffer), so probe
+// scans stream contiguous memory. The tree also supports incremental
 // maintenance — Insert appends a point, Delete tombstones one — with
-// searches over the mutated structure returning exactly what a fresh
-// build over the surviving points would (the BagIndex layers a
-// rebuild threshold on top so tombstones never accumulate unbounded).
+// searches over the mutated tree returning exactly what a fresh build
+// over the surviving points would (the BagIndex layers a rebuild
+// threshold on top so tombstones never accumulate unbounded).
 package index
 
 import (
@@ -53,14 +53,13 @@ type Neighbor struct {
 }
 
 // Scratch holds per-query probe buffers (ADC tables, k-best buffers,
-// centroid orders, per-bag aggregation) so repeated probes allocate
-// nothing. A Scratch belongs to one search at a time; results
-// returned by the scratch-accepting searches alias its buffers and
-// must be consumed before the next search reuses it.
+// per-bag aggregation) so repeated probes allocate nothing. A Scratch
+// belongs to one search at a time; results returned by the
+// scratch-accepting searches alias its buffers and must be consumed
+// before the next search reuses it.
 type Scratch struct {
 	tab  []float64
 	best []Neighbor
-	cord []Neighbor
 	// bagDist is BagIndex's per-position best distance, -1 where no
 	// hit landed; touched lists the positions set since the last
 	// reset, so a probe pass resets only what it wrote. cand lists the
@@ -74,7 +73,7 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // adcTab returns the scratch's ADC table sized for qz, filled for q.
-func (sc *Scratch) adcTab(qz Quantizer, q []float64) []float64 {
+func (sc *Scratch) adcTab(qz *ProductQuantizer, q []float64) []float64 {
 	n := qz.TabLen()
 	if cap(sc.tab) < n {
 		sc.tab = make([]float64, n)
@@ -92,14 +91,15 @@ func (sc *Scratch) adcTab(qz Quantizer, q []float64) []float64 {
 // visits a small fraction of the points when the intrinsic dimension
 // is moderate (the 9–27-dim TS feature vectors here).
 //
-// With a Quantizer the tree indexes the quantized reconstructions:
-// codes replace the float rows (CodeLen bytes per point instead of
-// 8·dim), radii are measured between reconstructions, and searches
-// measure through the per-query ADC table. Since the reconstructions
-// form an ordinary point set under the Euclidean metric, pruning
-// stays sound and searches stay exact — over the reconstructed
-// points; the quantization displacement is the only approximation,
-// and the retrieval layer's exact MIL re-rank absorbs it.
+// With a ProductQuantizer the tree indexes the quantized
+// reconstructions: codes replace the float rows (CodeLen bytes per
+// point instead of 8·dim), radii are measured between
+// reconstructions, and searches measure through the per-query ADC
+// table. Since the reconstructions form an ordinary point set under
+// the Euclidean metric, pruning stays sound and searches stay exact —
+// over the reconstructed points; the quantization displacement is the
+// only approximation, and the retrieval layer's exact MIL re-rank
+// absorbs it.
 //
 // Insert appends a point and threads it into the existing splits
 // (radii never move, so the tree stays search-exact at the cost of
@@ -135,7 +135,7 @@ type VPOptions struct {
 	Seed int64
 	// Quantizer, when set, stores CodeLen-byte codes instead of float
 	// rows and builds the tree over their reconstructions.
-	Quantizer Quantizer
+	Quantizer *ProductQuantizer
 }
 
 func (o VPOptions) withDefaults() VPOptions {

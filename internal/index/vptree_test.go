@@ -250,15 +250,10 @@ func refTree(t *testing.T, pts [][]float64, opt VPOptions) *VPTree {
 	t.Helper()
 	opt = opt.withDefaults()
 	tree := &VPTree{dim: len(pts[0]), dead: make([]bool, len(pts)), live: len(pts)}
-	if qz := opt.Quantizer; qz != nil {
-		tree.codes = &codeStore{qz: qz, codes: make([]byte, len(pts)*qz.CodeLen())}
+	if pq := opt.Quantizer; pq != nil {
+		tree.codes = &codeStore{qz: pq, codes: make([]byte, len(pts)*pq.CodeLen())}
 		for i, p := range pts {
-			code := tree.codes.at(i)
-			if pq, ok := qz.(*ProductQuantizer); ok {
-				encodeRef(pq, p, code)
-			} else {
-				qz.Encode(p, code)
-			}
+			encodeRef(pq, p, tree.codes.at(i))
 		}
 	} else {
 		blk, err := kernel.FeatureBlockFromRows(pts)
@@ -286,7 +281,7 @@ func checkBuildMatchesRef(t *testing.T, pts [][]float64, opt VPOptions) {
 		t.Fatal(err)
 	}
 	want := refTree(t, pts, opt)
-	if pq, ok := opt.Quantizer.(*ProductQuantizer); ok {
+	if pq := opt.Quantizer; pq != nil {
 		for m := 0; m < pq.CodeLen(); m++ {
 			for c := 0; c < pq.k; c++ {
 				if a, b := pq.centAt(m, c), centAtRef(pq, m, c); &a[0] != &b[0] || len(a) != len(b) {
@@ -365,25 +360,25 @@ func refPointSets() map[string][][]float64 {
 }
 
 // TestVPTreeBuildMatchesRef: BuildVPTree reproduces the reference
-// build byte for byte over every point set, leaf size and quantizer.
+// build byte for byte over every point set and leaf size, on float
+// rows and on PQ codes.
 func TestVPTreeBuildMatchesRef(t *testing.T) {
 	for name, pts := range refPointSets() {
 		blk, err := kernel.FeatureBlockFromRows(pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, kind := range []QuantKind{QuantNone, QuantScalar, QuantPQ} {
-			qz, err := TrainQuantizer(kind, blk, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			qname := string(kind)
-			if kind == QuantNone {
-				qname = "none"
-			}
+		pq, err := TrainProductQuantizer(blk, PQOptions{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, store := range []struct {
+			name string
+			qz   *ProductQuantizer
+		}{{"none", nil}, {"pq", pq}} {
 			for _, leaf := range []int{1, 2, 8, 33} {
-				t.Run(fmt.Sprintf("%s/%s/leaf=%d", name, qname, leaf), func(t *testing.T) {
-					checkBuildMatchesRef(t, pts, VPOptions{LeafSize: leaf, Seed: 5, Quantizer: qz})
+				t.Run(fmt.Sprintf("%s/%s/leaf=%d", name, store.name, leaf), func(t *testing.T) {
+					checkBuildMatchesRef(t, pts, VPOptions{LeafSize: leaf, Seed: 5, Quantizer: store.qz})
 				})
 			}
 		}
@@ -407,17 +402,17 @@ func fuzzCoord(b byte) float64 {
 }
 
 // FuzzVPTreeBuild: over small-integer point sets of up to 256 points,
-// any leaf size, seed and quantizer, BuildVPTree equals the reference
-// build byte for byte.
+// any leaf size and seed, on float rows or PQ codes, BuildVPTree equals
+// the reference build byte for byte.
 func FuzzVPTreeBuild(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(0), uint8(0), int64(1))
-	f.Add(bytes.Repeat([]byte{3, 3, 3}, 40), uint8(3), uint8(1), uint8(2), int64(7))
-	f.Add(append(bytes.Repeat([]byte{5, 1}, 50), 6, 1), uint8(2), uint8(0), uint8(1), int64(3))
-	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 0, 0, 1}, 20), uint8(1), uint8(3), uint8(0), int64(2))
-	f.Add(bytes.Repeat([]byte{254, 1, 1, 2}, 30), uint8(2), uint8(0), uint8(0), int64(4))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, uint8(2), uint8(0), false, int64(1))
+	f.Add(bytes.Repeat([]byte{3, 3, 3}, 40), uint8(3), uint8(1), true, int64(7))
+	f.Add(append(bytes.Repeat([]byte{5, 1}, 50), 6, 1), uint8(2), uint8(0), true, int64(3))
+	f.Add(bytes.Repeat([]byte{0, 1, 2, 3, 4, 5, 6, 0, 0, 1}, 20), uint8(1), uint8(3), false, int64(2))
+	f.Add(bytes.Repeat([]byte{254, 1, 1, 2}, 30), uint8(2), uint8(0), false, int64(4))
 	f.Add([]byte{255, 0, 1, 255, 2, 3, 4, 5, 255, 6, 0, 0, 1, 1, 255, 2, 2, 3, 3, 252, 4, 4, 253, 5},
-		uint8(1), uint8(0), uint8(0), int64(1))
-	f.Fuzz(func(t *testing.T, data []byte, dimRaw, leafRaw, quantRaw uint8, seed int64) {
+		uint8(1), uint8(0), false, int64(1))
+	f.Fuzz(func(t *testing.T, data []byte, dimRaw, leafRaw uint8, pq bool, seed int64) {
 		dim := 1 + int(dimRaw%4)
 		n := min(len(data)/dim, 256)
 		if n == 0 {
@@ -431,12 +426,12 @@ func FuzzVPTreeBuild(f *testing.F) {
 			}
 		}
 		opt := VPOptions{LeafSize: 1 + int(leafRaw%8), Seed: seed}
-		if kind := []QuantKind{QuantNone, QuantScalar, QuantPQ}[quantRaw%3]; kind != QuantNone {
+		if pq {
 			blk, err := kernel.FeatureBlockFromRows(pts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if opt.Quantizer, err = TrainQuantizer(kind, blk, seed); err != nil {
+			if opt.Quantizer, err = TrainProductQuantizer(blk, PQOptions{Seed: seed}); err != nil {
 				t.Fatal(err)
 			}
 		}

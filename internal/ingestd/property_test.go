@@ -13,34 +13,18 @@ import (
 // for ANY interleaving of live segment appends and retention
 // evictions, the incrementally maintained index (the exact VS
 // databases the daemon feeds to BagIndex.Update) answers identically
-// to an index built fresh over the surviving clips. Exercised for
-// both index kinds, in a delta-only regime (high rebuild threshold)
-// and a compaction-heavy regime (low threshold, rebuilds must fire).
+// to an index built fresh over the surviving clips. Exercised in a
+// delta-only regime (high rebuild threshold) and a compaction-heavy
+// regime (low threshold, rebuilds must fire).
 func TestFeedApplyEquivalence(t *testing.T) {
 	type variant struct {
 		name         string
-		kind         index.Kind
 		opt          index.Options
 		wantRebuilds bool
 	}
-	// Exhaustive probe depth makes IVF exact regardless of how its
-	// coarse partition was trained, so maintained (trained on the
-	// initial feed) and fresh (trained on the current feed) indexes
-	// are directly comparable.
-	ivfExhaustive := index.Options{NProbe: 1 << 20, PerProbeK: 1 << 20}
 	variants := []variant{
-		{name: "vptree/delta", kind: index.KindVPTree, opt: index.Options{RebuildFraction: 100}},
-		{name: "ivf/delta", kind: index.KindIVF, opt: func() index.Options {
-			o := ivfExhaustive
-			o.RebuildFraction = 100
-			return o
-		}()},
-		{name: "vptree/compacting", kind: index.KindVPTree, opt: index.Options{RebuildFraction: 0.05}, wantRebuilds: true},
-		{name: "ivf/compacting", kind: index.KindIVF, opt: func() index.Options {
-			o := ivfExhaustive
-			o.RebuildFraction = 0.05
-			return o
-		}(), wantRebuilds: true},
+		{name: "vptree/delta", opt: index.Options{RebuildFraction: 100}},
+		{name: "vptree/compacting", opt: index.Options{RebuildFraction: 0.05}, wantRebuilds: true},
 	}
 
 	for _, v := range variants {
@@ -72,7 +56,7 @@ func TestFeedApplyEquivalence(t *testing.T) {
 					t.Fatalf("%s seed %d step %d: %v", v.name, seed, step, err)
 				}
 				if bi == nil {
-					bi, err = index.Build(vss, v.kind, v.opt)
+					bi, err = index.Build(vss, index.KindVPTree, v.opt)
 					if err != nil {
 						t.Fatalf("%s seed %d: initial build: %v", v.name, seed, err)
 					}
@@ -81,7 +65,7 @@ func TestFeedApplyEquivalence(t *testing.T) {
 				if _, err := bi.Update(vss); err != nil {
 					t.Fatalf("%s seed %d step %d: update: %v", v.name, seed, step, err)
 				}
-				fresh, err := index.Build(vss, v.kind, v.opt)
+				fresh, err := index.Build(vss, index.KindVPTree, v.opt)
 				if err != nil {
 					t.Fatalf("%s seed %d step %d: fresh build: %v", v.name, seed, step, err)
 				}

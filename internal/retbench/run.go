@@ -3,8 +3,8 @@ package retbench
 // The benchmark runner: every (scenario, category) pair becomes one
 // retrieval session per serving path, scored against the scenario's
 // ground truth. Paths mirror the serving stack's deployment modes —
-// exact MIL ranking, candidate-pruned, quantized-index probing, and
-// the sharded scatter–gather engine — so the benchmark observes the
+// exact MIL ranking, candidate-pruned, PQ-quantized probing, and the
+// sharded scatter–gather engine — so the benchmark observes the
 // same engines production traffic does.
 
 import (
@@ -21,7 +21,7 @@ import (
 const (
 	PathExact     = "exact"
 	PathCandidate = "candidate" // VP-tree candidate index at C = N (exactness identity)
-	PathQuantized = "quantized" // scalar-quantized IVF probing at C < N (lossy probe, exact re-rank)
+	PathQuantized = "quantized" // VP-tree over PQ codes at C = 3N/4 (lossy probe, exact re-rank)
 	PathSharded   = "sharded"   // scatter–gather over ring partitions at C = N
 )
 
@@ -236,9 +236,9 @@ func buildEngine(path, clip string, db []window.VS, cfg RunConfig) (retrieval.En
 		}
 		return wholeClip(mile, db, bi, len(db)), nil
 	case PathQuantized:
-		// Scalar-quantized IVF probing at C < N: the probe is lossy,
+		// VP-tree probing over PQ codes at C < N: the probe is lossy,
 		// the re-rank exact — recall floors measure what pruning costs.
-		bi, err := index.Build(db, index.KindIVF, index.Options{Quant: index.QuantScalar})
+		bi, err := index.Build(db, index.KindVPTree, index.Options{Quant: index.QuantPQ})
 		if err != nil {
 			return nil, err
 		}

@@ -55,38 +55,36 @@ func wrappedEngines() []retrieval.Engine {
 
 // TestCandidateFullCIdentity: with C = N the pruned engine must
 // reproduce the wrapped engine's ranking exactly — for every engine,
-// both index kinds, several seeds and label mixes. Rounds with
+// several seeds and label mixes. Rounds with
 // positives scatter and reassemble the database through completion
 // hits; rounds without delegate.
 func TestCandidateFullCIdentity(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		db := candSynthDB(seed, 70)
-		for _, kind := range index.Kinds() {
-			bi, err := index.Build(db, kind, index.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, labels := range []map[int]mil.Label{
-				{},                     // round 0: no feedback
-				candLabels(db, 3, 0),   // positives only
-				candLabels(db, 4, 4),   // mixed
-				candLabels(db, 0, 5),   // negatives only
-				candLabels(db, 100, 8), // every spike labeled
-			} {
-				for _, eng := range wrappedEngines() {
-					want, err := eng.Rank(db, labels)
-					if err != nil {
-						t.Fatalf("seed %d %s: %v", seed, eng.Name(), err)
-					}
-					cand := wholeDB(eng, db, bi, len(db), nil)
-					got, err := cand.Rank(db, labels)
-					if err != nil {
-						t.Fatalf("seed %d %s: %v", seed, cand.Name(), err)
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("seed %d %s %s labels=%d: ranking diverges\ngot  %v\nwant %v",
-							seed, kind, eng.Name(), len(labels), got, want)
-					}
+		bi, err := index.Build(db, index.KindVPTree, index.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, labels := range []map[int]mil.Label{
+			{},                     // round 0: no feedback
+			candLabels(db, 3, 0),   // positives only
+			candLabels(db, 4, 4),   // mixed
+			candLabels(db, 0, 5),   // negatives only
+			candLabels(db, 100, 8), // every spike labeled
+		} {
+			for _, eng := range wrappedEngines() {
+				want, err := eng.Rank(db, labels)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, eng.Name(), err)
+				}
+				cand := wholeDB(eng, db, bi, len(db), nil)
+				got, err := cand.Rank(db, labels)
+				if err != nil {
+					t.Fatalf("seed %d %s: %v", seed, cand.Name(), err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s labels=%d: ranking diverges\ngot  %v\nwant %v",
+						seed, eng.Name(), len(labels), got, want)
 				}
 			}
 		}
@@ -99,46 +97,44 @@ func TestCandidateFullCIdentity(t *testing.T) {
 func TestCandidatePrunedInvariants(t *testing.T) {
 	db := candSynthDB(4, 80)
 	labels := candLabels(db, 4, 4)
-	for _, kind := range index.Kinds() {
-		bi, err := index.Build(db, kind, index.Options{})
+	bi, err := index.Build(db, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range wrappedEngines() {
+		stats := &shard.Stats{}
+		cand := wholeDB(eng, db, bi, 12, stats)
+		got, err := cand.Rank(db, labels)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", cand.Name(), err)
 		}
-		for _, eng := range wrappedEngines() {
-			stats := &shard.Stats{}
-			cand := wholeDB(eng, db, bi, 12, stats)
-			got, err := cand.Rank(db, labels)
-			if err != nil {
-				t.Fatalf("%s: %v", cand.Name(), err)
+		seen := make([]bool, len(db))
+		for _, p := range got {
+			if p < 0 || p >= len(db) || seen[p] {
+				t.Fatalf("%s: ranking not a permutation (pos %d)", eng.Name(), p)
 			}
-			seen := make([]bool, len(db))
-			for _, p := range got {
-				if p < 0 || p >= len(db) || seen[p] {
-					t.Fatalf("%s %s: ranking not a permutation (pos %d)", kind, eng.Name(), p)
-				}
-				seen[p] = true
+			seen[p] = true
+		}
+		if len(got) != len(db) {
+			t.Fatalf("%s: %d of %d positions", eng.Name(), len(got), len(db))
+		}
+		// Every labeled bag sits in the re-ranked head, never in
+		// the heuristic tail of pruned bags.
+		head := make(map[int]bool)
+		for i := 0; i < 12+len(labels); i++ {
+			head[db[got[i]].Index] = true
+		}
+		for idx := range labels {
+			if !head[idx] {
+				t.Fatalf("%s: labeled VS %d fell out of the re-ranked head", eng.Name(), idx)
 			}
-			if len(got) != len(db) {
-				t.Fatalf("%s %s: %d of %d positions", kind, eng.Name(), len(got), len(db))
-			}
-			// Every labeled bag sits in the re-ranked head, never in
-			// the heuristic tail of pruned bags.
-			head := make(map[int]bool)
-			for i := 0; i < 12+len(labels); i++ {
-				head[db[got[i]].Index] = true
-			}
-			for idx := range labels {
-				if !head[idx] {
-					t.Fatalf("%s %s: labeled VS %d fell out of the re-ranked head", kind, eng.Name(), idx)
-				}
-			}
-			if stats.PrunedRounds.Load() != 1 || stats.FullRounds.Load() != 0 || stats.Probes.Load() == 0 {
-				t.Fatalf("%s %s: pruned=%d full=%d probes=%d after one pruned round", kind, eng.Name(),
-					stats.PrunedRounds.Load(), stats.FullRounds.Load(), stats.Probes.Load())
-			}
-			if ranked := stats.CandidatesRanked.Load(); ranked < 12 || ranked > int64(12+len(labels)) {
-				t.Fatalf("%s %s: re-ranked %d bags, want 12..%d", kind, eng.Name(), ranked, 12+len(labels))
-			}
+		}
+		if stats.PrunedRounds.Load() != 1 || stats.FullRounds.Load() != 0 || stats.Probes.Load() == 0 {
+			t.Fatalf("%s: pruned=%d full=%d probes=%d after one pruned round", eng.Name(),
+				stats.PrunedRounds.Load(), stats.FullRounds.Load(), stats.Probes.Load())
+		}
+		if ranked := stats.CandidatesRanked.Load(); ranked < 12 || ranked > int64(12+len(labels)) {
+			t.Fatalf("%s: re-ranked %d bags, want 12..%d", eng.Name(), ranked, 12+len(labels))
 		}
 	}
 }
@@ -176,7 +172,7 @@ func TestCandidateRoundZeroDelegates(t *testing.T) {
 // misrank or degrade to a full rank.
 func TestCandidateStaleIndex(t *testing.T) {
 	db := candSynthDB(6, 30)
-	bi, err := index.Build(db[:20], index.KindIVF, index.Options{})
+	bi, err := index.Build(db[:20], index.KindVPTree, index.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,25 +201,23 @@ func TestCandidateStaleGeneration(t *testing.T) {
 	db := candSynthDB(8, 120)
 	old, cur := db[:100], db[20:]
 	labels := map[int]mil.Label{49: mil.Positive}
-	for _, kind := range index.Kinds() {
-		bi, err := index.Build(old, kind, index.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := bi.Update(cur); err != nil {
-			t.Fatal(err)
-		}
-		inner := retrieval.RocchioEngine{}
-		if _, err := wholeDB(inner, old, bi, 5, nil).Rank(old, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
-			t.Fatalf("%s: ranking the superseded database returned %v, want ErrStaleIndex", kind, err)
-		}
-		ranking, err := wholeDB(inner, cur, bi, 5, nil).Rank(cur, labels)
-		if err != nil {
-			t.Fatalf("%s: current database: %v", kind, err)
-		}
-		if len(ranking) != len(cur) {
-			t.Fatalf("%s: ranking of %d positions for %d bags", kind, len(ranking), len(cur))
-		}
+	bi, err := index.Build(old, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bi.Update(cur); err != nil {
+		t.Fatal(err)
+	}
+	inner := retrieval.RocchioEngine{}
+	if _, err := wholeDB(inner, old, bi, 5, nil).Rank(old, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
+		t.Fatalf("ranking the superseded database returned %v, want ErrStaleIndex", err)
+	}
+	ranking, err := wholeDB(inner, cur, bi, 5, nil).Rank(cur, labels)
+	if err != nil {
+		t.Fatalf("current database: %v", err)
+	}
+	if len(ranking) != len(cur) {
+		t.Fatalf("ranking of %d positions for %d bags", len(ranking), len(cur))
 	}
 }
 
@@ -243,29 +237,27 @@ func (s seedingEngine) SeedProbes([]window.VS) [][]float64 { return s.probes }
 func TestCandidateSeededIdentity(t *testing.T) {
 	db := candSynthDB(7, 60)
 	probes := [][]float64{db[0].TSs[0].Flat(), db[7].TSs[0].Flat()}
-	for _, kind := range index.Kinds() {
-		bi, err := index.Build(db, kind, index.Options{})
+	bi, err := index.Build(db, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inner := range wrappedEngines() {
+		want, err := inner.Rank(db, map[int]mil.Label{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, inner := range wrappedEngines() {
-			want, err := inner.Rank(db, map[int]mil.Label{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats := &shard.Stats{}
-			seeded := seedingEngine{Engine: inner, probes: probes}
-			got, err := wholeDB(seeded, db, bi, len(db), stats).Rank(db, map[int]mil.Label{})
-			if err != nil {
-				t.Fatalf("%s %s: %v", kind, inner.Name(), err)
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s %s: seeded C=N ranking diverges\ngot  %v\nwant %v", kind, inner.Name(), got, want)
-			}
-			if stats.SeededRounds.Load() != 1 || stats.PrunedRounds.Load() != 1 {
-				t.Fatalf("%s %s: seeded=%d pruned=%d, want the C=N round seeded and pruned",
-					kind, inner.Name(), stats.SeededRounds.Load(), stats.PrunedRounds.Load())
-			}
+		stats := &shard.Stats{}
+		seeded := seedingEngine{Engine: inner, probes: probes}
+		got, err := wholeDB(seeded, db, bi, len(db), stats).Rank(db, map[int]mil.Label{})
+		if err != nil {
+			t.Fatalf("%s: %v", inner.Name(), err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: seeded C=N ranking diverges\ngot  %v\nwant %v", inner.Name(), got, want)
+		}
+		if stats.SeededRounds.Load() != 1 || stats.PrunedRounds.Load() != 1 {
+			t.Fatalf("%s: seeded=%d pruned=%d, want the C=N round seeded and pruned",
+				inner.Name(), stats.SeededRounds.Load(), stats.PrunedRounds.Load())
 		}
 	}
 }
@@ -313,7 +305,7 @@ func TestCandidateSeededPrunes(t *testing.T) {
 
 // TestCandidateStoredOrder: a pruned round that filters a stored
 // heuristic order ranks exactly as one that computes the order, for
-// every engine and both index kinds. Rounds that leave a remainder
+// every engine. Rounds that leave a remainder
 // read the order, and so does round 0 without probes when the engine
 // falls back to it (an OrderRanker: MIL and Rocchio, not Weighted-RF,
 // whose no-feedback ranking is its own weighted score); C = N rounds
@@ -326,61 +318,59 @@ func TestCandidateStoredOrder(t *testing.T) {
 	order := retrieval.HeuristicOrder(db)
 	want0 := slices.Clone(order)
 	roundZeroReads := map[string]int{"MIL-OCSVM": 1, "Rocchio": 1}
-	for _, kind := range index.Kinds() {
-		bi, err := index.Build(db, kind, index.Options{})
-		if err != nil {
-			t.Fatal(err)
+	bi, err := index.Build(db, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range wrappedEngines() {
+		for _, tc := range []struct {
+			labels map[int]mil.Label
+			c      int
+			reads  int
+		}{
+			{candLabels(db, 3, 3), 12, 1},
+			{candLabels(db, 3, 3), len(db), 0},
+			{map[int]mil.Label{}, 12, roundZeroReads[eng.Name()]},
+		} {
+			reads := 0
+			stored := wholeDB(eng, db, bi, tc.c, nil)
+			stored.Order = func() []int { reads++; return order }
+			got, err := stored.Rank(db, tc.labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := wholeDB(eng, db, bi, tc.c, nil).Rank(db, tc.labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s C=%d: stored-order ranking diverges from the computed one", eng.Name(), tc.c)
+			}
+			if reads != tc.reads {
+				t.Fatalf("%s C=%d labels=%d: stored order read %d times, want %d",
+					eng.Name(), tc.c, len(tc.labels), reads, tc.reads)
+			}
+			if len(tc.labels) == 0 {
+				slices.Reverse(got)
+				again, err := stored.Rank(db, tc.labels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(again, want) || !slices.Equal(order, want0) {
+					t.Fatalf("%s: writing into a round-0 ranking changed the next round 0", eng.Name())
+				}
+			}
 		}
-		for _, eng := range wrappedEngines() {
-			for _, tc := range []struct {
-				labels map[int]mil.Label
-				c      int
-				reads  int
-			}{
-				{candLabels(db, 3, 3), 12, 1},
-				{candLabels(db, 3, 3), len(db), 0},
-				{map[int]mil.Label{}, 12, roundZeroReads[eng.Name()]},
-			} {
-				reads := 0
-				stored := wholeDB(eng, db, bi, tc.c, nil)
-				stored.Order = func() []int { reads++; return order }
-				got, err := stored.Rank(db, tc.labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := wholeDB(eng, db, bi, tc.c, nil).Rank(db, tc.labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s %s C=%d: stored-order ranking diverges from the computed one", kind, eng.Name(), tc.c)
-				}
-				if reads != tc.reads {
-					t.Fatalf("%s %s C=%d labels=%d: stored order read %d times, want %d",
-						kind, eng.Name(), tc.c, len(tc.labels), reads, tc.reads)
-				}
-				if len(tc.labels) == 0 {
-					slices.Reverse(got)
-					again, err := stored.Rank(db, tc.labels)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !slices.Equal(again, want) || !slices.Equal(order, want0) {
-						t.Fatalf("%s %s: writing into a round-0 ranking changed the next round 0", kind, eng.Name())
-					}
-				}
-			}
-			stale := wholeDB(eng, db, bi, 12, nil)
-			stale.Order = func() []int { return order[:len(order)-1] }
-			if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, retrieval.ErrStaleIndex) {
-				t.Fatalf("%s %s: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
-			}
-			switch _, err := stale.Rank(db, map[int]mil.Label{}); {
-			case roundZeroReads[eng.Name()] == 0 && err != nil:
-				t.Fatalf("%s %s round 0 never reads the order, yet failed: %v", kind, eng.Name(), err)
-			case roundZeroReads[eng.Name()] > 0 && !errors.Is(err, retrieval.ErrStaleIndex):
-				t.Fatalf("%s %s round 0: order of %d bags for %d: got %v, want ErrStaleIndex", kind, eng.Name(), len(order)-1, len(db), err)
-			}
+		stale := wholeDB(eng, db, bi, 12, nil)
+		stale.Order = func() []int { return order[:len(order)-1] }
+		if _, err := stale.Rank(db, candLabels(db, 3, 3)); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("%s: order of %d bags for %d: got %v, want ErrStaleIndex", eng.Name(), len(order)-1, len(db), err)
+		}
+		switch _, err := stale.Rank(db, map[int]mil.Label{}); {
+		case roundZeroReads[eng.Name()] == 0 && err != nil:
+			t.Fatalf("%s round 0 never reads the order, yet failed: %v", eng.Name(), err)
+		case roundZeroReads[eng.Name()] > 0 && !errors.Is(err, retrieval.ErrStaleIndex):
+			t.Fatalf("%s round 0: order of %d bags for %d: got %v, want ErrStaleIndex", eng.Name(), len(order)-1, len(db), err)
 		}
 	}
 }

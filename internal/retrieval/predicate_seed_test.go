@@ -71,8 +71,7 @@ func stopInCenter(t *testing.T) *predicate.Engine {
 }
 
 // TestCandidatePredicateSeededIdentity: a real predicate engine at
-// C=N, with zero feedback, ranks identically wrapped and unwrapped —
-// for both index kinds.
+// C=N, with zero feedback, ranks identically wrapped and unwrapped.
 func TestCandidatePredicateSeededIdentity(t *testing.T) {
 	db := predDB(48)
 	eng := stopInCenter(t)
@@ -80,20 +79,17 @@ func TestCandidatePredicateSeededIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range index.Kinds() {
-		bi, err := index.Build(db, kind, index.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := wholeDB(eng, db, bi, len(db), nil).Rank(db, map[int]mil.Label{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: predicate-seeded C=N rank diverges at %d: got %d want %d",
-					kind, i, got[i], want[i])
-			}
+	bi, err := index.Build(db, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := wholeDB(eng, db, bi, len(db), nil).Rank(db, map[int]mil.Label{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("predicate-seeded C=N rank diverges at %d: got %d want %d", i, got[i], want[i])
 		}
 	}
 }

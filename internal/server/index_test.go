@@ -34,9 +34,9 @@ func recallAt10(got, want []int) float64 {
 }
 
 // TestIndexSmokeRecall is the CI smoke gate for the candidate index:
-// on the demo catalog, a 5-round feedback session routed through
-// either index kind — exact-probing or quantized — on the unsharded
-// (S = 1) pruned engine must keep recall@10 against the exact ranking
+// on the demo catalog, a 5-round feedback session routed through the
+// VP-tree — over float rows or PQ codes — on the unsharded (S = 1)
+// pruned engine must keep recall@10 against the exact ranking
 // at 1.0 with C = N (identity by construction: completion hits
 // reassemble the whole clip for the exact re-rank) and at ≥ 0.9 with
 // C = N/4. Recall is judged per round against the exact engine
@@ -50,45 +50,42 @@ func TestIndexSmokeRecall(t *testing.T) {
 	}
 	db := rec.VSs
 	n := len(db)
-	for _, quant := range []index.QuantKind{index.QuantNone, index.QuantScalar, index.QuantPQ} {
-		for _, kind := range index.Kinds() {
-			bi, err := index.Build(db, kind, index.Options{Quant: quant})
-			if err != nil {
-				t.Fatal(err)
+	for _, quant := range []index.QuantKind{index.QuantNone, index.QuantPQ} {
+		bi, err := index.Build(db, index.KindVPTree, index.Options{Quant: quant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			c     int
+			floor float64
+		}{
+			{n, 1.0},
+			{n / 4, 0.9},
+		} {
+			exact := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+			indexed := &shard.Engine{
+				Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions()},
+				Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}},
+				C:       tc.c,
 			}
-			for _, tc := range []struct {
-				c     int
-				floor float64
-			}{
-				{n, 1.0},
-				{n / 4, 0.9},
-			} {
-				exact := retrieval.MILEngine{Opt: mil.DefaultOptions()}
-				indexed := &shard.Engine{
-					Inner:   retrieval.MILEngine{Opt: mil.DefaultOptions()},
-					Probers: []shard.Prober{shard.LocalProber{VSs: db, Index: bi}},
-					C:       tc.c,
+			labels := make(map[int]mil.Label)
+			for round := 0; round < 5; round++ {
+				gotRank, gotTop, err := retrieval.RankRound(indexed, db, labels, 20)
+				if err != nil {
+					t.Fatalf("quant=%q C=%d round %d: %v", quant, tc.c, round, err)
 				}
-				labels := make(map[int]mil.Label)
-				for round := 0; round < 5; round++ {
-					gotRank, gotTop, err := retrieval.RankRound(indexed, db, labels, 20)
-					if err != nil {
-						t.Fatalf("%s/%s C=%d round %d: %v", kind, quant, tc.c, round, err)
-					}
-					wantRank, _, err := retrieval.RankRound(exact, db, labels, 20)
-					if err != nil {
-						t.Fatalf("%s/%s C=%d round %d (exact): %v", kind, quant, tc.c, round, err)
-					}
-					if r := recallAt10(gotRank, wantRank); r < tc.floor {
-						t.Fatalf("%s/%s C=%d round %d: recall@10 %.2f below %.2f",
-							kind, quant, tc.c, round, r, tc.floor)
-					}
-					for _, pos := range gotTop {
-						if oracle.Relevant(db[pos]) {
-							labels[db[pos].Index] = mil.Positive
-						} else {
-							labels[db[pos].Index] = mil.Negative
-						}
+				wantRank, _, err := retrieval.RankRound(exact, db, labels, 20)
+				if err != nil {
+					t.Fatalf("quant=%q C=%d round %d (exact): %v", quant, tc.c, round, err)
+				}
+				if r := recallAt10(gotRank, wantRank); r < tc.floor {
+					t.Fatalf("quant=%q C=%d round %d: recall@10 %.2f below %.2f", quant, tc.c, round, r, tc.floor)
+				}
+				for _, pos := range gotTop {
+					if oracle.Relevant(db[pos]) {
+						labels[db[pos].Index] = mil.Positive
+					} else {
+						labels[db[pos].Index] = mil.Negative
 					}
 				}
 			}
@@ -157,8 +154,8 @@ func TestQueryIndexAPI(t *testing.T) {
 	}
 
 	// URL parameters override the body.
-	httpResp, err := http.Post(client.BaseURL+"/v1/query?index=ivf&candidates=5",
-		"application/json", strings.NewReader(`{"clip":"`+rec.Name+`","top_k":4,"index":"vptree","candidates":9}`))
+	httpResp, err := http.Post(client.BaseURL+"/v1/query?index=vptree&candidates=5",
+		"application/json", strings.NewReader(`{"clip":"`+rec.Name+`","top_k":4,"index":"exact","candidates":9}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,23 +170,28 @@ func TestQueryIndexAPI(t *testing.T) {
 	if !strings.Contains(round.Engine, "sharded(S=1,C=5)") {
 		t.Fatalf("URL override produced engine %q", round.Engine)
 	}
-	srv.indexes.mu.Lock()
-	_, ivf := srv.indexes.entries[indexCacheKey{clip: rec.Name, shard: wholeClipShard, kind: index.KindIVF}]
-	srv.indexes.mu.Unlock()
-	if !ivf {
-		t.Fatal("URL override did not build the ivf index")
-	}
 
-	// Malformed overrides fail loudly.
-	for _, q := range []string{"?index=bogus", "?index=vptree&candidates=-1", "?index=vptree&candidates=x"} {
-		bad, err := http.Post(client.BaseURL+"/v1/query"+q,
-			"application/json", strings.NewReader(`{"clip":"`+rec.Name+`"}`))
+	// Malformed overrides fail loudly; the deleted ivf index is one of
+	// them, in the URL and in the body, and its error names what remains.
+	for _, tc := range []struct{ query, body string }{
+		{"?index=bogus", `{"clip":"` + rec.Name + `"}`},
+		{"?index=ivf", `{"clip":"` + rec.Name + `"}`},
+		{"", `{"clip":"` + rec.Name + `","index":"ivf"}`},
+		{"?index=vptree&candidates=-1", `{"clip":"` + rec.Name + `"}`},
+		{"?index=vptree&candidates=x", `{"clip":"` + rec.Name + `"}`},
+	} {
+		bad, err := http.Post(client.BaseURL+"/v1/query"+tc.query, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		var e ErrorResponse
+		derr := json.NewDecoder(bad.Body).Decode(&e)
 		bad.Body.Close()
-		if bad.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s got HTTP %d, want 400", q, bad.StatusCode)
+		if bad.StatusCode != http.StatusBadRequest || derr != nil {
+			t.Fatalf("%s %s got HTTP %d (decode %v), want 400", tc.query, tc.body, bad.StatusCode, derr)
+		}
+		if strings.Contains(tc.query+tc.body, "ivf") && !strings.Contains(e.Error, string(index.KindVPTree)) {
+			t.Fatalf("%s %s: error %q does not name the remaining index", tc.query, tc.body, e.Error)
 		}
 	}
 
@@ -208,8 +210,8 @@ func TestQueryIndexAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Index.Builds != 2 {
-		t.Fatalf("post-ingest session rebuilt: builds=%d, want 2", stats.Index.Builds)
+	if stats.Index.Builds != 1 {
+		t.Fatalf("post-ingest session rebuilt: builds=%d, want 1", stats.Index.Builds)
 	}
 	if stats.Index.IncrementalApplies != 1 {
 		t.Fatalf("post-ingest session applies=%d, want 1", stats.Index.IncrementalApplies)
@@ -235,11 +237,11 @@ func TestQueryIndexAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Index.Builds != 2 || stats.Index.ForcedRebuilds != 1 {
-		t.Fatalf("replaced clip: builds=%d forced=%d, want 2/1", stats.Index.Builds, stats.Index.ForcedRebuilds)
+	if stats.Index.Builds != 1 || stats.Index.ForcedRebuilds != 1 {
+		t.Fatalf("replaced clip: builds=%d forced=%d, want 1/1", stats.Index.Builds, stats.Index.ForcedRebuilds)
 	}
-	if srv.indexes.len() != 2 {
-		t.Fatalf("index cache holds %d entries, want 2", srv.indexes.len())
+	if srv.indexes.len() != 1 {
+		t.Fatalf("index cache holds %d entries, want 1", srv.indexes.len())
 	}
 }
 
@@ -271,7 +273,7 @@ func TestQueryIndexDefaults(t *testing.T) {
 // rejects unknown kinds at construction.
 func TestQueryIndexQuantConfig(t *testing.T) {
 	rec := synthRecord(t, 13, 4, 4, 12)
-	srv, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: "scalar"})
+	srv, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: "pq"})
 	ctx := context.Background()
 	if _, err := client.Query(ctx, QueryRequest{Clip: rec.Name, TopK: 5, Index: "vptree", Candidates: 6}); err != nil {
 		t.Fatal(err)
@@ -289,6 +291,21 @@ func TestQueryIndexQuantConfig(t *testing.T) {
 	_ = srv
 	if _, err := New(Config{DB: testCatalog(t, synthRecord(t, 14, 2, 2, 4)), Quant: "opq"}); err == nil {
 		t.Fatal("unknown quant kind accepted")
+	}
+	// The deleted index kind and quantizer are rejected, not mapped
+	// onto what remains, and the error names what remains.
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{DefaultIndex: "ivf"}, string(index.KindVPTree)},
+		{Config{Quant: "scalar"}, string(index.QuantPQ)},
+	} {
+		tc.cfg.DB = testCatalog(t, synthRecord(t, 14, 2, 2, 4))
+		if _, err := New(tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("New(DefaultIndex %q, Quant %q): err %v, want one naming %q",
+				tc.cfg.DefaultIndex, tc.cfg.Quant, err, tc.want)
+		}
 	}
 }
 

@@ -32,9 +32,9 @@ var prunedGoldenPath = filepath.Join("testdata", "pruned_rankings.json")
 // configuration on ScaledDemoRecord(1, {10, 100}), judged by
 // JudgeFromRecord ground truth, and returns the SHA-256 of every
 // round's full ranking keyed by configuration. Per scale the
-// configurations are an exact session, {vptree, ivf} × {none, pq} ×
+// configurations are an exact session, vptree × {none, pq} ×
 // C ∈ {N/32, N/4, N}, in-process sharded sessions over Config.Shards
-// ∈ {2, 3} × {vptree, ivf} × {none, pq} × C ∈ {N/32, N/4}, and at 10×
+// ∈ {2, 3} × vptree × {none, pq} × C ∈ {N/32, N/4}, and at 10×
 // one exact session seeded with DemoPredicates()[0]. At 100× and
 // three shards the per-shard budget falls below C, so the sharded
 // entries pin the budget slack and the scout's carried bound too.
@@ -63,23 +63,20 @@ func prunedRankingHashes(t *testing.T) map[string][]string {
 					})
 				}
 			}
-			for _, kind := range []index.Kind{index.KindVPTree, index.KindIVF} {
-				for _, c := range []int{n / 32, n / 4, n} {
-					key := fmt.Sprintf("%dx/%s/%s/C=%d", scale, kind, quant, c)
-					out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
-						Clip: rec.Name, Index: string(kind), Candidates: c,
-					})
-				}
+			kind := index.KindVPTree
+			for _, c := range []int{n / 32, n / 4, n} {
+				key := fmt.Sprintf("%dx/%s/%s/C=%d", scale, kind, quant, c)
+				out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
+					Clip: rec.Name, Index: string(kind), Candidates: c,
+				})
 			}
 			for _, shards := range []int{2, 3} {
 				_, client := newTestServer(t, Config{DB: testCatalog(t, rec), Quant: quant, Shards: shards})
-				for _, kind := range []index.Kind{index.KindVPTree, index.KindIVF} {
-					for _, c := range []int{n / 32, n / 4} {
-						key := fmt.Sprintf("%dx/S=%d/%s/%s/C=%d", scale, shards, kind, quant, c)
-						out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
-							Clip: rec.Name, Index: string(kind), Candidates: c,
-						})
-					}
+				for _, c := range []int{n / 32, n / 4} {
+					key := fmt.Sprintf("%dx/S=%d/%s/%s/C=%d", scale, shards, kind, quant, c)
+					out[key] = sessionRankingHashes(t, client, judge, key, QueryRequest{
+						Clip: rec.Name, Index: string(kind), Candidates: c,
+					})
 				}
 			}
 		}

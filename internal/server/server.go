@@ -69,7 +69,7 @@ type Config struct {
 	// DefaultTopK is the per-round result count when a query names
 	// none. Default 20 (the paper's protocol).
 	DefaultTopK int
-	// DefaultIndex, when set ("vptree" or "ivf"), routes sessions that
+	// DefaultIndex, when set ("vptree"), routes sessions that
 	// don't specify an index through that candidate index by default.
 	// Empty means exact ranking unless a query asks for an index.
 	DefaultIndex string
@@ -77,9 +77,9 @@ type Config struct {
 	// session uses an index without naming C. Default 64.
 	DefaultCandidates int
 	// Quant selects instance-feature quantization for candidate
-	// indexes ("scalar" or "pq"; empty or "none" keeps exact float
-	// probing). Quantization shrinks the probe structures ~8× and
-	// speeds list scans; the exact re-rank is unaffected either way.
+	// indexes ("pq"; empty or "none" keeps exact float probing). PQ
+	// codes shrink the instance store ~24×; the exact re-rank is
+	// unaffected either way.
 	Quant string
 	// MaxBodyBytes caps request-body size; oversized bodies are
 	// rejected with 413 before any parsing. Default 1 MiB.
@@ -323,9 +323,9 @@ type QueryRequest struct {
 	// live sessions: the predicate re-evaluates against whatever the
 	// catalog holds each round.
 	Predicate *predicate.Node `json:"predicate,omitempty"`
-	// Index selects a candidate index for this session ("vptree" or
-	// "ivf"; "exact" or "none" force exact ranking even when the
-	// server has a default index). The URL query parameter ?index=
+	// Index selects a candidate index for this session ("vptree";
+	// "exact" or "none" force exact ranking even when the server has a
+	// default index). The URL query parameter ?index=
 	// overrides this field.
 	Index string `json:"index,omitempty"`
 	// Candidates is the candidate-set size C the exact engine
@@ -413,8 +413,9 @@ type IndexStats struct {
 	PrunedRounds int64 `json:"pruned_rounds"`
 	FullRounds   int64 `json:"full_rounds"`
 	SeededRounds int64 `json:"seeded_rounds"`
-	// Probes and DistEvals total the index probe work;
-	// CandidatesRanked totals the bags exact-re-ranked.
+	// Probes and DistEvals total the index probe work (none for C ≥ N
+	// rounds, which search nothing); CandidatesRanked totals the bags
+	// exact-re-ranked.
 	Probes           int64                `json:"probes"`
 	DistEvals        int64                `json:"dist_evals"`
 	CandidatesRanked int64                `json:"candidates_ranked"`

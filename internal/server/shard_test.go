@@ -114,8 +114,9 @@ func newWorker(t *testing.T, rec *videodb.ClipRecord, i, n int) (*Server, *Clien
 }
 
 // TestScatterEndpoint covers the worker wire surface: a served probe,
-// the empty answer for a clip the worker holds nothing of, and the
-// 400s for malformed bodies.
+// a full-budget request with an empty probe list (what a C >= N round
+// sends), the empty answer for a clip the worker holds nothing of,
+// and the 400s for malformed bodies.
 func TestScatterEndpoint(t *testing.T) {
 	rec := synthRecord(t, 22, 4, 4, 16)
 	_, client := newWorker(t, rec, 0, 2)
@@ -132,6 +133,22 @@ func TestScatterEndpoint(t *testing.T) {
 	for _, h := range resp.Hits {
 		if h.VS < 0 {
 			t.Fatalf("hit carries bad VS index: %+v", h)
+		}
+	}
+
+	// No probes and a budget covering the partition: every bag comes
+	// back by completion, and no distance is measured.
+	resp, err = client.Scatter(ctx, ScatterRequest{Clip: rec.Name, Kind: "vptree", Candidates: len(rec.VSs), Probes: [][]float64{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Hits) != resp.Bags || resp.Probes != 0 || resp.DistEvals != 0 {
+		t.Fatalf("full-budget scatter without probes answered %d hits for %d bags, probes=%d dist_evals=%d",
+			len(resp.Hits), resp.Bags, resp.Probes, resp.DistEvals)
+	}
+	for _, h := range resp.Hits {
+		if h.Dist != -1 {
+			t.Fatalf("probe-less hit %+v is not a completion hit", h)
 		}
 	}
 
@@ -159,8 +176,8 @@ func TestScatterEndpoint(t *testing.T) {
 	if stats.Shard == nil || stats.Shard.Mode != "worker" {
 		t.Fatalf("worker shard stats: %+v", stats.Shard)
 	}
-	if stats.Shard.ScatterServed != 2 {
-		t.Fatalf("scatter_served=%d, want 2", stats.Shard.ScatterServed)
+	if stats.Shard.ScatterServed != 3 {
+		t.Fatalf("scatter_served=%d, want 3", stats.Shard.ScatterServed)
 	}
 }
 
@@ -210,6 +227,10 @@ func TestClusterScatterGather(t *testing.T) {
 	}
 	if stats.Shard == nil || stats.Shard.Mode != "coordinator" || stats.Index.PrunedRounds < 1 {
 		t.Fatalf("coordinator shard stats: %+v, index stats: %+v", stats.Shard, stats.Index)
+	}
+	// Every round ran at C = N, so the workers searched nothing.
+	if stats.Index.Probes != 0 || stats.Index.DistEvals != 0 {
+		t.Fatalf("C=N rounds spent probes=%d dist_evals=%d, want 0/0", stats.Index.Probes, stats.Index.DistEvals)
 	}
 	if stats.Cluster == nil || stats.Cluster.Shards != workers || stats.Cluster.Reachable != workers {
 		t.Fatalf("cluster stats: %+v", stats.Cluster)

@@ -66,7 +66,7 @@ func TestSlowShardDegrades(t *testing.T) {
 func TestFailedShardDegrades(t *testing.T) {
 	db := shardSynthDB(12, 63)
 	labels := shardLabels(db, 3, 1)
-	probers := buildProbers(t, db, 3, index.KindIVF, index.Options{})
+	probers := buildProbers(t, db, 3, index.KindVPTree, index.Options{})
 	st := &Stats{}
 	boom := errors.New("shard 1 lost")
 	eng := &Engine{

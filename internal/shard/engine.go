@@ -168,9 +168,10 @@ type Stats struct {
 // exact engine; the pruned remainder keeps the §5.3 heuristic order.
 // An unsharded server is one shard: a single LocalProber over the
 // clip's own VSs and index. C ≥ len(db) provably reproduces the exact
-// ranking at every shard count: the full budget goes to every shard,
-// each shard then returns its complete slice (real distances for
-// probed bags, completion hits for the rest), the merged union is
+// ranking at every shard count: the merge then keeps every bag
+// whatever its distance, so the round scatters an empty probe list
+// with the full budget, each shard checks its index against its slice
+// and returns the whole slice as completion hits, the merged union is
 // the whole database, and the inner engine ranks all of it. Below
 // that, each shard is asked only for its expected share of the
 // global top C plus slack (see perShardC), and the scatter runs
@@ -265,6 +266,13 @@ func (e *Engine) RankCtx(ctx context.Context, db []window.VS, labels map[int]mil
 	}
 	seq := e.seq.Add(1) - 1
 	cs := e.perShardC(len(db))
+	if e.C >= len(db) {
+		// Every bag survives the merge at any distance, so no search
+		// can change the union. An empty (not nil) list still reaches
+		// every shard, which checks its index against its slice, and
+		// an HTTP worker receives "probes": [].
+		probes = [][]float64{}
+	}
 
 	// Scatter, scout-and-carry: shard 0 probes first with the full
 	// per-shard budget and exports its per-probe k-th-neighbor

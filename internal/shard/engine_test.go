@@ -59,7 +59,7 @@ func buildProbers(t *testing.T, db []window.VS, s int, kind index.Kind, opt inde
 // TestShardedFullCIdentity is the merge-contract property test: with
 // C = N, scatter–gather over any shard count S ∈ {1,2,3,5} must be
 // permutation-identical to the unsharded exact ranking — for all
-// three engines, both index kinds, and several label mixes. The
+// three engines and several label mixes. The
 // identity is proven through the real scatter path (every shard
 // returns its full partition, completion hits included), not by a
 // delegation shortcut.
@@ -70,30 +70,27 @@ func TestShardedFullCIdentity(t *testing.T) {
 		shardLabels(db, 4, 4),
 		shardLabels(db, 100, 8),
 	}
-	for _, kind := range index.Kinds() {
-		for _, s := range []int{1, 2, 3, 5} {
-			probers := buildProbers(t, db, s, kind, index.Options{})
-			for _, inner := range shardEngines() {
-				eng := &Engine{Inner: inner, Probers: probers, C: len(db)}
-				for li, labels := range labelSets {
-					want, err := inner.Rank(db, labels)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := eng.RankCtx(context.Background(), db, labels)
-					if err != nil {
-						t.Fatalf("kind=%s S=%d engine=%s labels=%d: %v", kind, s, inner.Name(), li, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("kind=%s S=%d engine=%s labels=%d: sharded C=N ranking diverges\ngot  %v\nwant %v",
-							kind, s, inner.Name(), li, got, want)
-					}
+	for _, s := range []int{1, 2, 3, 5} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		for _, inner := range shardEngines() {
+			eng := &Engine{Inner: inner, Probers: probers, C: len(db)}
+			for li, labels := range labelSets {
+				want, err := inner.Rank(db, labels)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The identity must flow through the scatter path, not a
-				// full-rank delegation.
-				if eng.Stats != nil {
-					t.Fatal("unexpected stats")
+				got, err := eng.RankCtx(context.Background(), db, labels)
+				if err != nil {
+					t.Fatalf("S=%d engine=%s labels=%d: %v", s, inner.Name(), li, err)
 				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("S=%d engine=%s labels=%d: sharded C=N ranking diverges\ngot  %v\nwant %v", s, inner.Name(), li, got, want)
+				}
+			}
+			// The identity must flow through the scatter path, not a
+			// full-rank delegation.
+			if eng.Stats != nil {
+				t.Fatal("unexpected stats")
 			}
 		}
 	}
@@ -167,46 +164,44 @@ func demoMixDB(seed int64, nRel, nDis, nNorm int) ([]window.VS, int) {
 // TestShardedRecall: on the demo-mix catalog, a 5-round oracle-judged
 // feedback session through the sharded engine at C = N/4 must keep
 // recall@10 ≥ 0.9 against the exact engine run on the same
-// accumulated labels — for both index kinds and S ∈ {2,3,5}. This is
+// accumulated labels — for S ∈ {2,3,5}. This is
 // the gate that holds the per-shard budget heuristic (C/S plus
 // slack) to measurement: a budget cut too deep shows up here first.
 func TestShardedRecall(t *testing.T) {
 	db, nRel := demoMixDB(1, 12, 12, 72)
 	n := len(db)
-	for _, kind := range index.Kinds() {
-		for _, s := range []int{2, 3, 5} {
-			probers := buildProbers(t, db, s, kind, index.Options{})
-			inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
-			eng := &Engine{Inner: inner, Probers: probers, C: n / 4}
-			labels := make(map[int]mil.Label)
-			for round := 0; round < 5; round++ {
-				got, gotTop, err := retrieval.RankRound(eng, db, labels, 20)
-				if err != nil {
-					t.Fatalf("%s S=%d round %d: %v", kind, s, round, err)
+	for _, s := range []int{2, 3, 5} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+		eng := &Engine{Inner: inner, Probers: probers, C: n / 4}
+		labels := make(map[int]mil.Label)
+		for round := 0; round < 5; round++ {
+			got, gotTop, err := retrieval.RankRound(eng, db, labels, 20)
+			if err != nil {
+				t.Fatalf("S=%d round %d: %v", s, round, err)
+			}
+			want, _, err := retrieval.RankRound(inner, db, labels, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set := make(map[int]bool, 10)
+			for _, p := range want[:10] {
+				set[p] = true
+			}
+			hit := 0
+			for _, p := range got[:10] {
+				if set[p] {
+					hit++
 				}
-				want, _, err := retrieval.RankRound(inner, db, labels, 20)
-				if err != nil {
-					t.Fatal(err)
-				}
-				set := make(map[int]bool, 10)
-				for _, p := range want[:10] {
-					set[p] = true
-				}
-				hit := 0
-				for _, p := range got[:10] {
-					if set[p] {
-						hit++
-					}
-				}
-				if r := float64(hit) / 10; r < 0.9 {
-					t.Fatalf("%s S=%d round %d: recall@10 = %.2f at C=N/4, want >= 0.9", kind, s, round, r)
-				}
-				for _, pos := range gotTop {
-					if pos < nRel {
-						labels[db[pos].Index] = mil.Positive
-					} else {
-						labels[db[pos].Index] = mil.Negative
-					}
+			}
+			if r := float64(hit) / 10; r < 0.9 {
+				t.Fatalf("S=%d round %d: recall@10 = %.2f at C=N/4, want >= 0.9", s, round, r)
+			}
+			for _, pos := range gotTop {
+				if pos < nRel {
+					labels[db[pos].Index] = mil.Positive
+				} else {
+					labels[db[pos].Index] = mil.Negative
 				}
 			}
 		}
@@ -214,20 +209,18 @@ func TestShardedRecall(t *testing.T) {
 }
 
 // TestShardedBoundCarry pins the scout-and-carry scatter: with local
-// probers and S > 1 the carried wave runs bounded (BoundedShardProbes
-// advances), the C=N merge stays permutation-identical to the
-// unsharded ranking even though the carried shards pruned against the
-// scout's radii (completion hits restore whatever pruning skipped),
-// and at a quarter budget a full feedback session still holds
-// recall@10 >= 0.9 against the exact engine.
+// probers and S > 1 the C=N merge stays permutation-identical to the
+// unsharded ranking, and at a quarter budget every pruned round runs
+// its carried wave bounded (BoundedShardProbes advances by S-1) while
+// a full feedback session still holds recall@10 >= 0.9 against the
+// exact engine.
 func TestShardedBoundCarry(t *testing.T) {
 	db, nRel := demoMixDB(23, 10, 10, 92)
 	n := len(db)
 	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
 	for _, s := range []int{2, 4} {
 		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
-		st := &Stats{}
-		eng := &Engine{Inner: inner, Probers: probers, C: n, Stats: st}
+		eng := &Engine{Inner: inner, Probers: probers, C: n}
 		labels := shardLabels(db, 4, 2)
 		got, err := eng.Rank(db, labels)
 		if err != nil {
@@ -238,14 +231,12 @@ func TestShardedBoundCarry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("S=%d: C=N ranking diverged under carried bounds", s)
-		}
-		if carried := st.BoundedShardProbes.Load(); carried != int64(s-1) {
-			t.Fatalf("S=%d: %d bounded shard probes, want %d (every non-scout shard)", s, carried, s-1)
+			t.Fatalf("S=%d: C=N ranking diverged from the unsharded one", s)
 		}
 
 		// A feedback session at C=N/4: the carried bounds must not cost
 		// recall the budget itself preserves.
+		st := &Stats{}
 		eng = &Engine{Inner: inner, Probers: probers, C: n / 4, Stats: st}
 		sess := make(map[int]mil.Label)
 		for round := 0; round < 5; round++ {
@@ -278,6 +269,79 @@ func TestShardedBoundCarry(t *testing.T) {
 				}
 			}
 		}
+		pruned := st.PrunedRounds.Load()
+		if carried := st.BoundedShardProbes.Load(); pruned == 0 || carried != int64(s-1)*pruned {
+			t.Fatalf("S=%d: %d bounded shard probes over %d pruned rounds, want %d per round (every non-scout shard)",
+				s, carried, pruned, s-1)
+		}
+	}
+}
+
+// TestFullBudgetRoundSkipsSearch: a round whose budget covers the
+// database (C >= N) scatters an empty probe list, because the merge
+// keeps every bag whatever its distance. At S ∈ {1, 3} it counts as a
+// pruned round, spends no probe and no distance evaluation, re-ranks
+// every bag and ranks exactly like the inner engine; a round below N
+// at S = 3 still searches. Over an index that moved to the next
+// catalog generation the round still fails with ErrStaleIndex, at one
+// shard and alongside healthy ones.
+func TestFullBudgetRoundSkipsSearch(t *testing.T) {
+	db := shardSynthDB(17, 60)
+	labels := shardLabels(db, 3, 2)
+	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
+	want, err := inner.Rank(db, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{1, 3} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		for _, c := range []int{len(db), 2 * len(db)} {
+			st := &Stats{}
+			got, err := (&Engine{Inner: inner, Probers: probers, C: c, Stats: st}).Rank(db, labels)
+			if err != nil {
+				t.Fatalf("S=%d C=%d: %v", s, c, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("S=%d C=%d: ranking diverges from exact\ngot  %v\nwant %v", s, c, got, want)
+			}
+			if st.PrunedRounds.Load() != 1 || st.FullRounds.Load() != 0 || st.Probes.Load() != 0 ||
+				st.DistEvals.Load() != 0 || st.CandidatesRanked.Load() != int64(len(db)) {
+				t.Fatalf("S=%d C=%d: pruned=%d full=%d probes=%d dist_evals=%d ranked=%d, want 1/0/0/0/%d",
+					s, c, st.PrunedRounds.Load(), st.FullRounds.Load(), st.Probes.Load(),
+					st.DistEvals.Load(), st.CandidatesRanked.Load(), len(db))
+			}
+		}
+	}
+	st := &Stats{}
+	below := &Engine{Inner: inner, Probers: buildProbers(t, db, 3, index.KindVPTree, index.Options{}), C: len(db) - 1, Stats: st}
+	if _, err := below.Rank(db, labels); err != nil {
+		t.Fatal(err)
+	}
+	if st.Probes.Load() == 0 || st.DistEvals.Load() == 0 {
+		t.Fatalf("C=N-1 round spent probes=%d dist_evals=%d, want a search", st.Probes.Load(), st.DistEvals.Load())
+	}
+
+	old, cur := db[:45], db[15:]
+	bi, err := index.Build(old, index.KindVPTree, index.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bi.Update(cur); err != nil {
+		t.Fatal(err)
+	}
+	stale := LocalProber{VSs: old, Index: bi}
+	healthy := buildProbers(t, old, 3, index.KindVPTree, index.Options{})[1:]
+	oldLabels := shardLabels(old, 3, 1)
+	for _, probers := range [][]Prober{{stale}, append([]Prober{stale}, healthy...)} {
+		st := &Stats{}
+		eng := &Engine{Inner: inner, Probers: probers, C: len(old), Stats: st}
+		if _, err := eng.Rank(old, oldLabels); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("S=%d: C=N round over a superseded index: err %v, want ErrStaleIndex", len(probers), err)
+		}
+		if st.PrunedRounds.Load() != 0 || st.ShardErrors.Load() != 0 || st.FullRounds.Load() != 0 {
+			t.Fatalf("S=%d: stale C=N round counted pruned=%d shard_errors=%d full=%d", len(probers),
+				st.PrunedRounds.Load(), st.ShardErrors.Load(), st.FullRounds.Load())
+		}
 	}
 }
 
@@ -286,7 +350,7 @@ func TestShardedBoundCarry(t *testing.T) {
 func TestShardedDeterminism(t *testing.T) {
 	db := shardSynthDB(7, 63)
 	labels := shardLabels(db, 3, 2)
-	probers := buildProbers(t, db, 5, index.KindIVF, index.Options{})
+	probers := buildProbers(t, db, 5, index.KindVPTree, index.Options{})
 	eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: probers, C: 16}
 	first, err := eng.Rank(db, labels)
 	if err != nil {
@@ -405,7 +469,8 @@ func TestProbeLocalStaleGeneration(t *testing.T) {
 		t.Fatalf("current partition: %v", err)
 	}
 	stale := LocalProber{VSs: old, Index: bi}
-	for _, probers := range [][]Prober{{stale}, append([]Prober{stale}, buildProbers(t, old, 2, index.KindIVF, index.Options{})[1:]...)} {
+	healthy := buildProbers(t, old, 2, index.KindVPTree, index.Options{})[1]
+	for _, probers := range [][]Prober{{stale}, {stale, healthy}} {
 		stats := &Stats{}
 		eng := &Engine{Inner: retrieval.RocchioEngine{}, Probers: probers, C: 5, Stats: stats}
 		if _, err := eng.Rank(old, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
@@ -438,29 +503,26 @@ func (s seedingInner) SeedProbes([]window.VS) [][]float64 { return s.probes }
 func TestShardedSeededIdentity(t *testing.T) {
 	db := shardSynthDB(9, 63)
 	probes := [][]float64{db[0].TSs[0].Flat(), db[21].TSs[0].Flat()}
-	for _, kind := range index.Kinds() {
-		for _, s := range []int{1, 3} {
-			probers := buildProbers(t, db, s, kind, index.Options{})
-			for _, inner := range shardEngines() {
-				seeded := seedingInner{Engine: inner, probes: probes}
-				want, err := inner.Rank(db, map[int]mil.Label{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := &Stats{}
-				eng := &Engine{Inner: seeded, Probers: probers, C: len(db), Stats: st}
-				got, err := eng.Rank(db, map[int]mil.Label{})
-				if err != nil {
-					t.Fatalf("kind=%s S=%d %s: %v", kind, s, inner.Name(), err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("kind=%s S=%d %s: seeded sharded C=N ranking diverges\ngot  %v\nwant %v",
-						kind, s, inner.Name(), got, want)
-				}
-				if st.PrunedRounds.Load() != 1 || st.SeededRounds.Load() != 1 || st.FullRounds.Load() != 0 {
-					t.Fatalf("kind=%s S=%d %s: stats pruned=%d seeded=%d full=%d, want 1/1/0",
-						kind, s, inner.Name(), st.PrunedRounds.Load(), st.SeededRounds.Load(), st.FullRounds.Load())
-				}
+	for _, s := range []int{1, 3} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		for _, inner := range shardEngines() {
+			seeded := seedingInner{Engine: inner, probes: probes}
+			want, err := inner.Rank(db, map[int]mil.Label{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := &Stats{}
+			eng := &Engine{Inner: seeded, Probers: probers, C: len(db), Stats: st}
+			got, err := eng.Rank(db, map[int]mil.Label{})
+			if err != nil {
+				t.Fatalf("S=%d %s: %v", s, inner.Name(), err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("S=%d %s: seeded sharded C=N ranking diverges\ngot  %v\nwant %v", s, inner.Name(), got, want)
+			}
+			if st.PrunedRounds.Load() != 1 || st.SeededRounds.Load() != 1 || st.FullRounds.Load() != 0 {
+				t.Fatalf("S=%d %s: stats pruned=%d seeded=%d full=%d, want 1/1/0",
+					s, inner.Name(), st.PrunedRounds.Load(), st.SeededRounds.Load(), st.FullRounds.Load())
 			}
 		}
 	}
@@ -480,54 +542,52 @@ func TestShardedStoredOrder(t *testing.T) {
 	order := retrieval.HeuristicOrder(db)
 	want0 := append([]int(nil), order...)
 	inner := retrieval.MILEngine{Opt: mil.DefaultOptions()}
-	for _, kind := range index.Kinds() {
-		for _, s := range []int{1, 3} {
-			probers := buildProbers(t, db, s, kind, index.Options{})
-			for _, tc := range []struct {
-				labels map[int]mil.Label
-				c      int
-				reads  int
-			}{
-				{labels, 10, 1},
-				{labels, len(db), 0},
-				{map[int]mil.Label{}, 10, 1},
-			} {
-				reads := 0
-				stored := &Engine{Inner: inner, Probers: probers, C: tc.c, Order: func() []int { reads++; return order }}
-				got, err := stored.Rank(db, tc.labels)
+	for _, s := range []int{1, 3} {
+		probers := buildProbers(t, db, s, index.KindVPTree, index.Options{})
+		for _, tc := range []struct {
+			labels map[int]mil.Label
+			c      int
+			reads  int
+		}{
+			{labels, 10, 1},
+			{labels, len(db), 0},
+			{map[int]mil.Label{}, 10, 1},
+		} {
+			reads := 0
+			stored := &Engine{Inner: inner, Probers: probers, C: tc.c, Order: func() []int { reads++; return order }}
+			got, err := stored.Rank(db, tc.labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := (&Engine{Inner: inner, Probers: probers, C: tc.c}).Rank(db, tc.labels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("S=%d C=%d: stored-order ranking diverges from the computed one", s, tc.c)
+			}
+			if reads != tc.reads {
+				t.Fatalf("S=%d C=%d labels=%d: stored order read %d times, want %d", s, tc.c, len(tc.labels), reads, tc.reads)
+			}
+			if len(tc.labels) == 0 {
+				for i := range got {
+					got[i] = -1
+				}
+				again, err := stored.Rank(db, tc.labels)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := (&Engine{Inner: inner, Probers: probers, C: tc.c}).Rank(db, tc.labels)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s S=%d C=%d: stored-order ranking diverges from the computed one", kind, s, tc.c)
-				}
-				if reads != tc.reads {
-					t.Fatalf("%s S=%d C=%d labels=%d: stored order read %d times, want %d", kind, s, tc.c, len(tc.labels), reads, tc.reads)
-				}
-				if len(tc.labels) == 0 {
-					for i := range got {
-						got[i] = -1
-					}
-					again, err := stored.Rank(db, tc.labels)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(again, want) || !reflect.DeepEqual(order, want0) {
-						t.Fatalf("%s S=%d: writing into a round-0 ranking changed the next round 0", kind, s)
-					}
+				if !reflect.DeepEqual(again, want) || !reflect.DeepEqual(order, want0) {
+					t.Fatalf("S=%d: writing into a round-0 ranking changed the next round 0", s)
 				}
 			}
-			stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
-			if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
-				t.Fatalf("%s S=%d: order of %d bags for %d: got %v, want ErrStaleIndex", kind, s, len(order)-1, len(db), err)
-			}
-			if _, err := stale.Rank(db, map[int]mil.Label{}); !errors.Is(err, retrieval.ErrStaleIndex) {
-				t.Fatalf("%s S=%d round 0: order of %d bags for %d: got %v, want ErrStaleIndex", kind, s, len(order)-1, len(db), err)
-			}
+		}
+		stale := &Engine{Inner: inner, Probers: probers, C: 10, Order: func() []int { return order[1:] }}
+		if _, err := stale.Rank(db, labels); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("S=%d: order of %d bags for %d: got %v, want ErrStaleIndex", s, len(order)-1, len(db), err)
+		}
+		if _, err := stale.Rank(db, map[int]mil.Label{}); !errors.Is(err, retrieval.ErrStaleIndex) {
+			t.Fatalf("S=%d round 0: order of %d bags for %d: got %v, want ErrStaleIndex", s, len(order)-1, len(db), err)
 		}
 	}
 }

@@ -50,21 +50,13 @@ func TrainBinary(X [][]float64, y []bool, opt BinaryOptions) (*Binary, error) {
 	if opt.C <= 0 {
 		return nil, fmt.Errorf("%w: got %v", ErrC, opt.C)
 	}
-	dim := len(X[0])
-	if dim == 0 {
-		return nil, errors.New("svm: zero-dimensional instances")
+	if err := checkInstances(X); err != nil {
+		return nil, err
 	}
+	dim := len(X[0])
 	pos, negs := 0, 0
-	for i, x := range X {
-		if len(x) != dim {
-			return nil, fmt.Errorf("svm: instance %d has dimension %d, want %d", i, len(x), dim)
-		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("svm: instance %d component %d is not finite", i, j)
-			}
-		}
-		if y[i] {
+	for _, yi := range y {
+		if yi {
 			pos++
 		} else {
 			negs++

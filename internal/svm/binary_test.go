@@ -166,12 +166,6 @@ func TestBinaryErrors(t *testing.T) {
 	if _, err := TrainBinary(X, []bool{true, true}, BinaryOptions{C: 1}); !errors.Is(err, ErrOneClassOnly) {
 		t.Fatalf("one class: %v", err)
 	}
-	if _, err := TrainBinary([][]float64{{1}, {2, 3}}, []bool{true, false}, BinaryOptions{C: 1}); err == nil {
-		t.Fatal("ragged accepted")
-	}
-	if _, err := TrainBinary([][]float64{{math.NaN()}, {1}}, []bool{true, false}, BinaryOptions{C: 1}); err == nil {
-		t.Fatal("NaN accepted")
-	}
 	m, err := TrainBinary(X, []bool{true, false}, BinaryOptions{C: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func (c *rowCache) row(i int) ([]float64, error) {
 	for j, xj := range c.X {
 		v := c.k.Eval(xi, xj)
 		if math.IsNaN(v) {
-			return nil, fmt.Errorf("svm: kernel produced NaN at (%d,%d)", i, j)
+			return nil, fmt.Errorf("%w at (%d,%d)", ErrKernelNaN, i, j)
 		}
 		buf[j] = v
 	}
@@ -50,7 +50,7 @@ func (c *rowCache) diag() ([]float64, error) {
 	for i, xi := range c.X {
 		v := c.k.Eval(xi, xi)
 		if math.IsNaN(v) {
-			return nil, fmt.Errorf("svm: kernel produced NaN at (%d,%d)", i, i)
+			return nil, fmt.Errorf("%w at (%d,%d)", ErrKernelNaN, i, i)
 		}
 		d[i] = v
 	}

@@ -1,6 +1,7 @@
 package svm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,27 +71,27 @@ func (nanOffDiagonal) Eval(u, v []float64) float64 {
 func (nanOffDiagonal) Name() string { return "nan-off-diagonal" }
 
 // TestSolverRowsValidation: a NaN kernel value fails the row or
-// diagonal that produced it, a failed row is not kept, and both
-// trainers return the error instead of a model.
+// diagonal that produced it with ErrKernelNaN, a failed row is not
+// kept, and both trainers return the error instead of a model.
 func TestSolverRowsValidation(t *testing.T) {
 	X := [][]float64{{0, 0}, {1, 1}, {2, 0}}
 	c := newRowCache(nanOffDiagonal{}, X)
 	if _, err := c.diag(); err != nil {
 		t.Fatalf("finite diagonal rejected: %v", err)
 	}
-	if _, err := c.row(1); err == nil {
-		t.Fatal("NaN row accepted")
+	if _, err := c.row(1); !errors.Is(err, ErrKernelNaN) {
+		t.Fatalf("NaN row: err %v, want ErrKernelNaN", err)
 	}
 	if c.rows[1] != nil {
 		t.Fatal("failed row was cached")
 	}
-	if _, err := newRowCache(kernel.RBF{Sigma: math.NaN()}, X).diag(); err == nil {
-		t.Fatal("NaN diagonal accepted")
+	if _, err := newRowCache(kernel.RBF{Sigma: math.NaN()}, X).diag(); !errors.Is(err, ErrKernelNaN) {
+		t.Fatalf("NaN diagonal: err %v, want ErrKernelNaN", err)
 	}
-	if _, err := TrainOneClass(X, Options{Nu: 0.5, Kernel: nanOffDiagonal{}}); err == nil {
-		t.Fatal("TrainOneClass accepted a NaN kernel")
+	if _, err := TrainOneClass(X, Options{Nu: 0.5, Kernel: nanOffDiagonal{}}); !errors.Is(err, ErrKernelNaN) {
+		t.Fatalf("TrainOneClass over a NaN kernel: err %v, want ErrKernelNaN", err)
 	}
-	if _, err := TrainBinary(X, []bool{true, false, true}, BinaryOptions{C: 1, Kernel: nanOffDiagonal{}}); err == nil {
-		t.Fatal("TrainBinary accepted a NaN kernel")
+	if _, err := TrainBinary(X, []bool{true, false, true}, BinaryOptions{C: 1, Kernel: nanOffDiagonal{}}); !errors.Is(err, ErrKernelNaN) {
+		t.Fatalf("TrainBinary over a NaN kernel: err %v, want ErrKernelNaN", err)
 	}
 }

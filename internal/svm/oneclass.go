@@ -22,10 +22,18 @@ import (
 	"milvideo/internal/kernel"
 )
 
-// Errors returned by the trainer.
+// Errors returned by the trainers.
 var (
 	ErrNoData = errors.New("svm: no training data")
 	ErrNu     = errors.New("svm: nu must lie in (0, 1]")
+	// ErrInstance wraps every malformed training instance: zero
+	// dimensions, a dimension other than the first instance's, or a
+	// non-finite component.
+	ErrInstance = errors.New("svm: malformed instance")
+	// ErrKernelNaN is returned when the kernel evaluates to NaN on
+	// finite instances, as an RBF does when squared distances
+	// overflow and the median-heuristic bandwidth turns infinite.
+	ErrKernelNaN = errors.New("svm: kernel produced NaN")
 )
 
 // Options configures training.
@@ -63,20 +71,10 @@ func TrainOneClass(X [][]float64, opt Options) (*OneClass, error) {
 	if opt.Nu <= 0 || opt.Nu > 1 {
 		return nil, fmt.Errorf("%w: got %v", ErrNu, opt.Nu)
 	}
+	if err := checkInstances(X); err != nil {
+		return nil, err
+	}
 	dim := len(X[0])
-	if dim == 0 {
-		return nil, errors.New("svm: zero-dimensional instances")
-	}
-	for i, x := range X {
-		if len(x) != dim {
-			return nil, fmt.Errorf("svm: instance %d has dimension %d, want %d", i, len(x), dim)
-		}
-		for j, v := range x {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("svm: instance %d component %d is not finite", i, j)
-			}
-		}
-	}
 	if opt.Kernel == nil {
 		opt.Kernel = kernel.RBF{Sigma: kernel.MedianHeuristicSigma(X)}
 	}
@@ -269,3 +267,23 @@ func (m *OneClass) Nu() float64 { return m.nu }
 
 // Dim returns the instance dimensionality.
 func (m *OneClass) Dim() int { return m.dim }
+
+// checkInstances validates a non-empty training set: every instance
+// has the first one's nonzero dimension and only finite components.
+func checkInstances(X [][]float64) error {
+	dim := len(X[0])
+	if dim == 0 {
+		return fmt.Errorf("%w: zero-dimensional", ErrInstance)
+	}
+	for i, x := range X {
+		if len(x) != dim {
+			return fmt.Errorf("%w: instance %d has dimension %d, want %d", ErrInstance, i, len(x), dim)
+		}
+		for j, v := range x {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("%w: instance %d component %d is not finite", ErrInstance, i, j)
+			}
+		}
+	}
+	return nil
+}

@@ -245,15 +245,6 @@ func TestTrainErrors(t *testing.T) {
 			t.Fatalf("nu=%v: %v", nu, err)
 		}
 	}
-	if _, err := TrainOneClass([][]float64{{1, 2}, {3}}, Options{Nu: 0.5}); err == nil {
-		t.Fatal("ragged accepted")
-	}
-	if _, err := TrainOneClass([][]float64{{}}, Options{Nu: 0.5}); err == nil {
-		t.Fatal("zero-dim accepted")
-	}
-	if _, err := TrainOneClass([][]float64{{math.NaN(), 1}}, Options{Nu: 0.5}); err == nil {
-		t.Fatal("NaN accepted")
-	}
 	m, err := TrainOneClass(X, Options{Nu: 0.5})
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +254,35 @@ func TestTrainErrors(t *testing.T) {
 	}
 	if _, err := m.Predict([]float64{1, 2, 3}); err == nil {
 		t.Fatal("bad probe dimension accepted")
+	}
+}
+
+// TestTrainErrorsTyped: both solvers wrap a malformed instance in
+// ErrInstance and a NaN kernel value in ErrKernelNaN, so callers can
+// tell bad input from a kernel that broke down on finite input. The
+// overflow rows are finite, but their squared distances are +Inf, so
+// the default RBF's median-heuristic bandwidth is +Inf and every
+// off-diagonal kernel value is Inf/Inf = NaN.
+func TestTrainErrorsTyped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		X    [][]float64
+		want error
+	}{
+		{"zero-dimensional", [][]float64{{}, {}}, ErrInstance},
+		{"ragged", [][]float64{{1, 2}, {3}}, ErrInstance},
+		{"NaN component", [][]float64{{1, 1}, {math.NaN(), 1}}, ErrInstance},
+		{"infinite component", [][]float64{{1, 1}, {1, math.Inf(-1)}}, ErrInstance},
+		{"overflowing distances", [][]float64{{1e200, 0}, {-1e200, 0}, {0, 1e200}}, ErrKernelNaN},
+	} {
+		if _, err := TrainOneClass(tc.X, Options{Nu: 0.5}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: TrainOneClass err %v, want %v", tc.name, err, tc.want)
+		}
+		y := make([]bool, len(tc.X))
+		y[0] = true
+		if _, err := TrainBinary(tc.X, y, BinaryOptions{C: 1}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: TrainBinary err %v, want %v", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -43,7 +43,6 @@ type Track struct {
 
 	missed int
 	dead   bool
-	kf     *Kalman // non-nil when Options.UseKalman
 }
 
 // Start returns the first observed frame index.
@@ -80,13 +79,9 @@ func (t *Track) velocity() geom.Vec {
 	return b.Centroid.Sub(a.Centroid).Scale(1 / float64(df))
 }
 
-// predict returns the expected centroid at the next frame — from the
-// Kalman filter when enabled, otherwise the constant-velocity
-// two-point extrapolation.
+// predict returns the expected centroid at the next frame: the
+// constant-velocity two-point extrapolation.
 func (t *Track) predict() geom.Point {
-	if t.kf != nil && t.kf.Initialized() {
-		return t.kf.Peek()
-	}
 	last := t.Observations[len(t.Observations)-1]
 	return last.Centroid.Add(t.velocity())
 }
@@ -101,16 +96,6 @@ type Options struct {
 	MaxMissed int
 	// MinHits is how many observations confirm a tentative track.
 	MinHits int
-	// Greedy switches the association solver from Hungarian to the
-	// greedy approximation (ablation).
-	Greedy bool
-	// UseKalman replaces the two-point velocity extrapolation with a
-	// constant-velocity Kalman filter per track (smoother predictions
-	// through segmentation noise and occlusions).
-	UseKalman bool
-	// KalmanProcessNoise and KalmanMeasurementNoise tune the filter;
-	// zero values take the defaults (0.5 px/frame², 1.5 px).
-	KalmanProcessNoise, KalmanMeasurementNoise float64
 }
 
 // DefaultOptions returns the association parameters used by the
@@ -169,14 +154,10 @@ func (tr *Tracker) Update(f int, segs []segment.Segment) error {
 			}
 		}
 	}
-	solve := assign.Hungarian
-	if tr.opt.Greedy {
-		solve = assign.Greedy
-	}
 	var rowToCol []int
 	if n > 0 && m > 0 {
 		var err error
-		rowToCol, _, err = solve(cost)
+		rowToCol, _, err = assign.Hungarian(cost)
 		if err != nil {
 			return fmt.Errorf("track: association failed: %w", err)
 		}
@@ -193,10 +174,6 @@ func (tr *Tracker) Update(f int, segs []segment.Segment) error {
 		j := rowToCol[i]
 		if j >= 0 {
 			usedDet[j] = true
-			if t.kf != nil {
-				t.kf.Predict()
-				t.kf.Update(segs[j].Centroid)
-			}
 			t.Observations = append(t.Observations, Observation{
 				Frame:     f,
 				Centroid:  segs[j].Centroid,
@@ -225,12 +202,7 @@ func (tr *Tracker) Update(f int, segs []segment.Segment) error {
 			tr.closeTrack(t)
 			continue
 		}
-		var pred geom.Point
-		if t.kf != nil {
-			pred = t.kf.Predict() // advance the filter through the gap
-		} else {
-			pred = t.predict()
-		}
+		pred := t.predict()
 		last := t.Observations[len(t.Observations)-1]
 		t.Observations = append(t.Observations, Observation{
 			Frame:     f,
@@ -258,10 +230,6 @@ func (tr *Tracker) Update(f int, segs []segment.Segment) error {
 				Area:      s.Area,
 				MeanShade: s.MeanShade,
 			}},
-		}
-		if tr.opt.UseKalman {
-			t.kf = NewKalman(tr.opt.KalmanProcessNoise, tr.opt.KalmanMeasurementNoise)
-			t.kf.Init(s.Centroid)
 		}
 		if tr.opt.MinHits <= 1 {
 			t.Confirmed = true

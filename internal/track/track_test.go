@@ -204,18 +204,6 @@ func TestUpdateRejectsBackwardFrames(t *testing.T) {
 	}
 }
 
-func TestGreedyOptionWorks(t *testing.T) {
-	tr := NewTracker(Options{MaxDist: 15, MaxMissed: 2, MinHits: 1, Greedy: true})
-	for f := 0; f < 5; f++ {
-		if err := tr.Update(f, []segment.Segment{det(float64(10+3*f), 20)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(tr.Flush()) != 1 {
-		t.Fatal("greedy tracker lost the target")
-	}
-}
-
 func TestVideoEndToEndOnSimulatedScene(t *testing.T) {
 	scene, err := sim.Tunnel(sim.TunnelConfig{Frames: 260, Seed: 5, SpawnEvery: 70, WallCrash: 1, FPS: 25})
 	if err != nil {

@@ -6,8 +6,8 @@
 # daemon, videodb under concurrent mutation and snapshots, pooled
 # segmentation scratch, kernel Gram workers, the query-service session
 # store and load generator, the candidate-index build/probe paths), an explicit
-# candidate-index recall gate (both index kinds × quantization modes
-# on the demo catalog: recall@10 must be 1.0 at C=N and ≥ 0.9 at
+# candidate-index recall gate (the VP-tree over float rows and over PQ
+# codes on the demo catalog: recall@10 must be 1.0 at C=N and ≥ 0.9 at
 # C=N/4), the chaos conformance suite under -race (seeded fault
 # schedules across ingest, persistence and the query service), fuzz
 # smoke legs for the snapshot decoder, the HTTP API, exact VP-tree
@@ -22,10 +22,10 @@
 # extraction, of the stored-heuristic-order benchmarks (round 0,
 # re-rank tail) and of the archive index build, an
 # incremental-maintenance gate (an internal/index test: 20 whole-bag
-# deltas per index kind, all absorbed without a rebuild), a live
-# server smoke: cmd/serve (quantized probing) on an ephemeral port
-# driven by cmd/loadgen sessions —
-# exact, routed through the IVF candidate index, seeded from the
+# deltas, all absorbed without a rebuild), a live server smoke:
+# cmd/serve (PQ-quantized probing) on an ephemeral port driven by
+# cmd/loadgen sessions —
+# exact, routed through the VP-tree candidate index, seeded from the
 # canned predicate mix (round-0 recall@10 >= 0.9 against the staged
 # incidents, never losing ground under MIL feedback), and under
 # catalog churn — asserting zero dropped rounds, non-empty rankings,
@@ -37,8 +37,9 @@
 # (one-shard) pruned engine at C >= N, and scatter–gathered across 3
 # in-process shards,
 # a sharded-serving gate (scatter–gather at C=N permutation-identical
-# to unsharded for every engine × index kind × shard count, plus
-# fault-injected shard degradation under -race), a cluster smoke:
+# to unsharded for every engine × shard count, C >= N rounds spending
+# no distance evaluation, plus fault-injected shard degradation under
+# -race), a cluster smoke:
 # three shard workers plus a coordinator scattering over HTTP, driven
 # by loadgen, losing no rounds and draining all four processes, and a
 # daemon smoke: serve -ingest continuously committing, evicting,
@@ -140,7 +141,7 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # must reuse it by VS backing identity, never by length. The
 # TestCandidate tests check the pruned-ranking contract on the
 # unsharded (one-shard) engine.
-index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestIVF|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder|TestOrderRanker'
+index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder|TestOrderRanker'
 index_pkgs=(./internal/server/ ./internal/retrieval/ ./internal/index/ ./internal/shard/)
 require_run "$index_smoke" "${index_pkgs[@]}"
 go test -race -count=1 -run "$index_smoke" "${index_pkgs[@]}"
@@ -151,13 +152,15 @@ go test -race -count=1 -run 'TestChaos' ./internal/testkit/
 
 echo "== sharded serving (C=N identity gate + shard chaos, -race) =="
 # The merge contract: scatter–gather at C=N must be permutation-
-# identical to the unsharded ranking for every engine × index kind ×
-# shard count, and fault-injected shards must degrade to partial
+# identical to the unsharded ranking for every engine × shard count, a
+# C >= N round must scatter no probe vectors (zero distance
+# evaluations, still failing on a stale index), and fault-injected
+# shards must degrade to partial
 # results with counters instead of failing queries. A stale index or
 # an ended round context fails the round instead, counting no lost
 # shard, and seeded rounds count only with the pruned round they
 # scattered.
-sharded_legs='TestSharded|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard'
+sharded_legs='TestSharded|TestFullBudget|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard'
 sharded_pkgs=(./internal/shard/ ./internal/server/ ./internal/faults/)
 require_run "$sharded_legs" "${sharded_pkgs[@]}"
 go test -race -count=1 -run "$sharded_legs" "${sharded_pkgs[@]}"
@@ -246,7 +249,7 @@ go test -run '^$' -bench "$build_bench" -benchtime 1x -benchmem .
 echo "== bench smoke (incremental index maintenance) =="
 # A built index (480 bags, default options) is driven through 20
 # whole-bag deltas; every one must take the incremental path (applies
-# == 20, zero rebuilds) for both index kinds.
+# == 20, zero rebuilds).
 maint_test='^TestWholeBagDeltasApplyIncrementally$'
 require_run "$maint_test" ./internal/index/
 go test -count=1 -run "$maint_test" ./internal/index/
@@ -257,10 +260,10 @@ trap 'rm -rf "$smokedir"; [ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/nu
 cluster_pids=()
 go build -o "$smokedir/serve" ./cmd/serve
 go build -o "$smokedir/loadgen" ./cmd/loadgen
-# -quant scalar makes every index the smoke server builds probe
-# through quantized codes, so the live path exercises the compressed
-# store end to end (the exact re-rank is unaffected).
-"$smokedir/serve" -demo -addr 127.0.0.1:0 -quant scalar >"$smokedir/serve.log" 2>&1 &
+# -quant pq makes every index the smoke server builds probe through
+# PQ codes, so the live path exercises the compressed store end to end
+# (the exact re-rank is unaffected).
+"$smokedir/serve" -demo -addr 127.0.0.1:0 -quant pq >"$smokedir/serve.log" 2>&1 &
 serve_pid=$!
 url=""
 for _ in $(seq 1 50); do
@@ -271,10 +274,11 @@ for _ in $(seq 1 50); do
 done
 [ -n "$url" ] || { echo "serve never reported its address" >&2; cat "$smokedir/serve.log" >&2; exit 1; }
 # loadgen exits nonzero on any dropped round or empty ranking; the
-# second run routes every session through the IVF candidate index,
-# and the third interleaves catalog churn with indexed sessions.
+# second run routes every session through the VP-tree candidate index
+# at C = 16, and the third interleaves catalog churn with indexed
+# sessions.
 "$smokedir/loadgen" -url "$url" -demo -sessions 4 -rounds 3 -o "$smokedir/smoke.json"
-"$smokedir/loadgen" -url "$url" -demo -sessions 4 -rounds 3 -index ivf -candidates 16 -o "$smokedir/smoke-ivf.json"
+"$smokedir/loadgen" -url "$url" -demo -sessions 4 -rounds 3 -index vptree -candidates 16 -o "$smokedir/smoke-index.json"
 # Predicate sessions: every worker seeds from the canned structured-
 # query mix; loadgen itself exits nonzero unless round-0 recall@10
 # against the staged incidents reaches 0.9 and feedback never loses
@@ -318,7 +322,7 @@ grep -q "drained, bye" "$smokedir/serve.log" || { echo "serve did not drain clea
 grep -q '"rounds_served": 12' "$smokedir/smoke.json" || { echo "smoke run served fewer rounds than expected" >&2; cat "$smokedir/smoke.json" >&2; exit 1; }
 # Both loadgen reports must show a loss-free run; on a drop, surface
 # the server log alongside the report so the failure is diagnosable.
-for report in "$smokedir/smoke.json" "$smokedir/smoke-ivf.json" "$smokedir/smoke-predicate.json" "$smokedir/smoke-churn.json"; do
+for report in "$smokedir/smoke.json" "$smokedir/smoke-index.json" "$smokedir/smoke-predicate.json" "$smokedir/smoke-churn.json"; do
     grep -q '"dropped_rounds": 0' "$report" || {
         echo "smoke run dropped rounds in $report" >&2
         cat "$report" >&2
@@ -350,11 +354,13 @@ grep -q '"round_recall"' "$smokedir/smoke-predicate.json" || {
 
 echo "== predicate smoke (in-process sharded serving identity) =="
 # Third serving path for the same composed query: 3 in-process shards
-# scatter predicate-seeded probes and the coordinator reassembles the
-# full catalog at C = N — the ranking must match the exact path byte
-# for byte, and the scatter must be accounted as seeded rounds (in the
-# index block, where every shard count keeps its round counters).
-"$smokedir/serve" -demo -addr 127.0.0.1:0 -quant scalar -local-shards 3 \
+# answer a predicate-seeded round at C = 64 >= N = 48, so no probe
+# vector goes out, every shard returns its whole partition and the
+# coordinator reassembles the full catalog — the ranking must match
+# the exact path byte for byte, and the scatter must be accounted as
+# seeded rounds (in the index block, where every shard count keeps its
+# round counters).
+"$smokedir/serve" -demo -addr 127.0.0.1:0 -quant pq -local-shards 3 \
     -index vptree -candidates 64 >"$smokedir/serve-shard.log" 2>&1 &
 serve_pid=$!
 shard_url=""
