@@ -49,15 +49,14 @@ import (
 )
 
 // Applier receives the daemon's live index changes. The query
-// service's index cache implements it: ApplyLive folds the feed
-// clip's current windows into every live index entry for that clip
-// (delta or rebuild-compaction, per the churn threshold), and
-// DropClips discards cached entries for evicted clips. A nil Applier
-// is valid — the daemon then only maintains the catalog.
+// service implements it: ApplyLive folds the feed clip's current
+// windows into every built index for that clip (delta or
+// rebuild-compaction, per the churn threshold), and DropClips
+// discards the cached state of evicted clips. A nil Applier is
+// valid — the daemon then only maintains the catalog.
 type Applier interface {
 	// ApplyLive applies the feed clip's new VS database at catalog
-	// generation gen. It reports per-entry totals across the index
-	// kinds it maintains.
+	// generation gen. It reports per-entry totals.
 	ApplyLive(clip string, vss []window.VS, gen uint64) (ApplyOutcome, error)
 	// DropClips discards any cached index state for the named clips,
 	// returning how many entries were dropped.

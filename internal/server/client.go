@@ -57,7 +57,13 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	if err != nil {
 		return fmt.Errorf("server: %w", err)
 	}
-	defer resp.Body.Close()
+	// Drain what the decoders leave unread (the encoder's trailing
+	// newline, the chunked terminator): net/http reuses a connection
+	// only after its body was read to EOF.
+	defer func() {
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var apiErr ErrorResponse
 		msg := resp.Status

@@ -149,8 +149,8 @@ func TestQueryIndexAPI(t *testing.T) {
 	if stats.Index.Builds != 1 || stats.Index.CacheHits != 1 {
 		t.Fatalf("second session should hit the cache: builds=%d hits=%d", stats.Index.Builds, stats.Index.CacheHits)
 	}
-	if srv.indexes.len() != 1 {
-		t.Fatalf("index cache holds %d entries, want 1", srv.indexes.len())
+	if srv.clips.indexCount() != 1 {
+		t.Fatalf("index cache holds %d entries, want 1", srv.clips.indexCount())
 	}
 
 	// URL parameters override the body.
@@ -240,8 +240,8 @@ func TestQueryIndexAPI(t *testing.T) {
 	if stats.Index.Builds != 1 || stats.Index.ForcedRebuilds != 1 {
 		t.Fatalf("replaced clip: builds=%d forced=%d, want 1/1", stats.Index.Builds, stats.Index.ForcedRebuilds)
 	}
-	if srv.indexes.len() != 1 {
-		t.Fatalf("index cache holds %d entries, want 1", srv.indexes.len())
+	if srv.clips.indexCount() != 1 {
+		t.Fatalf("index cache holds %d entries, want 1", srv.clips.indexCount())
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 
 // TestDeleteClipDropsIndexCache is the regression test for cache
 // eviction on clip deletion: DELETE /v1/clips/{name} (and the ingest
-// daemon's retention path behind the same helper) must drop every
-// cached per-(clip, shard, kind) index entry, so a later clip of the
-// same name never inherits stale candidate structures.
+// daemon's retention path behind the same helper) must drop the
+// clip's cache entry with every part index in it, so a later clip of
+// the same name never inherits stale candidate structures.
 func TestDeleteClipDropsIndexCache(t *testing.T) {
 	recA := synthRecord(t, 1, 2, 2, 6)
 	recA.Name = "a"
@@ -32,20 +32,20 @@ func TestDeleteClipDropsIndexCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.indexes.len(); got != 2 {
+	if got := srv.clips.indexCount(); got != 2 {
 		t.Fatalf("%d cached indexes after two indexed sessions, want 2", got)
 	}
 	if err := client.DeleteClip(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.indexes.len(); got != 1 {
+	if got := srv.clips.indexCount(); got != 1 {
 		t.Fatalf("deleting a clip left %d cached indexes, want 1", got)
 	}
-	// The memo holds every indexed clip's stored order, sharded or not.
-	srv.memo.mu.Lock()
-	_, staleA := srv.memo.entries["a"]
-	_, keptB := srv.memo.entries["b"]
-	srv.memo.mu.Unlock()
+	// The clip cache holds an entry per indexed clip, sharded or not.
+	srv.clips.mu.Lock()
+	_, staleA := srv.clips.entries["a"]
+	_, keptB := srv.clips.entries["b"]
+	srv.clips.mu.Unlock()
 	if staleA || !keptB {
 		t.Fatalf("after deleting a: memo holds a %v, b %v", staleA, keptB)
 	}
@@ -69,8 +69,8 @@ func TestDeleteClipDropsIndexCache(t *testing.T) {
 }
 
 // TestDeleteClipDropsShardedCache is the sharded flavor: one deletion
-// removes all of the clip's per-shard entries and its memo entry
-// (partition and stored heuristic order).
+// removes the clip's entry: its per-shard indexes, partition and
+// stored heuristic order.
 func TestDeleteClipDropsShardedCache(t *testing.T) {
 	recA := synthRecord(t, 3, 2, 2, 10)
 	recA.Name = "a"
@@ -80,10 +80,10 @@ func TestDeleteClipDropsShardedCache(t *testing.T) {
 	if _, err := client.Query(ctx, QueryRequest{Clip: "a", Index: "vptree", Candidates: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.indexes.len(); got != 3 {
+	if got := srv.clips.indexCount(); got != 3 {
 		t.Fatalf("%d cached indexes for a 3-shard session, want 3", got)
 	}
-	// A pushed delta reaches every per-shard entry through the lazy
+	// A pushed delta reaches every per-shard index through the
 	// re-partition of the clip's current windows.
 	out, err := srv.ApplyLive("a", recA.VSs, db.Generation())
 	if err != nil {
@@ -95,12 +95,12 @@ func TestDeleteClipDropsShardedCache(t *testing.T) {
 	if err := client.DeleteClip(ctx, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.indexes.len(); got != 0 {
+	if got := srv.clips.indexCount(); got != 0 {
 		t.Fatalf("deleting the clip left %d per-shard indexes", got)
 	}
-	srv.memo.mu.Lock()
-	_, stale := srv.memo.entries["a"]
-	srv.memo.mu.Unlock()
+	srv.clips.mu.Lock()
+	_, stale := srv.clips.entries["a"]
+	srv.clips.mu.Unlock()
 	if stale {
 		t.Fatal("deleting the clip left its memo entry")
 	}
@@ -209,7 +209,7 @@ func TestLiveSessionTracksIngest(t *testing.T) {
 	if n := srv.DropClips([]string{d.FeedClip()}); n == 0 {
 		t.Fatal("DropClips removed nothing")
 	}
-	if got := srv.indexes.len(); got != 0 {
+	if got := srv.clips.indexCount(); got != 0 {
 		t.Fatalf("%d cached indexes after dropping the feed", got)
 	}
 }

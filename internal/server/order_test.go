@@ -13,12 +13,12 @@ import (
 	"milvideo/internal/window"
 )
 
-// orderComputed reports whether the server's memo holds a computed
-// heuristic order for the clip.
+// orderComputed reports whether the server's clip cache holds a
+// computed heuristic order for the clip.
 func orderComputed(srv *Server, clip string) bool {
-	srv.memo.mu.Lock()
-	e, ok := srv.memo.entries[clip]
-	srv.memo.mu.Unlock()
+	srv.clips.mu.Lock()
+	e, ok := srv.clips.entries[clip]
+	srv.clips.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -162,5 +162,91 @@ func TestHeuristicOrderFollowsBacking(t *testing.T) {
 	}
 	if !slices.Equal(resp.Ranking, want) {
 		t.Fatal("pruned round over the replaced record diverges from an engine computing its own order")
+	}
+}
+
+// TestHeuristicOrderPinnedAcrossReplace: a pinned indexed session
+// keeps the parts, indexes and stored order it captured when its clip
+// is replaced under it. Session A runs one judged round over record
+// a, db.Replace swaps in a same-length record, a judged session over
+// the new record rebuilds the clip's indexes and order, and then A
+// runs three more rounds. Every round of A must equal the same session
+// on a server that never saw the replace, at S ∈ {1, 3} over float
+// rows and PQ codes.
+func TestHeuristicOrderPinnedAcrossReplace(t *testing.T) {
+	recA, err := ScaledDemoRecord(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recB, err := ScaledDemoRecord(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recA.Name, recB.Name = "a", "a"
+	if len(recA.VSs) != len(recB.VSs) {
+		t.Fatalf("records differ in length: %d and %d", len(recA.VSs), len(recB.VSs))
+	}
+	judgeA, err := JudgeFromRecord(recA, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	judgeB, err := JudgeFromRecord(recB, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	req := QueryRequest{Clip: "a", Index: "vptree", Candidates: len(recA.VSs) / 4, TopK: 10}
+	for _, shards := range []int{1, 3} {
+		for _, quant := range []string{"", "pq"} {
+			key := fmt.Sprintf("S=%d quant=%q", shards, quant)
+			// A five-round session on a server that never sees the
+			// replace.
+			_, refClient := newTestServer(t, Config{DB: testCatalog(t, recA), Shards: shards, Quant: quant})
+			resp, err := refClient.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			want := [][]int{resp.Ranking}
+			for r := 1; r < 5; r++ {
+				resp, _ = judgedFeedback(t, refClient, judgeA, resp)
+				want = append(want, resp.Ranking)
+			}
+
+			db := testCatalog(t, recA)
+			srv, client := newTestServer(t, Config{DB: db, Shards: shards, Quant: quant})
+			if resp, err = client.Query(ctx, req); err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			got := [][]int{resp.Ranking}
+			resp, _ = judgedFeedback(t, client, judgeA, resp)
+			got = append(got, resp.Ranking)
+
+			if err := db.Replace(recB); err != nil {
+				t.Fatal(err)
+			}
+			other, err := client.Query(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: session over the replaced record: %v", key, err)
+			}
+			judgedFeedback(t, client, judgeB, other)
+			st, err := client.Stats(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Index.ForcedRebuilds != int64(shards) || !orderComputed(srv, "a") {
+				t.Fatalf("%s: the replaced record's session rebuilt %d of %d part indexes (order computed %v)",
+					key, st.Index.ForcedRebuilds, shards, orderComputed(srv, "a"))
+			}
+
+			for r := 2; r < 5; r++ {
+				resp, _ = judgedFeedback(t, client, judgeA, resp)
+				got = append(got, resp.Ranking)
+			}
+			for r := range want {
+				if !slices.Equal(got[r], want[r]) {
+					t.Fatalf("%s: round %d of the pinned session moved after the replace", key, r)
+				}
+			}
+		}
 	}
 }

@@ -97,12 +97,14 @@ type Config struct {
 
 	// Shards, when > 1, partitions each clip's VS database across
 	// Shards in-process consistent-hash shards: each shard maintains
-	// its own candidate index (per-(clip, shard, kind) cache entries,
+	// its own candidate index (one per part of the clip's cache entry,
 	// built and delta-maintained in parallel on generation bumps), and
 	// every indexed round scatters its probes across them. 0 or 1
 	// serves indexed sessions as one shard over the whole clip. Every
 	// shard count runs the same engine, and C >= N sessions reproduce
-	// the exact ranking at each.
+	// the exact ranking at each. A server sharding in process keeps no
+	// whole-clip index, so its /v1/scatter refuses, and it cannot be a
+	// shard worker (PartitionCount).
 	Shards int
 	// ShardTimeout bounds each shard's probe in an indexed round and
 	// each coordinator→worker catalog forward. A shard that misses it
@@ -116,14 +118,14 @@ type Config struct {
 	// PartitionCount=len(ShardURLs) over the same catalog), and
 	// catalog writes are forwarded to every worker. Overrides Shards.
 	ShardURLs []string
-	// Ingest attaches an always-on ingest daemon: the daemon's feed
-	// clip is marked live in the index cache (generation bumps apply
-	// as incremental deltas, never rebuilds), sessions over the feed
-	// clip re-resolve the catalog every round, the daemon's lifecycle
-	// state is served under /v1/stats, and the server acts as the
-	// daemon's live-index Applier. The caller starts the daemon with
-	// the server as its Applier after New. Incompatible with cluster
-	// modes (ShardURLs, PartitionCount) — live applies don't forward.
+	// Ingest attaches an always-on ingest daemon: the feed clip's
+	// indexes absorb its generation bumps as incremental deltas, never
+	// rebuilds, sessions over the feed clip re-resolve the catalog
+	// every round, the daemon's lifecycle state is served under
+	// /v1/stats, and the server acts as the daemon's live-index
+	// Applier. The caller starts the daemon with the server as its
+	// Applier after New. Incompatible with cluster modes (ShardURLs,
+	// PartitionCount) — live applies don't forward.
 	Ingest *ingestd.Daemon
 	// PartitionIndex/PartitionCount mark this server as shard worker
 	// i of n: clips ingested through POST /v1/clips are filtered down
@@ -168,9 +170,10 @@ type Server struct {
 	cfg     Config
 	store   *sessionStore
 	metrics *Metrics
-	// indexes caches built candidate indexes per (clip, shard, kind);
-	// engineStats accumulates every indexed session's round counters.
-	indexes     *indexCache
+	// clips holds each clip's parts, candidate indexes and stored
+	// heuristic order; engineStats accumulates every indexed session's
+	// round counters.
+	clips       *clipCache
 	engineStats *shard.Stats
 	sem         chan struct{}
 	mux         *http.ServeMux
@@ -179,9 +182,6 @@ type Server struct {
 	// schedule is a deterministic function of (seed, arrival order).
 	roundSeq atomic.Uint64
 
-	// memo holds each clip's stored heuristic order for pruned rounds
-	// and the parts its in-process probers cover.
-	memo *clipMemo
 	// Sharded serving state: the partition-filter ring (worker mode),
 	// the optional per-shard chaos hook, and the coordinator's worker
 	// nodes (cluster mode).
@@ -212,6 +212,9 @@ func New(cfg Config) (*Server, error) {
 		}
 		indexOpt.Quant = qk
 	}
+	if cfg.Shards > 1 && cfg.PartitionCount > 1 {
+		return nil, errors.New("server: Shards > 1 (in-process sharding) and PartitionCount > 1 (shard worker) are mutually exclusive")
+	}
 	if cfg.PartitionCount > 1 && (cfg.PartitionIndex < 0 || cfg.PartitionIndex >= cfg.PartitionCount) {
 		return nil, fmt.Errorf("server: partition index %d out of range 0..%d", cfg.PartitionIndex, cfg.PartitionCount-1)
 	}
@@ -222,7 +225,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:         cfg,
 		store:       newSessionStore(cfg.MaxSessions, cfg.SessionTTL, cfg.Clock),
 		metrics:     &Metrics{},
-		indexes:     newIndexCache(indexOpt),
 		engineStats: &shard.Stats{},
 		sem:         make(chan struct{}, cfg.RerankWorkers),
 		mux:         http.NewServeMux(),
@@ -238,12 +240,9 @@ func New(cfg Config) (*Server, error) {
 	} else if cfg.Shards > 1 {
 		ring = shard.NewRing(cfg.Shards)
 	}
-	s.memo = newClipMemo(ring)
+	s.clips = newClipCache(ring, indexOpt)
 	if cfg.PartitionCount > 1 {
 		s.partRing = shard.NewRing(cfg.PartitionCount)
-	}
-	if cfg.Ingest != nil {
-		s.indexes.setLive(cfg.Ingest.FeedClip())
 	}
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/session/{id}/ranking", s.handleRanking)
@@ -510,7 +509,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("example_vs, sketch and predicate are mutually exclusive"))
 		return
 	}
-	if s.cfg.Ingest != nil && req.Clip == s.cfg.Ingest.FeedClip() {
+	if s.feedClip(req.Clip) {
 		req.Live = true
 	}
 	if req.Live {
@@ -553,13 +552,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	} else if initial != nil {
 		engine = query.WithFeedback{Initial: initial, Learner: engine}
 	}
-	kind, cand, err := s.resolveIndex(r, &req)
+	cand, err := s.resolveIndex(r, &req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	base := engine
-	engine, err = s.engineFor(base, rec, snap.Generation(), kind, cand)
+	engine, err = s.engineFor(base, rec, snap.Generation(), cand)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -580,7 +579,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		labels:     make(map[int]mil.Label),
 		live:       req.Live,
 		base:       base,
-		kind:       kind,
 		cand:       cand,
 	}
 
@@ -600,12 +598,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, resp)
 }
 
-// resolveIndex determines a session's candidate-index settings. URL
+// resolveIndex determines a session's candidate-set size C. URL
 // query parameters (?index=…&candidates=…) take precedence over the
 // JSON body, which takes precedence over the server defaults; "exact"
 // or "none" force exact ranking even when the server has a default
-// index. The returned kind is empty for exact ranking.
-func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (index.Kind, int, error) {
+// index. C = 0 means exact ranking.
+func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (int, error) {
 	name := req.Index
 	if q := r.URL.Query().Get("index"); q != "" {
 		name = q
@@ -615,47 +613,46 @@ func (s *Server) resolveIndex(r *http.Request, req *QueryRequest) (index.Kind, i
 	}
 	switch name {
 	case "", "exact", "none":
-		return "", 0, nil
+		return 0, nil
 	}
-	kind, err := index.ParseKind(name)
-	if err != nil {
-		return "", 0, err
+	if _, err := index.ParseKind(name); err != nil {
+		return 0, err
 	}
 	cand := req.Candidates
 	if q := r.URL.Query().Get("candidates"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 0 {
-			return "", 0, fmt.Errorf("bad candidates %q", q)
+			return 0, fmt.Errorf("bad candidates %q", q)
 		}
 		cand = v
 	}
 	if cand <= 0 {
 		cand = s.cfg.DefaultCandidates
 	}
-	return kind, cand, nil
+	return cand, nil
 }
 
 // engineFor wraps a session's base ranking engine in the pruned
-// engine (shard.Engine) for one catalog snapshot. Its probes go to
-// the cluster's shard workers over HTTP, or to in-process probers:
-// one per ring partition when sharding in process, else one over the
-// whole clip (S = 1). The engine reads the clip's stored heuristic
-// order from the memo, which computes it on the first round that
-// needs it: round 0 when base falls back to the §5.3 order
-// (retrieval.OrderRanker), else the first pruned round.
-// kind == "" returns base unchanged (exact ranking). Live sessions
+// engine (shard.Engine) with C = cand for one catalog snapshot. Its
+// probes go to the cluster's shard workers over HTTP, or to one
+// in-process prober per part of the clip's cache entry: the ring
+// partition when sharding in process, else the whole clip (S = 1).
+// The engine reads the entry's stored heuristic order, computed on
+// the first round that needs it: round 0 when base falls back to the
+// §5.3 order (retrieval.OrderRanker), else the first pruned round.
+// cand == 0 returns base unchanged (exact ranking). Live sessions
 // call it again every round with that round's snapshot.
-func (s *Server) engineFor(base retrieval.Engine, rec *videodb.ClipRecord, gen uint64, kind index.Kind, cand int) (retrieval.Engine, error) {
-	if kind == "" {
+func (s *Server) engineFor(base retrieval.Engine, rec *videodb.ClipRecord, gen uint64, cand int) (retrieval.Engine, error) {
+	if cand == 0 {
 		return base, nil
 	}
-	entry := s.memo.get(rec.Name, rec.VSs)
+	entry := s.clips.get(rec.Name, rec.VSs, false)
 	var probers []shard.Prober
 	if len(s.shardNodes) > 0 {
-		probers = s.clusterProbers(rec, kind)
+		probers = s.clusterProbers(rec)
 	} else {
 		var err error
-		if probers, err = s.localProbers(rec.Name, entry, gen, kind); err != nil {
+		if probers, err = s.localProbers(rec.Name, entry, gen); err != nil {
 			return nil, err
 		}
 	}
@@ -903,10 +900,9 @@ func (s *Server) handleDeleteClip(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	// Drop the deleted clip's cached index and partition state with
-	// it: a later clip of the same name must not inherit stale
-	// per-(clip, shard, kind) entries.
-	s.dropClipState(name)
+	// Drop the deleted clip's parts, indexes and order with it: a later
+	// clip of the same name must not inherit them.
+	s.clips.drop(name)
 	s.forwardToShards(r.Context(), func(ctx context.Context, c *Client) error {
 		err := c.DeleteClip(ctx, name)
 		var apiErr *APIError
@@ -933,49 +929,51 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
-// dropClipState discards every piece of per-clip serving state the
-// server caches outside the catalog: candidate indexes (all shards
-// and kinds) and the memoized partition and heuristic order. Returns
-// the number of index entries dropped.
-func (s *Server) dropClipState(name string) int {
-	n := s.indexes.dropClip(name)
-	s.memo.drop(name)
-	return n
+// feedClip reports whether clip is the attached ingest daemon's feed.
+func (s *Server) feedClip(clip string) bool {
+	return s.cfg.Ingest != nil && clip == s.cfg.Ingest.FeedClip()
 }
 
 // ApplyLive implements ingestd.Applier: the daemon pushes the feed
-// clip's new VS database into every resident index entry for it the
-// moment a segment commits, so the feed is queryable without waiting
-// for the next session's pull-side reconciliation. Entries for shard
-// partitions get their own slice of the new database.
+// clip's new VS database into its built part indexes the moment a
+// segment commits, so the feed is queryable without waiting for the
+// next session's pull-side reconciliation. The clip's entry is
+// replaced for the new backing (re-cut into parts when sharding), and
+// each built index absorbs its part's slice; a clip without an entry
+// has nothing to apply.
 func (s *Server) ApplyLive(clip string, vss []window.VS, gen uint64) (ingestd.ApplyOutcome, error) {
-	var parts []shard.Part
-	vssFor := func(sh int) []window.VS {
-		if sh == wholeClipShard {
-			return vss
-		}
-		if parts == nil {
-			parts = s.memo.get(clip, vss).parts
-		}
-		if sh < 0 || sh >= len(parts) {
-			return nil
-		}
-		return parts[sh].VSs
+	var out ingestd.ApplyOutcome
+	e := s.clips.get(clip, vss, true)
+	if e == nil {
+		return out, nil
 	}
-	entries, inserted, deleted, rebuilds, err := s.indexes.applyLive(clip, gen, vssFor)
-	return ingestd.ApplyOutcome{
-		Entries:  entries,
-		Inserted: inserted,
-		Deleted:  deleted,
-		Rebuilds: rebuilds,
-	}, err
+	var err error
+	for i, p := range e.indexes {
+		part := e.parts[i].VSs
+		p.mu.Lock()
+		if p.bi != nil {
+			if res, uerr := p.bi.Update(part); uerr != nil {
+				err = uerr
+			} else {
+				p.vss, p.gen = part, gen
+				out.Entries++
+				out.Inserted += res.Inserted
+				out.Deleted += res.Deleted
+				if res.Rebuilt {
+					out.Rebuilds++
+				}
+			}
+		}
+		p.mu.Unlock()
+	}
+	return out, err
 }
 
 // DropClips implements ingestd.Applier for retention evictions.
 func (s *Server) DropClips(names []string) int {
 	n := 0
 	for _, name := range names {
-		n += s.dropClipState(name)
+		n += s.clips.drop(name)
 	}
 	return n
 }
@@ -1011,7 +1009,7 @@ func (s *Server) Stats() *StatsResponse {
 			BuildLatency:       s.metrics.IndexBuild.Summary(),
 		},
 	}
-	tombstones, internalRebuilds, trainTime, _, _ := s.indexes.maintenance()
+	tombstones, internalRebuilds, trainTime := s.clips.maintenance()
 	resp.Index.Tombstones = int64(tombstones)
 	resp.Index.ForcedRebuilds += int64(internalRebuilds)
 	resp.Index.QuantizerTrainMs = ms(trainTime)
@@ -1142,7 +1140,7 @@ func (s *Server) refreshLive(sess *session) error {
 	if err != nil {
 		return err
 	}
-	engine, err := s.engineFor(sess.base, rec, snap.Generation(), sess.kind, sess.cand)
+	engine, err := s.engineFor(sess.base, rec, snap.Generation(), sess.cand)
 	if err != nil {
 		return err
 	}

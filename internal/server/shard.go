@@ -6,149 +6,15 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"milvideo/internal/faults"
 	"milvideo/internal/index"
-	"milvideo/internal/retrieval"
 	"milvideo/internal/shard"
 	"milvideo/internal/stats"
 	"milvideo/internal/videodb"
-	"milvideo/internal/window"
 )
-
-// clipMemo memoizes what serving derives from each clip's VS database:
-// its §5.3 heuristic order, which round 0 copies and pruned rounds
-// filter for their remainder, and the slices its in-process probers
-// cover — the consistent-hash partition when sharding in process
-// (stable part slices keep the per-shard index cache's
-// backing-identity test absorbing generation bumps as deltas), else
-// the whole clip as one part. An entry is reused only while the
-// clip's VS backing array is the one it was computed over
-// (videodb.SharesBacking), never by length: a live commit can evict
-// and append as many windows as it drops.
-type clipMemo struct {
-	mu      sync.Mutex
-	ring    *shard.Ring // nil unless sharding in process
-	entries map[string]*clipMemoEntry
-}
-
-type clipMemoEntry struct {
-	vss []window.VS
-	// parts is the ring partition, or without a ring the whole clip
-	// as one part with identity positions (Pos nil).
-	parts []shard.Part
-	// order is HeuristicOrder(vss), computed under mu by the first
-	// round that reads it: round 0 of an indexed session whose engine
-	// falls back to the §5.3 order (retrieval.OrderRanker), or a
-	// pruned round that leaves a remainder. Readers never write into
-	// it; the fallback returns a copy.
-	mu    sync.Mutex
-	order []int
-}
-
-func newClipMemo(ring *shard.Ring) *clipMemo {
-	return &clipMemo{ring: ring, entries: make(map[string]*clipMemoEntry)}
-}
-
-// get returns the entry for a clip's current VS database, replacing
-// one computed over another backing.
-func (c *clipMemo) get(name string, vss []window.VS) *clipMemoEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[name]; ok && videodb.SharesBacking(e.vss, vss) {
-		return e
-	}
-	e := &clipMemoEntry{vss: vss, parts: []shard.Part{{VSs: vss}}}
-	if c.ring != nil {
-		e.parts = shard.PartitionVS(c.ring, name, vss)
-	}
-	c.entries[name] = e
-	return e
-}
-
-// heuristicOrder returns the entry's stored order, computing it on
-// first use.
-func (e *clipMemoEntry) heuristicOrder() []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.order == nil {
-		e.order = retrieval.HeuristicOrder(e.vss)
-	}
-	return e.order
-}
-
-// drop discards the memoized state for one clip (deletion or
-// retention eviction).
-func (c *clipMemo) drop(name string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, name)
-}
-
-// indexFor fetches (building or maintaining) one cached index and
-// folds the cache outcome into the metrics. shard is wholeClipShard
-// for a clip's undivided index, or the 0-based shard number for one
-// partition's.
-func (s *Server) indexFor(clip string, sh int, vss []window.VS, kind index.Kind, gen uint64) (*index.BagIndex, error) {
-	bi, outcome, buildTime, err := s.indexes.get(clip, sh, vss, kind, gen)
-	if err != nil {
-		return nil, err
-	}
-	switch outcome {
-	case cacheBuilt:
-		s.metrics.IndexBuilds.Add(1)
-		s.metrics.IndexBuild.Observe(buildTime)
-	case cacheApplied:
-		s.metrics.IndexApplies.Add(1)
-	case cacheRebuilt:
-		s.metrics.IndexRebuilds.Add(1)
-		s.metrics.IndexBuild.Observe(buildTime)
-	default:
-		s.metrics.IndexCacheHits.Add(1)
-	}
-	return bi, nil
-}
-
-// localProbers returns one LocalProber per in-process part of the
-// clip (memoized by backing identity), each over a maintained index
-// per (clip, shard, kind). Unsharded, the one part is the whole clip
-// under wholeClipShard, so its sessions and /v1/scatter share one
-// index per kind. The part fetches run concurrently — builds on first
-// use and delta applications on generation bumps alike — so with S
-// shards maintenance cost arrives as S parallel ~1/S-sized units
-// instead of one clip-sized pass.
-func (s *Server) localProbers(clip string, entry *clipMemoEntry, gen uint64, kind index.Kind) ([]shard.Prober, error) {
-	parts := entry.parts
-	probers := make([]shard.Prober, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		sh := i
-		if s.memo.ring == nil {
-			sh = wholeClipShard
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bi, err := s.indexFor(clip, sh, parts[i].VSs, kind, gen)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			probers[i] = shard.LocalProber{VSs: parts[i].VSs, Pos: parts[i].Pos, Index: bi}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return probers, nil
-}
 
 // shardFaultHook adapts the chaos injector to the scatter engine's
 // per-(shard, round) hook; nil when shard faults are not armed, so
@@ -192,10 +58,16 @@ type ScatterHit struct {
 }
 
 // handleScatter answers a coordinator's probe from this worker's
-// partition of the clip. A clip this worker holds no bags of is a
-// legitimately empty answer, not an error — the coordinator's merge
-// treats it as zero candidates.
+// partition of the clip, through the index the worker's own unsharded
+// sessions share (its clip entry's single part). A clip this worker
+// holds no bags of is a legitimately empty answer, not an error — the
+// coordinator's merge treats it as zero candidates. A server sharding
+// in process keeps no whole-clip index and refuses.
 func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
+	if s.clips.ring != nil {
+		writeError(w, http.StatusBadRequest, errors.New("scatter: this server shards in process and keeps no whole-clip index"))
+		return
+	}
 	var req ScatterRequest
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -204,8 +76,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("scatter needs a clip name"))
 		return
 	}
-	kind, err := index.ParseKind(req.Kind)
-	if err != nil {
+	if _, err := index.ParseKind(req.Kind); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -224,7 +95,7 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	bi, err := s.indexFor(rec.Name, wholeClipShard, rec.VSs, kind, snap.Generation())
+	bi, err := s.partIndex(rec.Name, s.clips.get(rec.Name, rec.VSs, false), 0, snap.Generation())
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -266,7 +137,6 @@ type shardNode struct {
 type httpProber struct {
 	node *shardNode
 	clip string
-	kind index.Kind
 	pos  map[int]int
 }
 
@@ -275,7 +145,7 @@ func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]ind
 	start := time.Now()
 	resp, err := p.node.client.Scatter(ctx, ScatterRequest{
 		Clip:       p.clip,
-		Kind:       string(p.kind),
+		Kind:       string(index.KindVPTree),
 		Candidates: c,
 		Probes:     probes,
 	})
@@ -310,14 +180,14 @@ func (p httpProber) Probe(ctx context.Context, probes [][]float64, c int) ([]ind
 // clusterProbers returns one HTTP prober per shard worker for a
 // session over rec: probes fan to the workers, and the merged union
 // re-ranks centrally against the coordinator's full catalog.
-func (s *Server) clusterProbers(rec *videodb.ClipRecord, kind index.Kind) []shard.Prober {
+func (s *Server) clusterProbers(rec *videodb.ClipRecord) []shard.Prober {
 	pos := make(map[int]int, len(rec.VSs))
 	for p, vs := range rec.VSs {
 		pos[vs.Index] = p
 	}
 	probers := make([]shard.Prober, len(s.shardNodes))
 	for i, n := range s.shardNodes {
-		probers[i] = httpProber{node: n, clip: rec.Name, kind: kind, pos: pos}
+		probers[i] = httpProber{node: n, clip: rec.Name, pos: pos}
 	}
 	return probers
 }
@@ -396,7 +266,7 @@ func (s *Server) shardMode() string {
 	switch {
 	case len(s.shardNodes) > 0:
 		return "coordinator"
-	case s.memo.ring != nil:
+	case s.clips.ring != nil:
 		return "inprocess"
 	case s.partRing != nil:
 		return "worker"

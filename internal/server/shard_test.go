@@ -89,10 +89,10 @@ func TestInProcessShardedIdentity(t *testing.T) {
 	if stats.Shard.PartialRounds != 0 || stats.Shard.AllFailedRounds != 0 {
 		t.Fatalf("healthy run degraded: %+v", stats.Shard)
 	}
-	// Per-(clip, shard, kind) index caching: 3 partition indexes, no
+	// One index per part of the clip's entry: 3 partition indexes, no
 	// whole-clip one.
-	if srv.indexes.len() != 3 {
-		t.Fatalf("index cache holds %d entries, want 3", srv.indexes.len())
+	if srv.clips.indexCount() != 3 {
+		t.Fatalf("index cache holds %d entries, want 3", srv.clips.indexCount())
 	}
 	if stats.Index.Builds != 3 {
 		t.Fatalf("builds=%d, want 3 per-shard builds", stats.Index.Builds)
@@ -178,6 +178,40 @@ func TestScatterEndpoint(t *testing.T) {
 	}
 	if stats.Shard.ScatterServed != 3 {
 		t.Fatalf("scatter_served=%d, want 3", stats.Shard.ScatterServed)
+	}
+}
+
+// TestScatterWholeClipIndex: /v1/scatter answers from the index a
+// server's unsharded sessions share, so a worker's scatter and its own
+// indexed session build one index between them. A server sharding in
+// process keeps no whole-clip index and refuses the scatter, and it
+// cannot also be a shard worker.
+func TestScatterWholeClipIndex(t *testing.T) {
+	rec := synthRecord(t, 26, 4, 4, 16)
+	_, err := New(Config{DB: testCatalog(t, rec), Shards: 3, PartitionCount: 2})
+	if err == nil || !strings.Contains(err.Error(), "Shards") || !strings.Contains(err.Error(), "PartitionCount") {
+		t.Fatalf("Shards with PartitionCount: got %v, want an error naming both", err)
+	}
+
+	ctx := context.Background()
+	probe := rec.VSs[0].TSs[0].Flat()
+	_, sharded := newTestServer(t, Config{DB: testCatalog(t, rec), Shards: 3})
+	_, err = sharded.Scatter(ctx, ScatterRequest{Clip: rec.Name, Kind: "vptree", Candidates: 5, Probes: [][]float64{probe}})
+	wantStatus(t, err, http.StatusBadRequest)
+
+	_, worker := newWorker(t, rec, 0, 2)
+	if _, err := worker.Scatter(ctx, ScatterRequest{Clip: rec.Name, Kind: "vptree", Candidates: 5, Probes: [][]float64{probe}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := worker.Query(ctx, QueryRequest{Clip: rec.Name, Index: "vptree", Candidates: 5}); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := worker.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Index.Builds != 1 || stats.Index.CacheHits != 1 {
+		t.Fatalf("worker scatter and session: builds=%d hits=%d, want 1/1", stats.Index.Builds, stats.Index.CacheHits)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"milvideo/internal/index"
 	"milvideo/internal/mil"
 	"milvideo/internal/retrieval"
 	"milvideo/internal/window"
@@ -33,12 +32,12 @@ type session struct {
 	// Live sessions track the ingest daemon's feed: every round
 	// re-resolves db (and rebuilds engine around base, for indexed
 	// sessions) from a fresh catalog snapshot, so the ranking covers
-	// whatever was committed and retained by then. base/kind/cand are
-	// the per-round reconstruction inputs; db is then mutable and read
-	// under mu (for pinned sessions it never changes after creation).
+	// whatever was committed and retained by then. base and cand (the
+	// candidate-set size C, 0 for exact ranking) are the per-round
+	// reconstruction inputs; db is then mutable and read under mu (for
+	// pinned sessions it never changes after creation).
 	live bool
 	base retrieval.Engine
-	kind index.Kind
 	cand int
 
 	// mu serializes rounds within the session: feedback for one

@@ -28,3 +28,14 @@ func testCatalog(t *testing.T, rec *videodb.ClipRecord) *videodb.DB {
 	}
 	return db
 }
+
+// indexCount reports how many built part indexes the clip cache holds.
+func (c *clipCache) indexCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, e := range c.entries {
+		n += e.built()
+	}
+	return n
+}

@@ -137,8 +137,11 @@ echo "== index smoke (recall gates: C=N identity, C=N/4 >= 0.9; pinned C<N ranki
 # engine whose no-feedback ranking is the §5.3 order (MIL, Rocchio,
 # EM-DD, MI-SVM) must rank the same through it and copy it in round 0,
 # only indexed sessions may compute it (round 0 of an indexed MIL
-# session does; exact and example-seeded ones do not), and the server
-# must reuse it by VS backing identity, never by length. The
+# session does; exact and example-seeded ones do not), the server
+# must reuse it by VS backing identity, never by length, and a pinned
+# indexed session must keep the order and indexes it captured when a
+# same-length Replace of its clip rebuilds them for new sessions
+# (TestHeuristicOrderPinnedAcrossReplace, S ∈ {1, 3} × float/PQ). The
 # TestCandidate tests check the pruned-ranking contract on the
 # unsharded (one-shard) engine.
 index_smoke='TestIndexSmokeRecall|TestQueryIndex|TestQueryPredicate|TestCandidate|TestVPTree|TestBagIndex|TestPrunedRankingGolden|TestPrunedRoundWork|TestSelectK|TestKBest|TestScratchReuse|TestRankByScore|TestMILRankPositiveBagsOnly|FuzzCandidatesExact|FuzzRerankUnionOrder|TestHeuristicOrder|TestShardedStoredOrder|TestOrderRanker'
@@ -159,7 +162,9 @@ echo "== sharded serving (C=N identity gate + shard chaos, -race) =="
 # results with counters instead of failing queries. A stale index or
 # an ended round context fails the round instead, counting no lost
 # shard, and seeded rounds count only with the pruned round they
-# scattered.
+# scattered. /v1/scatter answers from the index the server's
+# unsharded sessions share, and a server sharding in process refuses
+# it with 400 (TestScatterWholeClipIndex).
 sharded_legs='TestSharded|TestFullBudget|TestRing|TestPartition|TestProbeLocal|TestPerShard|TestSlowShard|TestFailedShard|TestAllShards|TestInjector|TestShardFault|TestInProcessSharded|TestScatter|TestCluster|TestLoadGenShard'
 sharded_pkgs=(./internal/shard/ ./internal/server/ ./internal/faults/)
 require_run "$sharded_legs" "${sharded_pkgs[@]}"
